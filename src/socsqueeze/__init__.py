@@ -4,7 +4,12 @@ Band structure of the Raman-coupled spin-1 Hamiltonian, collective-spin
 squeezing by exact diagonalization or Gaussian fluctuation theory, and spinor
 Gross-Pitaevskii ground states, with a config-driven CLI for reproducible
 sweeps.
+
+The scipy-backed backends, ``fockspace`` (ED) and ``gaussian``, load on first
+use of one of their names, so importing the package does not import scipy.
 """
+
+import importlib
 
 from .algebra import (
     GENERATOR_LABELS,
@@ -33,24 +38,6 @@ from .errors import (
     UnstableExpansionError,
     UnsupportedObservableError,
 )
-from .fockspace import (
-    FockBasis,
-    SymmetricFockState,
-    build_effective_hamiltonian,
-    ed_ground_state,
-    ed_moment_set,
-    ed_moments,
-    fock_basis,
-)
-from .gaussian import (
-    GaussianSolution,
-    MeanFieldResult,
-    gaussian_moment_set,
-    gaussian_moments,
-    hp_mean_field,
-    hp_quadratic,
-    solve_gaussian,
-)
 from .gp import (
     GpProblem,
     InteractionConfig,
@@ -78,3 +65,37 @@ from .metrics import (
 from .params import EffectiveCoefficients, ModelParams, effective_coefficients
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    **dict.fromkeys((
+        "FockBasis",
+        "SymmetricFockState",
+        "build_effective_hamiltonian",
+        "ed_ground_state",
+        "ed_moment_set",
+        "ed_moments",
+        "fock_basis",
+    ), "fockspace"),
+    **dict.fromkeys((
+        "GaussianSolution",
+        "MeanFieldResult",
+        "gaussian_moment_set",
+        "gaussian_moments",
+        "hp_mean_field",
+        "hp_quadratic",
+        "solve_gaussian",
+    ), "gaussian"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

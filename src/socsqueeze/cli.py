@@ -10,6 +10,7 @@ failed to converge (partial results are kept), 4 I/O failure.
 """
 
 import argparse
+import importlib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,8 +19,6 @@ from . import __version__
 from .bands import classify, dispersion
 from .config import ENV_PREFIX, RunConfig, load_config
 from .errors import ConfigError, ConvergenceError
-from .fockspace import ed_ground_state, ed_moment_set
-from .gaussian import gaussian_moment_set, solve_gaussian
 from .gp import build_problem, gp_moment_set, imaginary_time_ground_state, save_field
 from .io import ensure_dir, write_csv, write_json
 from .metrics import build_report
@@ -27,16 +26,23 @@ from .params import effective_coefficients
 
 REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
                   "rho_m1", "rho_0", "rho_p1")
+# backends whose module imports scipy; loaded only by runs that use them
+_SCIPY_BACKENDS = {"ed": ".fockspace", "gaussian": ".gaussian"}
 
 
 def _report_for_point(cfg, params, seed):
     """One squeezing report at a parameter point, on the configured backend."""
     if cfg.backend == "ed":
+        from .fockspace import ed_ground_state, ed_moment_set
+
         coeffs = effective_coefficients(params)
         state = ed_ground_state(coeffs, params.N)
         moments = ed_moment_set(state)
-        extras = {"backend": "ed", "ground_energy": state.energy}
+        extras = {"backend": "ed", "ground_energy": state.energy,
+                  "ed_dim": state.basis.dim, "ed_residual": state.residual}
     elif cfg.backend == "gaussian":
+        from .gaussian import gaussian_moment_set, solve_gaussian
+
         coeffs = effective_coefficients(params)
         sol = solve_gaussian(coeffs, params.N)
         moments = gaussian_moment_set(sol)
@@ -160,6 +166,9 @@ def _run_sweep(cfg):
     if cfg.command == "sweep" and cfg.backend == "gp":
         # surface grid/trap problems before creating any files
         build_problem(cfg.params, cfg.trap, cfg.interaction, cfg.grid)
+    if cfg.backend in _SCIPY_BACKENDS:
+        # import once here, so that forked workers inherit it instead of each importing scipy
+        importlib.import_module(_SCIPY_BACKENDS[cfg.backend], __package__)
     tasks = [(cfg, i, float(v)) for i, v in enumerate(cfg.sweep.values)]
     payloads = _map_ordered(_sweep_cell, tasks, cfg.jobs)
     ensure_dir(cfg.out)

@@ -3,15 +3,14 @@
 Works in the fully symmetric N-boson subspace of three modes, dimension
 (N+1)(N+2)/2, with basis states |n_plus, n_minus> ordered lexicographically
 (n_zero = N - n_plus - n_minus is implied).  Collective operators are sparse;
-the ground state comes from a dense solve for small bases and from Lanczos
-above a dimension cutoff.
+the Hamiltonian is real symmetric and its ground state comes from one real
+Lanczos solve at every N.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
@@ -20,7 +19,6 @@ from .errors import ConfigError, ConvergenceError
 from .metrics import MomentSet
 from .params import EffectiveCoefficients
 
-DENSE_CUTOFF = 2000
 DEFAULT_N_CAP = 300
 RESIDUAL_TOL = 1e-10
 
@@ -81,15 +79,26 @@ class FockBasis:
         return self._tc
 
     def collective(self, matrix3):
-        """Second-quantized collective operator sum_mn G[m,n] a_m^dag a_n (sparse)."""
+        """Second-quantized collective operator sum_mn G[m,n] a_m^dag a_n (sparse).
+
+        The operator is real when G is, and complex otherwise.
+        """
+        matrix3 = np.asarray(matrix3)
+        if np.iscomplexobj(matrix3) and not np.any(matrix3.imag):
+            matrix3 = matrix3.real
         modes = (1, 0, -1)
-        op = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        op = sp.csr_matrix((self.dim, self.dim), dtype=matrix3.dtype)
         for i, m in enumerate(modes):
             for j, n in enumerate(modes):
                 g = matrix3[i, j]
                 if g != 0.0:
                     op = op + g * self.transfer(m, n)
         return op
+
+    @cached_property
+    def operators(self):
+        """The eight collective generators F_a, in canonical label order."""
+        return tuple(self.collective(generator_matrix(lbl)) for lbl in GENERATOR_LABELS)
 
 
 @lru_cache(maxsize=8)
@@ -104,11 +113,13 @@ def fock_basis(n_atoms):
 
 @dataclass(frozen=True)
 class SymmetricFockState:
-    """Ground-state amplitudes over the symmetric basis, with its energy."""
+    """Real ground-state amplitudes over the symmetric basis, with its energy
+    and the eigenpair residual ||H psi - E psi||."""
 
     N: int
     amplitudes: np.ndarray
     energy: float
+    residual: float
 
     @property
     def basis(self):
@@ -116,23 +127,25 @@ class SymmetricFockState:
 
 
 def build_effective_hamiltonian(coeffs, n_atoms):
-    """Sparse collective Hamiltonian -q Fz^2 + hx Fx + hz Fz + hY FY."""
+    """Real sparse collective Hamiltonian -q Fz^2 + hx Fx + hz Fz + hY FY.
+
+    Fx is real and every other term is diagonal, so H is real symmetric.
+    """
     basis = fock_basis(n_atoms)
     fz_diag = (basis.n_plus - basis.n_minus).astype(float)
     fy_diag = (basis.n_plus + basis.n_minus - 2.0 * basis.n_zero) / np.sqrt(3.0)
     diag = -coeffs.q * fz_diag**2 + coeffs.hz * fz_diag + coeffs.hY * fy_diag
-    fx = basis.collective(generator_matrix("Jx"))
+    fx = basis.operators[GENERATOR_LABELS.index("Jx")]
     return (coeffs.hx * fx + sp.diags(diag)).tocsr()
 
 
 def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
     """Ground state of the collective Hamiltonian in the symmetric subspace.
 
-    Dense solve up to dimension 2000, Lanczos with a fixed deterministic
-    start vector above it.  The returned amplitude vector is real-gauged:
-    the first component of maximal magnitude is rotated to the positive real
-    axis, so degenerate or nearly degenerate ground spaces still resolve to a
-    reproducible representative.
+    One real Lanczos solve with a fixed deterministic start vector, at every
+    N.  The returned amplitude vector is real and sign-gauged: the first
+    component of maximal magnitude is made positive, so degenerate or nearly
+    degenerate ground spaces still resolve to a reproducible representative.
     """
     if not isinstance(coeffs, EffectiveCoefficients):
         raise ConfigError("coeffs must be EffectiveCoefficients")
@@ -140,19 +153,15 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
         raise ConfigError(f"N={n_atoms} exceeds the configured cap {n_cap}")
     basis = fock_basis(n_atoms)
     h = build_effective_hamiltonian(coeffs, n_atoms)
-    if basis.dim <= DENSE_CUTOFF:
-        w, v = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 0])
-        energy, vec = float(w[0]), v[:, 0].astype(complex)
-    else:
-        v0 = np.full(basis.dim, 1.0 / np.sqrt(basis.dim))
-        try:
-            w, v = eigsh(h, k=1, which="SA", v0=v0, maxiter=50 * basis.dim)
-        except Exception as exc:
-            raise ConvergenceError(
-                f"Lanczos failed for N={n_atoms}", context={"N": n_atoms, "coeffs": coeffs}
-            ) from exc
-        energy, vec = float(w[0]), v[:, 0].astype(complex)
-    residual = np.linalg.norm(h @ vec - energy * vec)
+    v0 = np.full(basis.dim, 1.0 / np.sqrt(basis.dim))
+    try:
+        w, v = eigsh(h, k=1, which="SA", v0=v0, maxiter=50 * basis.dim)
+    except Exception as exc:
+        raise ConvergenceError(
+            f"Lanczos failed for N={n_atoms}", context={"N": n_atoms, "coeffs": coeffs}
+        ) from exc
+    energy, vec = float(w[0]), v[:, 0]
+    residual = float(np.linalg.norm(h @ vec - energy * vec))
     if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds tolerance",
@@ -160,14 +169,8 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
         )
     vec = vec / np.linalg.norm(vec)
     i0 = int(np.argmax(np.abs(vec)))
-    phase = vec[i0] / abs(vec[i0])
-    vec = vec * phase.conjugate()
-    return SymmetricFockState(N=int(n_atoms), amplitudes=vec, energy=energy)
-
-
-def _apply_specs(state, matrices):
-    basis = state.basis
-    return [basis.collective(m) @ state.amplitudes for m in matrices]
+    vec = vec * np.sign(vec[i0])
+    return SymmetricFockState(N=int(n_atoms), amplitudes=vec, energy=energy, residual=residual)
 
 
 def ed_moments(state, specs):
@@ -176,18 +179,16 @@ def ed_moments(state, specs):
     ``specs`` is a list of CollectiveOperatorSpec; returns (means, cov) with
     cov[i, j] = <{F_i,F_j}>/2 - <F_i><F_j>.  Tiny negative variances from
     roundoff are floored at zero (they are bounded by 1e-12 in magnitude).
+    The moments of the eight generators come from one Gram matrix of psi
+    and the F_a psi of the basis's cached operators; each spec weights them.
     """
-    mats = [s.matrix() for s in specs]
-    applied = _apply_specs(state, mats)
     psi = state.amplitudes
-    means = np.array([np.vdot(psi, w).real for w in applied])
-    raw = np.empty((len(specs), len(specs)))
-    for i, wi in enumerate(applied):
-        for j, wj in enumerate(applied):
-            if j < i:
-                raw[i, j] = raw[j, i]
-            else:
-                raw[i, j] = np.vdot(wi, wj).real  # Hermitian ops: Re gives the symmetrized part
+    stack = np.array([psi] + [op @ psi for op in state.basis.operators])
+    gram = (stack.conj() @ stack.T).real  # Hermitian ops: Re gives the symmetrized part
+    weights = np.array([s.coefficients for s in specs])
+    means = weights @ gram[0, 1:]
+    raw = weights @ gram[1:, 1:] @ weights.T
+    raw = (raw + raw.T) / 2.0
     cov = raw - np.outer(means, means)
     d = np.diag(cov).copy()
     if np.any(d < -1e-12 * max(1.0, float(np.max(np.abs(raw))))):

@@ -4,6 +4,7 @@ and the plot-data table transforms."""
 import json
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,6 +228,8 @@ N = 50
     report = json.loads(read_bytes(out / "report.json"))
     assert report["N"] == 50
     assert report["backend"] == "ed"
+    assert report["ed_dim"] == 51 * 52 // 2
+    assert 0.0 <= report["ed_residual"] <= 1e-10 * max(1.0, abs(report["ground_energy"]))
     assert 0.0 < report["xi_x"] < 1.0
     assert main(["run", "--config", cfg, "--backend", "gp"]) == 2
 
@@ -388,6 +391,17 @@ def test_sweep_series_extraction(tmp_path):
     values = np.array([ln.split(",") for ln in series[1:]], dtype=float)
     assert np.all(np.diff(values[:, 1]) < 0.0)
     assert not (out / "series_status.csv").exists()
+
+
+def test_package_and_cli_import_without_scipy():
+    # scipy loads only with the ED and Gaussian backends, not at startup
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, socsqueeze, socsqueeze.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator_matrix
 from socsqueeze.errors import ConfigError
 from socsqueeze.fockspace import (
+    RESIDUAL_TOL,
     build_effective_hamiltonian,
     ed_ground_state,
     ed_moment_set,
@@ -103,7 +104,7 @@ def test_uncoupled_ground_state_is_single_fock_state():
 
 
 def test_dense_and_lanczos_paths_agree():
-    # dimension 2016 > cutoff forces Lanczos; compare against the dense solve
+    # compare the Lanczos solve against a dense solve of the same Hamiltonian
     coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=62))
     sparse_state = ed_ground_state(coeffs, 62)
     import scipy.linalg
@@ -111,6 +112,39 @@ def test_dense_and_lanczos_paths_agree():
     h = build_effective_hamiltonian(coeffs, 62).toarray()
     w = scipy.linalg.eigvalsh(h, subset_by_index=[0, 0])
     assert abs(sparse_state.energy - float(w[0])) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3, 61])
+def test_single_real_lanczos_path_matches_dense_oracle(n):
+    # the smallest bases, and N = 61 next to the N = 62 case above: one solver
+    # path on both sides, with no size cutoff between them
+    import scipy.linalg
+
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=n))
+    state = ed_ground_state(coeffs, n)
+    h = build_effective_hamiltonian(coeffs, n)
+    assert not np.iscomplexobj(h.data)
+    w = scipy.linalg.eigvalsh(h.toarray(), subset_by_index=[0, 0])
+    assert abs(state.energy - float(w[0])) <= 1e-9
+    assert not np.iscomplexobj(state.amplitudes)
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+    assert state.amplitudes[int(np.argmax(np.abs(state.amplitudes)))] > 0.0
+    assert state.residual <= RESIDUAL_TOL * max(1.0, abs(state.energy))
+
+
+def test_cached_operator_moments_match_freshly_built_operators():
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.7, epsilon=4.0, N=20))
+    state = ed_ground_state(coeffs, 20)
+    psi = state.amplitudes
+    applied = [state.basis.collective(generator_matrix(lbl)) @ psi for lbl in GENERATOR_LABELS]
+    means = np.array([np.vdot(psi, w).real for w in applied])
+    cov = np.array([[np.vdot(wi, wj).real for wj in applied] for wi in applied])
+    cov -= np.outer(means, means)
+    moments = ed_moment_set(state)
+    for i, a in enumerate(GENERATOR_LABELS):
+        assert abs(moments.mean(a) - means[i]) <= 1e-12
+        for j, b in enumerate(GENERATOR_LABELS):
+            assert abs(moments.cov(a, b) - cov[i, j]) <= 1e-12
 
 
 def test_moments_variance_floor_and_psd():
