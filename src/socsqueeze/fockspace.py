@@ -16,7 +16,7 @@ from scipy.sparse.linalg import eigsh
 
 from .algebra import GENERATOR_LABELS, generator_matrix
 from .errors import ConfigError, ConvergenceError
-from .metrics import MomentSet
+from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 from .params import EffectiveCoefficients
 
 DEFAULT_N_CAP = 300
@@ -173,34 +173,30 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
     return SymmetricFockState(N=int(n_atoms), amplitudes=vec, energy=energy, residual=residual)
 
 
-def ed_moments(state, specs):
-    """Means and symmetrized covariances of collective observables.
+def _generator_moments(state):
+    """Means (8,) and symmetrized covariances (8, 8) of the eight generators.
 
-    ``specs`` is a list of CollectiveOperatorSpec; returns (means, cov) with
-    cov[i, j] = <{F_i,F_j}>/2 - <F_i><F_j>.  Tiny negative variances from
-    roundoff are floored at zero (they are bounded by 1e-12 in magnitude).
-    The moments of the eight generators come from one Gram matrix of psi
-    and the F_a psi of the basis's cached operators; each spec weights them.
+    Every entry comes from one Gram matrix of psi and the F_a psi of the
+    basis's cached operators.
     """
     psi = state.amplitudes
     stack = np.array([psi] + [op @ psi for op in state.basis.operators])
     gram = (stack.conj() @ stack.T).real  # Hermitian ops: Re gives the symmetrized part
-    weights = np.array([s.coefficients for s in specs])
-    means = weights @ gram[0, 1:]
-    raw = weights @ gram[1:, 1:] @ weights.T
-    raw = (raw + raw.T) / 2.0
-    cov = raw - np.outer(means, means)
-    d = np.diag(cov).copy()
-    if np.any(d < -1e-12 * max(1.0, float(np.max(np.abs(raw))))):
-        raise ConvergenceError("variance fell below the roundoff floor", context={"diag": d})
-    np.fill_diagonal(cov, np.maximum(d, 0.0))
-    return means, cov
+    means = gram[0, 1:]
+    second = gram[1:, 1:]
+    return means, (second + second.T) / 2.0 - np.outer(means, means)
+
+
+def ed_moments(state, specs):
+    """Means and symmetrized covariances of collective observables.
+
+    ``specs`` is a list of CollectiveOperatorSpec or SpinOperator; returns
+    (means, cov) with cov[i, j] = <{F_i,F_j}>/2 - <F_i><F_j>, projected from
+    the generator moments by ``metrics.spec_moments``.
+    """
+    return spec_moments(*_generator_moments(state), specs)
 
 
 def ed_moment_set(state):
     """Full eight-operator MomentSet of an ED state."""
-    from .algebra import CollectiveOperatorSpec
-
-    specs = [CollectiveOperatorSpec.for_label(lbl) for lbl in GENERATOR_LABELS]
-    means, cov = ed_moments(state, specs)
-    return MomentSet.from_arrays(state.N, means, cov)
+    return MomentSet(state.N, *ed_moments(state, GENERATOR_SPECS))

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .algebra import GENERATOR_LABELS, CollectiveOperatorSpec, SpinOperator, generator_matrix
-from .errors import ConfigError, ConvergenceError, UnstableExpansionError, UnsupportedObservableError
-from .metrics import MomentSet
+from .algebra import GENERATOR_LABELS, generator_matrix
+from .errors import ConfigError, ConvergenceError, UnstableExpansionError
+from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 
 GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
@@ -281,38 +281,23 @@ def _symbol_pieces(matrix3, u, n_atoms):
     return value, grad, hess, condensate_coupled
 
 
-def _observable_terms(spec, u, n_atoms):
-    """(constant, linear coefficients, quadratic form) of one observable.
+def _observable_terms(matrix3, u, n_atoms):
+    """(constant, linear coefficients, quadratic form) of one generator.
 
     Observables that transfer atoms with the condensate mode are kept to
     linear order in the fluctuations (their quadratic piece is 1/sqrt(N)
     suppressed); pure number/side-mode bilinears keep their exact quadratic
     form, with the Weyl-ordering constant folded into the scalar part.
     """
-    if isinstance(spec, SpinOperator):
-        spec = CollectiveOperatorSpec.for_label(spec.label)
-    if not isinstance(spec, CollectiveOperatorSpec):
-        raise UnsupportedObservableError(
-            f"cannot represent {type(spec).__name__} in the Gaussian backend"
-        )
-    c_total, a_total, f_total = 0.0, np.zeros(4), np.zeros((4, 4))
-    for i, lbl in enumerate(GENERATOR_LABELS):
-        w = spec.coefficients[i]
-        if w == 0.0:
-            continue
-        value, grad, hess, coupled = _symbol_pieces(generator_matrix(lbl), u, n_atoms)
-        a_total += w * grad / np.sqrt(2.0)
-        if coupled:
-            c_total += w * value
-        else:
-            f = hess / 2.0
-            f_total += w * f
-            c_total += w * (value - np.trace(f) / 4.0)
-    return c_total, a_total, f_total
+    value, grad, hess, coupled = _symbol_pieces(matrix3, u, n_atoms)
+    if coupled:
+        return value, grad / np.sqrt(2.0), np.zeros((4, 4))
+    f = hess / 2.0
+    return value - np.trace(f) / 4.0, grad / np.sqrt(2.0), f
 
 
-def gaussian_moments(solution, specs):
-    """Means and symmetrized covariances of observables in the Gaussian state.
+def _generator_moments(solution):
+    """Means (8,) and symmetrized covariances (8, 8) of the eight generators.
 
     Uses <O> = c + tr(F sigma)/2 and the Gaussian covariance formula
     Cov(O1, O2) = a1.sigma.a2 + tr(F1 sigma F2 sigma)/2 + tr(F1 W F2 W)/8
@@ -324,32 +309,32 @@ def gaussian_moments(solution, specs):
         solution.beta_m.real, solution.beta_m.imag,
     ])
     sigma = solution.covariance
-    terms = [_observable_terms(s, u, solution.N) for s in specs]
+    terms = [_observable_terms(generator_matrix(lbl), u, solution.N) for lbl in GENERATOR_LABELS]
     means = np.array([c + 0.5 * np.trace(f @ sigma) for c, _, f in terms])
-    n = len(terms)
-    cov = np.empty((n, n))
-    for i in range(n):
+    cov = np.empty((8, 8))
+    for i in range(8):
         _, ai, fi = terms[i]
-        for j in range(i, n):
+        for j in range(i, 8):
             _, aj, fj = terms[j]
             val = float(ai @ sigma @ aj)
             val += 0.5 * np.trace(fi @ sigma @ fj @ sigma)
             val += 0.125 * np.trace(fi @ OMEGA @ fj @ OMEGA)
             cov[i, j] = cov[j, i] = val
-    d = np.diag(cov).copy()
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if np.any(d < -1e-12 * scale):
-        raise ConvergenceError("Gaussian variance fell below the roundoff floor",
-                               context={"diag": d})
-    np.fill_diagonal(cov, np.maximum(d, 0.0))
     return means, cov
+
+
+def gaussian_moments(solution, specs):
+    """Means and symmetrized covariances of observables in the Gaussian state.
+
+    ``specs`` is a list of CollectiveOperatorSpec or SpinOperator, projected
+    from the generator moments by ``metrics.spec_moments``.
+    """
+    return spec_moments(*_generator_moments(solution), specs)
 
 
 def gaussian_moment_set(solution):
     """Full eight-operator MomentSet of a Gaussian solution."""
-    specs = [CollectiveOperatorSpec.for_label(lbl) for lbl in GENERATOR_LABELS]
-    means, cov = gaussian_moments(solution, specs)
-    return MomentSet.from_arrays(solution.N, means, cov)
+    return MomentSet(solution.N, *gaussian_moments(solution, GENERATOR_SPECS))
 
 
 def solve_gaussian(coeffs, n_atoms):

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator_matrix
+from .algebra import generator_matrix, generator_stack
+from .bands import build_hamiltonian
 from .errors import ConfigError, ConvergenceError
-from .metrics import MomentSet
+from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 
 HBAR = 1.054571817e-34          # J s
 RB87_MASS = 1.44316060e-25      # kg
@@ -213,14 +214,9 @@ class GpProblem:
         k_soc = mesh[0].reshape(-1)
         k_perp_sq = sum(m.reshape(-1) ** 2 for m in mesh[1:]) if d > 1 else 0.0
 
-        h1 = np.zeros((self.size, 3, 3), dtype=complex)
-        h1[:, 0, 0] = (k_soc + 2.0) ** 2 + k_perp_sq - params.delta
-        h1[:, 1, 1] = k_soc**2 + k_perp_sq - params.epsilon
-        h1[:, 2, 2] = (k_soc - 2.0) ** 2 + k_perp_sq + params.delta
-        h1[:, 0, 1] = h1[:, 1, 0] = params.omega_R / 2.0
-        h1[:, 1, 2] = h1[:, 2, 1] = params.omega_R / 2.0
-        self.h1 = h1
-        self._h1_eig = np.linalg.eigh(h1)
+        # the band Hamiltonian along the coupled axis, plus the free transverse kinetics
+        self.h1 = build_hamiltonian(k_soc, params) + np.multiply.outer(k_perp_sq, np.eye(3))
+        self._h1_eig = np.linalg.eigh(self.h1)
         self._propagator_cache = {}
 
         if trap is not None:
@@ -422,33 +418,31 @@ def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
                     n_steps=step_count, converged=True)
 
 
+def _generator_moments(field, n_atoms):
+    """Product-state moments of the eight generators: means N<g>, covariances
+    N(<gh>_sym - <g><h>), from the one-body density matrix."""
+    rho = field.density_matrix()
+    stack = generator_stack()
+    g1 = np.einsum("aij,ji->a", stack, rho).real
+    second = np.einsum("aik,bkj,ji->ab", stack, stack, rho).real
+    second = (second + second.T) / 2.0
+    return n_atoms * g1, n_atoms * (second - np.outer(g1, g1))
+
+
 def gp_moments(field, n_atoms, specs):
-    """Product-state collective moments: means N<g>, covariances N(<gh>_sym - <g><h>).
+    """Product-state collective moments of CollectiveOperatorSpec or SpinOperator
+    observables, projected from the generator moments by ``metrics.spec_moments``.
 
     These are Hartree moments of an N-fold product of the normalized spinor
     mode; they track mean-field trends but carry no entanglement, so they
     cannot certify squeezing below the product-state limit.
     """
-    rho = field.density_matrix()
-    mats = [s.matrix() if isinstance(s, CollectiveOperatorSpec) else np.asarray(s)
-            for s in specs]
-    g1 = np.array([np.trace(m @ rho).real for m in mats])
-    n = len(mats)
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            sym = 0.5 * (mats[i] @ mats[j] + mats[j] @ mats[i])
-            s2 = np.trace(sym @ rho).real
-            cov[i, j] = cov[j, i] = n_atoms * (s2 - g1[i] * g1[j])
-    means = n_atoms * g1
-    return means, cov
+    return spec_moments(*_generator_moments(field, n_atoms), specs)
 
 
 def gp_moment_set(field, n_atoms):
     """Full eight-operator Hartree MomentSet of a spinor field."""
-    specs = [CollectiveOperatorSpec.for_label(lbl) for lbl in GENERATOR_LABELS]
-    means, cov = gp_moments(field, n_atoms, specs)
-    return MomentSet.from_arrays(int(n_atoms), means, cov)
+    return MomentSet(int(n_atoms), *gp_moments(field, n_atoms, GENERATOR_SPECS))
 
 
 def save_field(field, path, meta=None):

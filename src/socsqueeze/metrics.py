@@ -2,8 +2,9 @@
 
 A MomentSet is backend-agnostic: exact diagonalization, the Gaussian
 expansion, and the mean-field GP solver all reduce their states to first and
-second moments of the eight collective observables, and every metric here is
-a function of those moments alone.
+second moments of the eight collective generators, project them onto
+observables through ``spec_moments``, and every metric here is a function of
+those moments alone.
 """
 
 import math
@@ -11,107 +12,138 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator_matrix, generator_stack
-from .errors import MomentInputError
+from .algebra import (
+    GENERATOR_LABELS,
+    CollectiveOperatorSpec,
+    SpinOperator,
+    generator_matrix,
+    generator_stack,
+)
+from .errors import ConvergenceError, MomentInputError, UnsupportedObservableError
 
 _IDX = {lbl: i for i, lbl in enumerate(GENERATOR_LABELS)}
 
-# folding tolerance for the theta seam at pi (minima at pi are reported as 0;
-# theta and theta + pi label the same quadrature pair, so the fold is exact)
+# the eight generators as observables, in canonical order
+GENERATOR_SPECS = tuple(CollectiveOperatorSpec.for_label(lbl) for lbl in GENERATOR_LABELS)
+
+# folding tolerance for the theta seam at 0 = pi (minima within it on either
+# side are reported as 0; theta and theta + pi label the same quadrature pair)
 _THETA_SEAM = 1e-7
 
+# relative eigenvalue splitting of the quadrature matrix below which every
+# angle is a minimum; such ties resolve to theta = 0
+_THETA_TIE = 1e-12
 
-def _canon(a, b):
-    return (a, b) if _IDX[a] <= _IDX[b] else (b, a)
+
+def _index(label):
+    try:
+        return _IDX[label]
+    except KeyError:
+        raise MomentInputError(f"unknown operator label {label!r}") from None
 
 
 @dataclass
 class MomentSet:
-    """First and symmetrized central second moments of collective observables.
+    """First and symmetrized central second moments of the eight generators.
 
-    ``means`` maps operator labels to <F_a>; ``covariances`` maps canonical
-    label pairs to Cov(F_a, F_b) = <{F_a,F_b}>/2 - <F_a><F_b>.  Partial sets
-    are allowed; metrics raise MomentInputError when an entry they need is
-    missing.
+    ``means[a]`` is <F_a> and ``covariances[a, b]`` is
+    Cov(F_a, F_b) = <{F_a,F_b}>/2 - <F_a><F_b>, both in canonical label order.
+    A NaN entry is missing: partial sets are allowed, and metrics raise
+    MomentInputError when an entry they need is missing.
     """
 
     N: int
-    means: dict = field(default_factory=dict)
-    covariances: dict = field(default_factory=dict)
+    means: np.ndarray
+    covariances: np.ndarray
+
+    def __post_init__(self):
+        self.means = np.array(self.means, dtype=float)
+        self.covariances = np.array(self.covariances, dtype=float)
+        if self.means.shape != (8,) or self.covariances.shape != (8, 8):
+            raise MomentInputError("a moment set needs means[8] and covariances[8, 8]")
 
     @classmethod
-    def from_arrays(cls, N, mean_vec, cov_mat, labels=GENERATOR_LABELS):
-        means = {lbl: float(mean_vec[i]) for i, lbl in enumerate(labels)}
-        covs = {}
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                if i <= j:
-                    covs[_canon(a, b)] = float(cov_mat[i, j])
-        return cls(N=int(N), means=means, covariances=covs)
+    def from_arrays(cls, N, mean_vec, cov_mat):
+        return cls(int(N), mean_vec, cov_mat)
 
     def mean(self, label):
-        try:
-            return self.means[label]
-        except KeyError:
-            raise MomentInputError(f"moment set has no mean for {label!r}") from None
+        v = self.means[_index(label)]
+        if math.isnan(v):
+            raise MomentInputError(f"moment set has no mean for {label!r}")
+        return float(v)
 
     def cov(self, a, b):
-        try:
-            return self.covariances[_canon(a, b)]
-        except KeyError:
-            raise MomentInputError(f"moment set has no covariance for ({a!r}, {b!r})") from None
-
-    def mean_of(self, spec):
-        w = spec.coefficients
-        return sum(w[i] * self.mean(lbl) for i, lbl in enumerate(GENERATOR_LABELS) if w[i] != 0.0)
+        v = self.covariances[_index(a), _index(b)]
+        if math.isnan(v):
+            raise MomentInputError(f"moment set has no covariance for ({a!r}, {b!r})")
+        return float(v)
 
     def cov_of(self, spec_a, spec_b):
         wa, wb = spec_a.coefficients, spec_b.coefficients
-        total = 0.0
-        for i, la in enumerate(GENERATOR_LABELS):
-            if wa[i] == 0.0:
-                continue
-            for j, lb in enumerate(GENERATOR_LABELS):
-                if wb[j] == 0.0:
-                    continue
-                total += wa[i] * wb[j] * self.cov(la, lb)
-        return total
+        ia, ib = np.flatnonzero(wa), np.flatnonzero(wb)
+        block = self.covariances[np.ix_(ia, ib)]
+        if np.isnan(block).any():
+            raise MomentInputError("moment set lacks a covariance these observables need")
+        return float(wa[ia] @ block @ wb[ib])
 
     def variance_of(self, spec):
         return self.cov_of(spec, spec)
 
     def has_full_block(self):
-        if set(GENERATOR_LABELS) - set(self.means):
-            return False
-        for i, a in enumerate(GENERATOR_LABELS):
-            for b in GENERATOR_LABELS[i:]:
-                if (a, b) not in self.covariances:
-                    return False
-        return True
+        return not (np.isnan(self.means).any() or np.isnan(self.covariances).any())
 
     def to_arrays(self):
         """Full (means 8-vector, covariance 8x8) or MomentInputError."""
         if not self.has_full_block():
             raise MomentInputError("moment set does not cover the full operator basis")
-        m = np.array([self.means[lbl] for lbl in GENERATOR_LABELS])
-        c = np.empty((8, 8))
-        for i, a in enumerate(GENERATOR_LABELS):
-            for j, b in enumerate(GENERATOR_LABELS):
-                c[i, j] = self.covariances[_canon(a, b)]
-        return m, c
+        return self.means.copy(), self.covariances.copy()
 
     def validate(self, psd_tol=1e-9, var_floor=-1e-12):
         """Check symmetry-by-construction PSD and variance-floor invariants."""
-        for (a, b), v in self.covariances.items():
-            if a == b and v < var_floor:
-                raise MomentInputError(f"variance of {a} is {v}, below the floor")
+        d = np.diag(self.covariances)
+        low = np.flatnonzero(d < var_floor)
+        if low.size:
+            a = GENERATOR_LABELS[low[0]]
+            raise MomentInputError(f"variance of {a} is {d[low[0]]}, below the floor")
         if self.has_full_block():
-            _, c = self.to_arrays()
+            c = self.covariances
             w = np.linalg.eigvalsh(c)
             scale = max(1.0, float(np.max(np.abs(c))))
             if w[0] < -psd_tol * scale:
                 raise MomentInputError(f"covariance matrix not PSD: min eigenvalue {w[0]}")
         return self
+
+
+def _spec_weights(spec):
+    if isinstance(spec, SpinOperator):
+        spec = CollectiveOperatorSpec.for_label(spec.label)
+    if not isinstance(spec, CollectiveOperatorSpec):
+        raise UnsupportedObservableError(
+            f"cannot represent {type(spec).__name__} as a collective observable; "
+            "use a CollectiveOperatorSpec or a SpinOperator"
+        )
+    return spec.coefficients
+
+
+def spec_moments(means, cov, specs):
+    """Means and symmetrized covariances of collective observables.
+
+    ``means`` (8,) and ``cov`` (8, 8) are the moments of the eight generators;
+    each spec (a CollectiveOperatorSpec or a SpinOperator) weighs them, so the
+    results are W m and W C W^T with W stacking the weights.  Tiny negative
+    variances from roundoff (within 1e-12 of the largest second moment) are
+    floored at zero; deeper ones raise ConvergenceError.
+    """
+    w = np.array([_spec_weights(s) for s in specs])
+    m = w @ means
+    c = w @ cov @ w.T
+    c = (c + c.T) / 2.0
+    d = np.diag(c).copy()
+    scale = max(1.0, float(np.max(np.abs(c + np.outer(m, m)))))
+    if np.any(d < -1e-12 * scale):
+        raise ConvergenceError("variance fell below the roundoff floor", context={"diag": d})
+    np.fill_diagonal(c, np.maximum(d, 0.0))
+    return m, c
 
 
 def xi_x(moments):
@@ -130,12 +162,25 @@ def quadratures(theta):
     return plus, minus
 
 
-def xi_dcz(moments, theta):
-    """Two-quadrature squeezing parameter at angle theta (shot-noise normalized)."""
+def _quadrature_variance(moments, theta):
     plus, _ = quadratures(theta)
     _, minus = quadratures(theta + math.pi / 2.0)
-    num = moments.variance_of(plus) + moments.variance_of(minus)
-    return num / (2.0 * moments.N)
+    return moments.variance_of(plus) + moments.variance_of(minus)
+
+
+def _uv_scale(moments):
+    """sqrt(3) |<F_Y>|, or MomentInputError when that mean is degenerate."""
+    mean_y = moments.mean("Y")
+    if abs(mean_y) < 1e-9 * moments.N:
+        raise MomentInputError(
+            f"|<F_Y>| = {abs(mean_y)} is below 1e-9*N; xi_uv denominator is degenerate"
+        )
+    return math.sqrt(3.0) * abs(mean_y)
+
+
+def xi_dcz(moments, theta):
+    """Two-quadrature squeezing parameter at angle theta (shot-noise normalized)."""
+    return _quadrature_variance(moments, theta) / (2.0 * moments.N)
 
 
 def xi_uv(moments, theta):
@@ -144,59 +189,54 @@ def xi_uv(moments, theta):
     Uses |<F_Y>| as the denominator scale; raises when that mean is too close
     to zero for the ratio to be meaningful.
     """
-    mean_y = moments.mean("Y")
-    if abs(mean_y) < 1e-9 * moments.N:
-        raise MomentInputError(
-            f"|<F_Y>| = {abs(mean_y)} is below 1e-9*N; xi_uv denominator is degenerate"
-        )
-    plus, _ = quadratures(theta)
-    _, minus = quadratures(theta + math.pi / 2.0)
-    num = moments.variance_of(plus) + moments.variance_of(minus)
-    return num / (math.sqrt(3.0) * abs(mean_y))
+    return _quadrature_variance(moments, theta) / _uv_scale(moments)
 
 
-_METRICS = {"dcz": xi_dcz, "uv": xi_uv}
+_NORMS = {"dcz": lambda m: 2.0 * m.N, "uv": _uv_scale}
 
 
-def optimize_theta(moments, metric="dcz", n_scan=360):
+def _quadrature_minimum(moments):
+    """(theta*, lambda_min) of the quadrature-pair variance over theta.
+
+    The numerator of xi_dcz and xi_uv at angle t is (cos t, sin t) M
+    (cos t, sin t)^T with
+    M = [[V(Jx)+V(Jy), C(Jx,Qyz)-C(Qzx,Jy)], [., V(Qyz)+V(Qzx)]],
+    so its minimum over t is the smaller eigenvalue of M and theta* is the
+    angle of that eigenvector, taken modulo pi.  When the two eigenvalues tie
+    every angle is a minimum and theta* = 0; an angle within _THETA_SEAM of
+    the seam 0 = pi is reported as 0.  The returned value is the form at the
+    reported angle.
+    """
+    c = moments.cov
+    a = c("Jx", "Jx") + c("Jy", "Jy")
+    b = c("Qyz", "Qyz") + c("Qzx", "Qzx")
+    off = c("Jx", "Qyz") - c("Qzx", "Jy")
+    if math.hypot((a - b) / 2.0, off) <= _THETA_TIE * max(1.0, abs(a + b) / 2.0):
+        theta = 0.0
+    else:
+        theta = (0.5 * math.atan2(-off, (b - a) / 2.0)) % math.pi
+        if min(theta, math.pi - theta) < _THETA_SEAM:
+            theta = 0.0
+    co, si = math.cos(theta), math.sin(theta)
+    return theta, co * co * a + si * si * b + 2.0 * co * si * off
+
+
+def optimize_theta(moments, metric="dcz"):
     """Minimize a squeezing metric over the quadrature angle on [0, pi).
 
-    Dense scan followed by bracketed parabolic refinement; exact scan ties
-    resolve to the smallest angle, and a refined angle within 1e-9 of pi is
-    reported as 0 (the two are the same quadrature pair).
+    Closed form: the minimum is the smaller eigenvalue of the 2x2 quadrature
+    matrix M (see ``_quadrature_minimum``) over 2N for 'dcz' and over
+    sqrt(3)|<F_Y>| for 'uv', so both metrics share theta*.  A tie resolves
+    to 0, and an angle within 1e-7 of the seam 0 = pi is reported as 0.
 
     Returns (theta_star, xi_star).
     """
     try:
-        fn = _METRICS[metric]
+        norm = _NORMS[metric]
     except KeyError:
         raise MomentInputError(f"unknown squeezing metric {metric!r}; use 'dcz' or 'uv'") from None
-
-    def f(theta):
-        return fn(moments, theta % math.pi)
-
-    thetas = np.arange(n_scan) * (math.pi / n_scan)
-    values = np.array([f(t) for t in thetas])
-    # smallest angle wins on ties; the tolerance absorbs float noise on flat
-    # objectives, and the quadratic form in 2*theta has no other near-ties
-    vmin = float(np.min(values))
-    i0 = int(np.argmax(values <= vmin + 1e-12 * max(1.0, abs(vmin))))
-
-    tc, h = float(thetas[i0]), math.pi / n_scan
-    for _ in range(60):
-        fl, fc, fr = f(tc - h), f(tc), f(tc + h)
-        denom = fl - 2.0 * fc + fr
-        if denom <= 0.0:
-            h *= 0.5
-        else:
-            tc += float(np.clip(0.5 * h * (fl - fr) / denom, -h, h))
-            h *= 0.5
-        if h < 1e-12:
-            break
-    theta_star = tc % math.pi
-    if math.pi - theta_star < _THETA_SEAM:
-        theta_star = 0.0
-    return theta_star, f(theta_star)
+    theta, lam = _quadrature_minimum(moments)
+    return theta, lam / norm(moments)
 
 
 def rotation_coefficients(angle):
@@ -227,7 +267,7 @@ def rf_rotate(moments, angle):
     """
     mean_vec, cov_mat = moments.to_arrays()
     c = rotation_coefficients(angle)
-    return MomentSet.from_arrays(moments.N, c @ mean_vec, c @ cov_mat @ c.T)
+    return MomentSet(moments.N, c @ mean_vec, c @ cov_mat @ c.T)
 
 
 def populations(moments):
@@ -277,18 +317,20 @@ class SqueezingReport:
 
 
 def build_report(moments, extras=None):
-    """Evaluate all metrics on one moment set and bundle them."""
+    """Evaluate all metrics on one moment set and bundle them.
+
+    The quadrature matrix is formed once, so theta_dcz == theta_uv.
+    """
     moments.validate()
-    t_dcz, v_dcz = optimize_theta(moments, "dcz")
-    t_uv, v_uv = optimize_theta(moments, "uv")
+    theta, lam = _quadrature_minimum(moments)
     rho_m1, rho_0, rho_p1 = populations(moments)
     return SqueezingReport(
         N=moments.N,
         xi_x=xi_x(moments),
-        xi_dcz_min=v_dcz,
-        theta_dcz=t_dcz,
-        xi_uv_min=v_uv,
-        theta_uv=t_uv,
+        xi_dcz_min=lam / (2.0 * moments.N),
+        theta_dcz=theta,
+        xi_uv_min=lam / _uv_scale(moments),
+        theta_uv=theta,
         rho_m1=rho_m1,
         rho_0=rho_0,
         rho_p1=rho_p1,

@@ -1,10 +1,11 @@
-"""Exact diagonalization: independent two-particle oracle, analytic moments."""
+"""Exact diagonalization: independent two-particle oracle, analytic moments,
+and the spec projection shared with the Gaussian and GP backends."""
 
 import numpy as np
 import pytest
 
-from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator_matrix
-from socsqueeze.errors import ConfigError
+from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator, generator_matrix
+from socsqueeze.errors import ConfigError, UnsupportedObservableError
 from socsqueeze.fockspace import (
     RESIDUAL_TOL,
     build_effective_hamiltonian,
@@ -13,6 +14,8 @@ from socsqueeze.fockspace import (
     ed_moments,
     fock_basis,
 )
+from socsqueeze.gaussian import gaussian_moment_set, gaussian_moments, solve_gaussian
+from socsqueeze.gp import GridSpec, SpinorField, gp_moment_set, gp_moments
 from socsqueeze.metrics import xi_x
 from socsqueeze.params import ModelParams, effective_coefficients
 
@@ -170,12 +173,33 @@ def test_atom_cap_enforced():
         ed_ground_state(coeffs, 301)
 
 
-def test_moments_of_weighted_spec_match_label_combination():
+def _ed_backend():
     coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.7, epsilon=4.0, N=20))
     state = ed_ground_state(coeffs, 20)
+    return (lambda specs: ed_moments(state, specs)), ed_moment_set(state)
+
+
+def _gaussian_backend():
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.7, epsilon=4.0, N=20))
+    sol = solve_gaussian(coeffs, 20)
+    return (lambda specs: gaussian_moments(sol, specs)), gaussian_moment_set(sol)
+
+
+def _gp_backend():
+    grid = GridSpec((16,), (8.0,))
+    psi = np.random.default_rng(5).standard_normal((3, 16)) + 0.3j
+    field = SpinorField(psi, grid.axes(), grid.dv).normalized()
+    return (lambda specs: gp_moments(field, 20, specs)), gp_moment_set(field, 20)
+
+
+BACKENDS = {"ed": _ed_backend, "gaussian": _gaussian_backend, "gp": _gp_backend}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_moments_of_weighted_spec_match_label_combination(backend):
+    moments_of, moments = BACKENDS[backend]()
     spec = CollectiveOperatorSpec.from_weights({"Jx": 0.6, "Jy": -0.8})
-    means, cov = ed_moments(state, [spec])
-    moments = ed_moment_set(state)
+    means, cov = moments_of([spec, generator("Qzx")])
     expect_mean = 0.6 * moments.mean("Jx") - 0.8 * moments.mean("Jy")
     expect_var = (
         0.36 * moments.cov("Jx", "Jx")
@@ -184,3 +208,15 @@ def test_moments_of_weighted_spec_match_label_combination():
     )
     assert abs(means[0] - expect_mean) <= 1e-9
     assert abs(cov[0, 0] - expect_var) <= 1e-9
+    # a SpinOperator is the observable of its label
+    assert abs(means[1] - moments.mean("Qzx")) <= 1e-9
+    assert abs(cov[1, 1] - moments.cov("Qzx", "Qzx")) <= 1e-9
+    expect_cross = 0.6 * moments.cov("Jx", "Qzx") - 0.8 * moments.cov("Jy", "Qzx")
+    assert abs(cov[0, 1] - expect_cross) <= 1e-9
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_raw_matrix_observable_is_unsupported(backend):
+    moments_of, _ = BACKENDS[backend]()
+    with pytest.raises(UnsupportedObservableError):
+        moments_of([generator_matrix("Jx")])

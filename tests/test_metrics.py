@@ -2,8 +2,8 @@
 
 Product states give exact collective moments (means N<g>, covariances
 N(<{ga,gb}>/2 - <ga><gb>)), and the two-quadrature sum is an exact quadratic
-form in (cos 2t, sin 2t), so both the metric formulas and the angle optimizer
-have independent references.
+form in (cos 2t, sin 2t), so both the metric formulas and the closed-form
+angle optimizer have independent references.
 """
 
 import math
@@ -69,17 +69,18 @@ def test_vacuum_covariance_entries():
 
 
 def synthetic_set(N, vxx, vyy, vqq, vzz, cxq, czy):
-    covs = {
+    """Six quadrature covariances and <Y>; every other entry is missing (NaN)."""
+    cov = np.full((8, 8), np.nan)
+    for (a, b), v in {
         ("Jx", "Jx"): vxx, ("Jy", "Jy"): vyy,
         ("Qyz", "Qyz"): vqq, ("Qzx", "Qzx"): vzz,
         ("Jx", "Qyz"): cxq, ("Jy", "Qzx"): czy,
-    }
-    canon = {}
-    order = {lbl: i for i, lbl in enumerate(GENERATOR_LABELS)}
-    for (a, b), v in covs.items():
-        key = (a, b) if order[a] <= order[b] else (b, a)
-        canon[key] = v
-    return MomentSet(N=N, covariances=canon, means={"Y": -2.0 * N / math.sqrt(3.0)})
+    }.items():
+        i, j = GENERATOR_LABELS.index(a), GENERATOR_LABELS.index(b)
+        cov[i, j] = cov[j, i] = v
+    means = np.full(8, np.nan)
+    means[GENERATOR_LABELS.index("Y")] = -2.0 * N / math.sqrt(3.0)
+    return MomentSet(N, means, cov)
 
 
 def test_dcz_matches_hand_formula():
@@ -101,10 +102,59 @@ def test_optimizer_matches_quadratic_form_minimum():
     theta, value = optimize_theta(m, "dcz")
     assert abs(theta - t_star) <= 1e-7
     assert abs(value - v_star) <= 1e-12
-    # coarse scans still land on the same refined answer
-    theta36, value36 = optimize_theta(m, "dcz", n_scan=36)
-    assert abs(theta36 - t_star) <= 1e-6
-    assert abs(value36 - v_star) <= 1e-10
+
+
+def _quadrature_oracle(m):
+    """The analytic atan2 minimum of the quadrature variance: (theta*, xi_dcz*)."""
+    A = m.cov("Jx", "Jx") + m.cov("Jy", "Jy")
+    B = m.cov("Qyz", "Qyz") + m.cov("Qzx", "Qzx")
+    C = m.cov("Jx", "Qyz") - m.cov("Qzx", "Jy")
+    t_star = 0.5 * math.atan2(-C, -(A - B) / 2.0) % math.pi
+    return t_star, ((A + B) / 2.0 - math.hypot((A - B) / 2.0, C)) / (2.0 * m.N)
+
+
+def test_closed_form_angle_matches_oracles_on_random_covariances():
+    rng = np.random.default_rng(2012)
+    grid = np.arange(720) * (math.pi / 720)
+    for _ in range(50):
+        a = rng.standard_normal((8, 8))
+        m = MomentSet(100, 50.0 * rng.standard_normal(8), 10.0 * a @ a.T)
+        t_star, v_star = _quadrature_oracle(m)
+        theta, value = optimize_theta(m, "dcz")
+        d = abs(theta - t_star)
+        assert min(d, math.pi - d) <= 1e-7
+        assert abs(value - v_star) <= 1e-12 * max(1.0, v_star)
+        # brute force: the minimum is attained at theta* and no grid angle beats it
+        assert abs(xi_dcz(m, theta) - value) <= 1e-12 * max(1.0, value)
+        assert min(xi_dcz(m, t) for t in grid) >= value - 1e-12 * max(1.0, value)
+        # the uv minimum shares the angle and the numerator
+        theta_uv, value_uv = optimize_theta(m, "uv")
+        assert theta_uv == theta
+        assert abs(value_uv - xi_uv(m, theta)) <= 1e-12 * max(1.0, value_uv)
+        report = build_report(m)
+        assert report.theta_dcz == report.theta_uv == theta
+        assert report.xi_dcz_min == value and report.xi_uv_min == value_uv
+
+
+def test_six_entry_set_evaluates_and_each_needed_entry_is_required():
+    args = (100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
+    m = synthetic_set(*args)
+    for metric in ("dcz", "uv"):
+        theta, value = optimize_theta(m, metric)
+        assert 0.0 <= theta < math.pi and value > 0.0
+    needed = [("Jx", "Jx"), ("Jy", "Jy"), ("Qyz", "Qyz"), ("Qzx", "Qzx"),
+              ("Jx", "Qyz"), ("Qzx", "Jy")]
+    for a, b in needed:
+        m = synthetic_set(*args)
+        i, j = GENERATOR_LABELS.index(a), GENERATOR_LABELS.index(b)
+        m.covariances[i, j] = m.covariances[j, i] = np.nan
+        with pytest.raises(MomentInputError):
+            optimize_theta(m, "dcz")
+    m = synthetic_set(*args)
+    m.means[GENERATOR_LABELS.index("Y")] = np.nan
+    assert optimize_theta(m, "dcz")[1] > 0.0
+    with pytest.raises(MomentInputError):
+        optimize_theta(m, "uv")
 
 
 def test_optimizer_tie_resolves_to_zero():
@@ -114,8 +164,12 @@ def test_optimizer_tie_resolves_to_zero():
 
 
 def test_optimizer_folds_seam_to_zero():
-    # minimum at pi - 5e-11, inside the seam tolerance, must report 0
+    # minima 2.5e-11 past 0 and 2.5e-11 short of pi, inside the seam
+    # tolerance on either side of 0 = pi, must report 0
     m = synthetic_set(100, 100.0, 100.0, 102.0, 102.0, -5e-11, 5e-11)
+    theta, _ = optimize_theta(m, "dcz")
+    assert theta == 0.0
+    m = synthetic_set(100, 100.0, 100.0, 102.0, 102.0, 5e-11, -5e-11)
     theta, _ = optimize_theta(m, "dcz")
     assert theta == 0.0
 
@@ -129,7 +183,7 @@ def test_uv_scales_by_quadrupole_mean():
 
 def test_uv_degenerate_denominator_raises():
     m = synthetic_set(100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
-    m.means["Y"] = 1e-8  # below 1e-9 * N
+    m.means[GENERATOR_LABELS.index("Y")] = 1e-8  # below 1e-9 * N
     with pytest.raises(MomentInputError):
         xi_uv(m, 0.0)
 
@@ -140,7 +194,7 @@ def test_unknown_metric_rejected():
 
 
 def test_missing_entries_raise():
-    m = MomentSet(N=10)
+    m = MomentSet(10, np.full(8, np.nan), np.full((8, 8), np.nan))
     with pytest.raises(MomentInputError):
         m.mean("Jx")
     with pytest.raises(MomentInputError):
@@ -218,10 +272,10 @@ def test_quarter_turn_swaps_jz_variance_onto_jx():
 def test_populations_roundtrip():
     # n0=60, n+=25, n-=15 of N=100
     n, n0, npl, nmi = 100, 60.0, 25.0, 15.0
-    m = MomentSet(N=n, means={
-        "Jz": npl - nmi,
-        "Y": (npl + nmi - 2.0 * n0) / math.sqrt(3.0),
-    })
+    means = np.full(8, np.nan)
+    means[GENERATOR_LABELS.index("Jz")] = npl - nmi
+    means[GENERATOR_LABELS.index("Y")] = (npl + nmi - 2.0 * n0) / math.sqrt(3.0)
+    m = MomentSet(n, means, np.full((8, 8), np.nan))
     rm, r0, rp = populations(m)
     assert abs(rm - 0.15) <= 1e-12
     assert abs(r0 - 0.60) <= 1e-12
