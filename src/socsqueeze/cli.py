@@ -59,7 +59,9 @@ def _report_for_point(cfg, params, seed):
         n_atoms = cfg.interaction.N if cfg.interaction is not None else params.N
         moments = gp_moment_set(result.field, n_atoms)
         extras = {"backend": "gp", "moment_method": "hartree_product",
-                  "gp_energy_per_atom": result.energy, "gp_steps": result.n_steps}
+                  "gp_energy_per_atom": result.energy, "gp_steps": result.n_steps,
+                  "gp_last_energy_change": result.last_change,
+                  "gp_residual": result.residual}
         return build_report(moments, extras=extras), result
     else:
         raise ConfigError(f"backend {cfg.backend!r} cannot produce squeezing reports")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import generator_matrix, generator_stack
+from .algebra import SQRT2, generator_stack
 from .bands import build_hamiltonian
 from .errors import ConfigError, ConvergenceError
 from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
@@ -229,8 +229,6 @@ class GpProblem:
         else:
             self.v_trap = np.zeros(self.size)
 
-        self._j_stack = np.stack([generator_matrix(lbl) for lbl in ("Jx", "Jy", "Jz")])
-
     def kinetic_propagator(self, tau):
         """exp(-tau H1(k)) at every grid momentum, cached per tau."""
         key = float(tau)
@@ -282,8 +280,15 @@ class GpProblem:
         return np.fft.ifftn(flat.reshape((3,) + self.shape), axes=spatial_axes).reshape(3, -1)
 
     def local_spin_density(self, flat):
-        """Cartesian spin densities (3, M) of a flattened field."""
-        return np.einsum("sij,im,jm->sm", self._j_stack, flat.conj(), flat).real
+        """Cartesian spin densities (3, M) of a flattened field.
+
+        Closed form for spin 1 in (+1, 0, -1) order: Fx + i Fy =
+        sqrt(2) (psi_p1* psi_0 + psi_0* psi_m1) and Fz = |psi_p1|^2 - |psi_m1|^2.
+        """
+        p, z, m = flat
+        f_plus = SQRT2 * (p.conj() * z + z.conj() * m)
+        f_z = p.real**2 + p.imag**2 - m.real**2 - m.imag**2
+        return np.stack((f_plus.real, f_plus.imag, f_z))
 
     def energy(self, field):
         """Energy per atom of a normalized field (recoil units)."""
@@ -300,34 +305,63 @@ class GpProblem:
             e += 0.5 * self.c2 * float(np.sum(f_loc**2) * self.dv)
         return e
 
+    def _kinetic_apply(self, matrices, flat):
+        """Apply per-momentum 3x3 matrices (M, 3, 3) to a flattened field in real space."""
+        return self._spatial_ifft(np.einsum("mij,jm->im", matrices, self._spatial_fft(flat)))
+
     def step(self, flat, dt):
-        """One Strang split step of imaginary time dt (not normalized)."""
+        """One Strang split step of imaginary time dt (not normalized): a
+        kinetic half-step, the local factor exp(-dt (V + c0 n)) exp(-dt c2 F.J)
+        at the intermediate density, and a second kinetic half-step."""
         half = self.kinetic_propagator(0.5 * dt)
-        flat = np.einsum("mij,jm->im", half, self._spatial_fft(flat))
-        flat = self._spatial_ifft(flat)
+        flat = self._kinetic_apply(half, flat)
 
         n = np.sum(np.abs(flat) ** 2, axis=0)
         scalar = np.exp(-dt * (self.v_trap + self.c0 * n))
         if self.c2 != 0.0:
-            a = self.c2 * self.local_spin_density(flat)
-            a_norm = np.sqrt(np.sum(a * a, axis=0))
-            x = dt * a_norm
-            small = a_norm < 1e-14
-            safe = np.where(small, 1.0, a_norm)
-            sih = np.where(small, dt, np.sinh(x) / safe)
-            coh = np.where(small, 0.5 * dt * dt, (np.cosh(x) - 1.0) / safe**2)
-            aj = np.einsum("sm,sij->mij", a, self._j_stack)
-            prop = (
-                np.eye(3, dtype=complex)[None, :, :]
-                - sih[:, None, None] * aj
-                + coh[:, None, None] * (aj @ aj)
-            )
-            flat = scalar[None, :] * np.einsum("mij,jm->im", prop, flat)
-        else:
-            flat = scalar[None, :] * flat
+            flat = spin_exponential(self.c2 * self.local_spin_density(flat), dt, flat)
+        flat = scalar * flat
 
-        flat = np.einsum("mij,jm->im", half, self._spatial_fft(flat))
-        return self._spatial_ifft(flat)
+        return self._kinetic_apply(half, flat)
+
+    def residual(self, field):
+        """Eigen-residual ||H psi - mu psi|| of a normalized field, with
+        mu = <psi|H|psi> and H the mean-field Hamiltonian at the field's own
+        density and spin density (norms include the volume element)."""
+        flat = field.psi.reshape(3, -1)
+        h_psi = self._kinetic_apply(self.h1, flat)
+        n = np.sum(np.abs(flat) ** 2, axis=0)
+        h_psi = h_psi + (self.v_trap + self.c0 * n) * flat
+        if self.c2 != 0.0:
+            h_psi = h_psi + _apply_spin_vector(self.c2 * self.local_spin_density(flat), flat)
+        mu = float(np.vdot(flat, h_psi).real * self.dv)
+        return float(np.linalg.norm(h_psi - mu * flat) * math.sqrt(self.dv))
+
+
+def _apply_spin_vector(a, flat):
+    """(a.J) psi for a real spin vector a (3, M) per point, in (+1, 0, -1) order:
+    (a_z psi_p1 + a_- psi_0, a_+ psi_p1 + a_- psi_m1, a_+ psi_0 - a_z psi_m1)
+    with a_- = (a_x - i a_y)/sqrt(2) and a_+ its conjugate."""
+    a_minus = (a[0] - 1j * a[1]) / SQRT2
+    a_plus = a_minus.conj()
+    p, z, m = flat
+    return np.stack((a[2] * p + a_minus * z, a_plus * p + a_minus * m, a_plus * z - a[2] * m))
+
+
+def spin_exponential(a, dt, flat):
+    """exp(-dt a.J) psi point by point, without building matrices.
+
+    For spin 1, (a.J)^3 = |a|^2 (a.J), so exp(-dt a.J) = 1 - s a.J + c (a.J)^2
+    with s = sinh(dt|a|)/|a| and c = (cosh(dt|a|) - 1)/|a|^2, which tend to
+    dt and dt^2/2 as |a| -> 0.
+    """
+    a_norm = np.sqrt(np.sum(a * a, axis=0))
+    small = a_norm < 1e-14
+    safe = np.where(small, 1.0, a_norm)
+    sih = np.where(small, dt, np.sinh(dt * a_norm) / safe)
+    coh = np.where(small, 0.5 * dt * dt, (np.cosh(dt * a_norm) - 1.0) / safe**2)
+    aj_psi = _apply_spin_vector(a, flat)
+    return flat - sih * aj_psi + coh * _apply_spin_vector(a, aj_psi)
 
 
 def build_problem(params, trap, interaction, grid, boundary="periodic"):
@@ -339,13 +373,18 @@ def build_problem(params, trap, interaction, grid, boundary="periodic"):
 
 @dataclass
 class GpResult:
-    """Converged field plus the recorded energy trace."""
+    """Converged field plus the recorded energy trace and two diagnostics:
+    the per-step energy change at the final check and the eigen-residual
+    ``GpProblem.residual`` of the returned field.  Neither enters the
+    stopping rule."""
 
     field: SpinorField
     energy: float
     energy_trace: np.ndarray  # rows (step, energy)
     n_steps: int
     converged: bool
+    last_change: float
+    residual: float
 
 
 def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
@@ -374,6 +413,7 @@ def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
     trace = [(0, energy)]
     converged = False
     step_count = 0
+    last_change = math.nan
     while step_count < max_steps:
         for _ in range(check_every):
             flat = renorm(problem.step(flat, dt))
@@ -388,7 +428,8 @@ def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
             )
         last_good = flat.copy()
         trace.append((step_count, new_energy))
-        if abs(new_energy - energy) / check_every < tol:
+        last_change = abs(new_energy - energy) / check_every
+        if last_change < tol:
             energy = new_energy
             converged = True
             break
@@ -409,13 +450,14 @@ def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
     if not converged:
         raise ConvergenceError(
             f"no convergence within {max_steps} steps (last per-step change "
-            f"{abs(np.diff(energies[-2:])[0]) / check_every:.3e})",
+            f"{last_change:.3e})",
             context={"trace": trace_arr,
                      "last_good": last_good.reshape((3,) + problem.shape)},
         )
     out = SpinorField(flat.reshape((3,) + problem.shape), problem.axes, problem.dv)
     return GpResult(field=out.check_norm(), energy=energy, energy_trace=trace_arr,
-                    n_steps=step_count, converged=True)
+                    n_steps=step_count, converged=True, last_change=last_change,
+                    residual=problem.residual(out))
 
 
 def _generator_moments(field, n_atoms):

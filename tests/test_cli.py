@@ -267,6 +267,8 @@ tol = 1e-10
     report = json.loads(read_bytes(out / "report.json"))
     assert report["moment_method"] == "hartree_product"
     assert abs(report["rho_0"] - 1.0) <= 1e-6
+    assert 0.0 <= report["gp_last_energy_change"] < 1e-10
+    assert 0.0 < report["gp_residual"] <= 1e-4
     assert (out / "field.npz").exists()
     trace = read_bytes(out / "energy_trace.csv").decode().splitlines()
     assert trace[0] == "step,energy"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from socsqueeze.algebra import generator_matrix
 from socsqueeze.bands import branch_energies
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.gp import (
@@ -22,12 +23,14 @@ from socsqueeze.gp import (
     populations,
     raman_recoil_momentum,
     save_field,
+    spin_exponential,
 )
 from socsqueeze.metrics import populations as moment_populations
 from socsqueeze.params import ModelParams
 
 TRAP = TrapConfig(150.0, 150.0, 1500.0, recoil_frequency=3678.0)
 RB = InteractionConfig(101.8, 100.4, 1e5)
+J_STACK = np.stack([generator_matrix(lbl) for lbl in ("Jx", "Jy", "Jz")])
 
 
 def test_trap_rejects_nonpositive_frequencies():
@@ -116,6 +119,65 @@ def test_kinetic_propagator_matches_expm():
         assert np.max(np.abs(prop[m] - direct)) <= 1e-12
 
 
+def _random_field(rng, m):
+    return rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+
+
+def test_spin_exponential_matches_expm():
+    rng = np.random.default_rng(11)
+    dt = 0.05
+    a = rng.standard_normal((3, 8)) * np.array([0.1, 1.0, 5.0, 20.0, 1.0, 3.0, 0.5, 2.0])
+    a[:, 0] = (3e-15, -4e-15, 1e-15)  # |a| < 1e-14: the series branch
+    a[:, 1] = 0.0
+    a[:, 2] = (120.0, -80.0, 200.0)   # dt |a| = 12.3
+    psi = _random_field(rng, 8)
+    got = spin_exponential(a, dt, psi)
+    for m in range(8):
+        direct = scipy.linalg.expm(-dt * np.einsum("s,sij->ij", a[:, m], J_STACK)) @ psi[:, m]
+        scale = max(1.0, float(np.max(np.abs(direct))))
+        assert np.max(np.abs(got[:, m] - direct)) <= 1e-12 * scale
+
+
+def test_local_spin_density_matches_generator_einsum():
+    params = ModelParams(omega_R=1.0, delta=0.0, epsilon=0.0, N=100.0)
+    prob = build_problem(params, None, None, GridSpec((64,), (16.0,)))
+    flat = _random_field(np.random.default_rng(12), 64)
+    direct = np.einsum("sij,im,jm->sm", J_STACK, flat.conj(), flat).real
+    closed = prob.local_spin_density(flat)
+    assert closed.shape == (3, 64)
+    assert np.max(np.abs(closed - direct)) <= 1e-14 * max(1.0, float(np.max(np.abs(direct))))
+
+
+def _materialized_step(prob, flat, dt):
+    """The split step with a 3x3 spin propagator built at every point."""
+    half = prob.kinetic_propagator(0.5 * dt)
+    flat = np.fft.ifft(np.einsum("mij,jm->im", half, np.fft.fft(flat, axis=1)), axis=1)
+    n = np.sum(np.abs(flat) ** 2, axis=0)
+    scalar = np.exp(-dt * (prob.v_trap + prob.c0 * n))
+    a = prob.c2 * np.einsum("sij,im,jm->sm", J_STACK, flat.conj(), flat).real
+    a_norm = np.sqrt(np.sum(a * a, axis=0))
+    small = a_norm < 1e-14
+    safe = np.where(small, 1.0, a_norm)
+    sih = np.where(small, dt, np.sinh(dt * a_norm) / safe)
+    coh = np.where(small, 0.5 * dt * dt, (np.cosh(dt * a_norm) - 1.0) / safe**2)
+    aj = np.einsum("sm,sij->mij", a, J_STACK)
+    prop = (np.eye(3, dtype=complex)[None, :, :] - sih[:, None, None] * aj
+            + coh[:, None, None] * (aj @ aj))
+    flat = scalar[None, :] * np.einsum("mij,jm->im", prop, flat)
+    return np.fft.ifft(np.einsum("mij,jm->im", half, np.fft.fft(flat, axis=1)), axis=1)
+
+
+def test_interacting_step_matches_materialized_propagator():
+    params = ModelParams(omega_R=2.0, delta=0.5, epsilon=1.0, N=1e5)
+    prob = build_problem(params, TRAP, RB, GridSpec((256,), (48.0,)))
+    assert prob.c2 != 0.0
+    flat = prob.initial_field(seed=5).psi.reshape(3, -1)
+    for dt in (0.01, 0.2):
+        got = prob.step(flat, dt)
+        want = _materialized_step(prob, flat, dt)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_initial_field_is_normalized_and_reproducible():
     params = ModelParams(omega_R=1.0, delta=0.0, epsilon=0.0, N=100.0)
     prob = build_problem(params, TRAP, None, GridSpec((128,), (32.0,)))
@@ -151,6 +213,11 @@ def test_harmonic_oscillator_ground_state():
     assert abs(res.energy - (0.5 * w - eps)) <= 1e-6
     rm, r0, rp = populations(res.field)
     assert abs(r0 - 1.0) <= 1e-8
+    # diagnostics: the final check's per-step change met tol, and the field is
+    # an eigenstate up to the splitting bias, unlike the seed it started from
+    assert 0.0 <= res.last_change < 1e-12
+    assert res.residual <= 1e-4
+    assert prob.residual(prob.initial_field(seed=1)) > 100.0 * res.residual
     x = res.field.axes[0]
     dens = np.sum(np.abs(res.field.psi) ** 2, axis=0)
     x2 = float(np.sum(x * x * dens) * res.field.dv)
@@ -184,6 +251,21 @@ def test_unconverged_run_raises_with_trace():
     with pytest.raises(ConvergenceError) as err:
         imaginary_time_ground_state(prob, dt=0.01, tol=1e-16, max_steps=100)
     assert "trace" in err.value.context
+
+
+def test_non_finite_energy_aborts_with_last_good_state():
+    # attractive couplings with a large step blow the local factor up to inf
+    params = ModelParams(omega_R=1.0, delta=0.0, epsilon=1.0, N=1e5)
+    attractive = InteractionConfig(-101.8, -100.4, 1e5)
+    prob = build_problem(params, TRAP, attractive, GridSpec((256,), (48.0,)))
+    assert prob.c0 < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite") as err:
+            imaginary_time_ground_state(prob, dt=0.5, tol=1e-8, check_every=10)
+    ctx = err.value.context
+    assert ctx["step"] % 10 == 0 and ctx["step"] >= 10
+    assert ctx["last_good"].shape == (3, 256)
+    assert np.all(np.isfinite(ctx["last_good"]))
 
 
 def test_populations_component_order():
