@@ -5,8 +5,9 @@ squeezing by exact diagonalization or Gaussian fluctuation theory, and spinor
 Gross-Pitaevskii ground states, with a config-driven CLI for reproducible
 sweeps.
 
-The scipy-backed backends, ``fockspace`` (ED) and ``gaussian``, load on first
-use of one of their names, so importing the package does not import scipy.
+The squeezing backends, ``fockspace`` (ED, backed by scipy) and
+``gaussian``, load on first use of one of their names, so importing the
+package does not import scipy; the Gaussian backend never does.
 """
 
 import importlib
@@ -34,6 +35,7 @@ from .bands import (
 from .errors import (
     ConfigError,
     ConvergenceError,
+    DepletedCondensateError,
     MomentInputError,
     UnstableExpansionError,
     UnsupportedObservableError,

@@ -6,11 +6,11 @@ including under worker parallelism: cells are computed by index and
 assembled in order, never as they complete.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
-failed to converge (partial results are kept), 4 I/O failure.
+failed to converge or the Gaussian expansion point is a depleted condensate
+(partial results are kept), 4 I/O failure.
 """
 
 import argparse
-import importlib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,8 +26,6 @@ from .params import effective_coefficients
 
 REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
                   "rho_m1", "rho_0", "rho_p1")
-# backends whose module imports scipy; loaded only by runs that use them
-_SCIPY_BACKENDS = {"ed": ".fockspace", "gaussian": ".gaussian"}
 
 
 def _report_for_point(cfg, params, seed):
@@ -41,14 +39,17 @@ def _report_for_point(cfg, params, seed):
         extras = {"backend": "ed", "ground_energy": state.energy,
                   "ed_dim": state.basis.dim, "ed_residual": state.residual}
     elif cfg.backend == "gaussian":
-        from .gaussian import gaussian_moment_set, solve_gaussian
+        from .gaussian import gaussian_moment_set, hp_mean_field, hp_quadratic
 
         coeffs = effective_coefficients(params)
-        sol = solve_gaussian(coeffs, params.N)
+        mean_field = hp_mean_field(coeffs, params.N)
+        sol = hp_quadratic(coeffs, params.N, mean_field)
         moments = gaussian_moment_set(sol)
         extras = {"backend": "gaussian",
                   "energy_per_atom": sol.energy_per_atom,
-                  "mode_frequencies": list(sol.frequencies)}
+                  "mode_frequencies": list(sol.frequencies),
+                  "mf_grad_norm": mean_field.grad_norm,
+                  "mf_degenerate": mean_field.degenerate}
     elif cfg.backend == "gp":
         problem = build_problem(params, cfg.trap, cfg.interaction, cfg.grid)
         s = cfg.solver
@@ -168,9 +169,9 @@ def _run_sweep(cfg):
     if cfg.command == "sweep" and cfg.backend == "gp":
         # surface grid/trap problems before creating any files
         build_problem(cfg.params, cfg.trap, cfg.interaction, cfg.grid)
-    if cfg.backend in _SCIPY_BACKENDS:
-        # import once here, so that forked workers inherit it instead of each importing scipy
-        importlib.import_module(_SCIPY_BACKENDS[cfg.backend], __package__)
+    if cfg.backend == "ed":
+        # import scipy once here, so that forked workers inherit it instead of each importing it
+        from . import fockspace  # noqa: F401
     tasks = [(cfg, i, float(v)) for i, v in enumerate(cfg.sweep.values)]
     payloads = _map_ordered(_sweep_cell, tasks, cfg.jobs)
     ensure_dir(cfg.out)

@@ -2,7 +2,8 @@
 
 The two side modes are treated as bosonic fluctuations on top of a
 macroscopically occupied central mode.  The classical (per-atom) energy
-surface is minimized over the two complex side-mode amplitudes; the quadratic
+surface is minimized over the two complex side-mode amplitudes (a 2-D search,
+since the phases have a closed form); the quadratic
 expansion around the minimum is brought to normal form symplectically, giving
 the ground-state covariance of the quadratures (x+, p+, x-, p-).  Collective
 observables are then evaluated by Gaussian moment formulas.
@@ -14,15 +15,23 @@ vacuum covariance is diag(1/2) and displacements d(mode) = (x + i p)/sqrt(2).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .algebra import GENERATOR_LABELS, generator_matrix
-from .errors import ConfigError, ConvergenceError, UnstableExpansionError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DepletedCondensateError,
+    UnstableExpansionError,
+)
 from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 
 GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
-_SEED_OFFSETS = (0.0, 0.05, -0.05, 0.05j, -0.05j)
+MIN_CENTRAL_OCCUPATION = 0.5  # below this s^2 the expansion around the central mode fails
+_GRID_POINTS = 41         # per axis of the coarse search grid (see _energy_grid)
+_NEWTON_MAX_STEPS = 50
+_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+_PLANE = [0, 2]           # the (x+, x-) entries of v = (x+, y+, x-, y-)
 
 # symplectic form of (x+, p+, x-, p-)
 OMEGA = np.array([
@@ -40,12 +49,15 @@ _S_FLOOR = 1e-14
 def _split(v):
     rho_p = v[0] ** 2 + v[1] ** 2
     rho_m = v[2] ** 2 + v[3] ** 2
-    s = np.sqrt(max(1.0 - rho_p - rho_m, _S_FLOOR))
+    s = np.sqrt(np.maximum(1.0 - rho_p - rho_m, _S_FLOOR))
     return rho_p, rho_m, s
 
 
 def classical_energy(v, coeffs, n_atoms):
-    """Per-atom energy of side-mode amplitudes v = (x+, y+, x-, y-)."""
+    """Per-atom energy of side-mode amplitudes v = (x+, y+, x-, y-).
+
+    ``v`` may carry trailing axes, giving the energy at every point of a grid.
+    """
     a = coeffs.q * n_atoms
     omega = np.sqrt(2.0) * coeffs.hx
     rho_p, rho_m, s = _split(v)
@@ -107,48 +119,118 @@ class MeanFieldResult:
                          self.beta_m.real, self.beta_m.imag])
 
 
+def _energy_grid(coeffs, n_atoms):
+    """The energy on a coarse grid that covers the real (x+, x-) disk.
+
+    The grid is square in p, with x = p sin(pi |p| / 2) / |p| and so
+    s = cos(pi |p| / 2): its points are evenly spaced in angle on the
+    hemisphere (s, x+, x-), which resolves the rim s -> 0 as well as the
+    centre.  Returns the points as (x+, x-) arrays, their energies (inf
+    outside |p| <= 1) and the mask of the interior local minima.
+    """
+    p = np.linspace(-1.0, 1.0, _GRID_POINTS)
+    pp, pm = np.meshgrid(p, p, indexing="ij")
+    radius = np.hypot(pp, pm)
+    scale = 0.5 * np.pi * np.sinc(0.5 * radius)  # sin(pi r / 2) / r
+    xp, xm = scale * pp, scale * pm
+    zero = np.zeros_like(xp)
+    inside = radius <= 1.0
+    energy = np.where(inside, classical_energy(np.array([xp, zero, xm, zero]),
+                                               coeffs, n_atoms), np.inf)
+    padded = np.pad(energy, 1, constant_values=np.inf)
+    n = _GRID_POINTS
+    neighbours = np.array([padded[1 + di:1 + di + n, 1 + dj:1 + dj + n]
+                           for di, dj in _NEIGHBOURS])
+    rim = np.any(np.isinf(neighbours), axis=0)
+    minima = inside & ~rim & np.all(energy <= neighbours, axis=0)
+    return xp, xm, energy, minima
+
+
+def _polish(start, coeffs, n_atoms):
+    """2x2 Newton on the real (x+, x-) plane from a grid point.
+
+    Steps along -|H|^-1 g (plain Newton where the Hessian is positive
+    definite, a descent direction elsewhere) and halves a step that leaves
+    the disk or raises the energy beyond roundoff.
+    """
+    v = np.array([start[0], 0.0, start[1], 0.0])
+    e = classical_energy(v, coeffs, n_atoms)
+    for _ in range(_NEWTON_MAX_STEPS):
+        g = classical_gradient(v, coeffs, n_atoms)[_PLANE]
+        w, u = np.linalg.eigh(classical_hessian(v, coeffs, n_atoms)[np.ix_(_PLANE, _PLANE)])
+        step = -u @ ((u.T @ g) / np.maximum(np.abs(w), 1e-12))
+        slack = 1e-13 * max(1.0, abs(e))
+        while True:
+            trial = v.copy()
+            trial[_PLANE] += step
+            e_trial = classical_energy(trial, coeffs, n_atoms)
+            if trial @ trial < 1.0 and e_trial <= e + slack:
+                break
+            step = 0.5 * step
+            if np.max(np.abs(step)) < 1e-16:
+                return v
+        v, e = trial, e_trial
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return v
+
+
 def hp_mean_field(coeffs, n_atoms):
     """Minimize the classical energy over the two side-mode amplitudes.
 
-    All 25 combinations of the per-mode seeds {0, +-0.05, +-0.05i} are run
-    through BFGS with the analytic gradient and polished by a Newton solve of
-    the stationarity condition.  Accepted points must have gradient norm
-    <= 1e-10 and a positive-semidefinite Hessian; the lowest-energy accepted
-    point wins.  Distinct minimizers tied in energy mark the result
-    degenerate (symmetry-broken pairs).
+    The energy depends on the side-mode phases only through the drive term
+    omega s (x+ + x-), so a global minimum lies on the real plane
+    y+ = y- = 0, with x+ and x- of the sign of -omega.  The search runs over
+    the real disk x+^2 + x-^2 < 1: the local minima of a coarse grid are
+    polished by 2x2 Newton on (x+, x-).  Accepted points must have
+    gradient norm <= 1e-10, lie inside the unit ball and have a
+    positive-semidefinite 4x4 Hessian; the lowest-energy accepted point
+    wins.  Distinct minimizers tied in energy mark the result degenerate
+    (symmetry-broken pairs, or the free phase at omega = 0).
+
+    Raises DepletedCondensateError when the global minimum leaves less than
+    MIN_CENTRAL_OCCUPATION in the central mode, or when a grid point that
+    does lies below every accepted minimum (for instance on the rim, where
+    the minimum is closer to s = 0 than the grid resolves): the
+    Holstein-Primakoff expansion does not hold there.
     """
     args = (coeffs, n_atoms)
+    xp, xm, energy, minima = _energy_grid(*args)
     accepted = []
     best_grad = np.inf
-    for sp_seed in _SEED_OFFSETS:
-        for sm_seed in _SEED_OFFSETS:
-            v0 = np.array([sp_seed.real, sp_seed.imag, sm_seed.real, sm_seed.imag])
-            res = scipy.optimize.minimize(
-                classical_energy, v0, args=args, jac=classical_gradient,
-                method="BFGS", options={"gtol": 1e-11, "maxiter": 500},
-            )
-            sol = scipy.optimize.root(
-                classical_gradient, res.x, args=args, jac=classical_hessian,
-                method="hybr", tol=1e-13,
-            )
-            v = sol.x if sol.success else res.x
-            gn = float(np.linalg.norm(classical_gradient(v, *args)))
-            best_grad = min(best_grad, gn)
-            if gn > GRAD_TOL_ACCEPT:
-                continue
-            if v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2 >= 1.0:
-                continue
-            hess_min = float(np.linalg.eigvalsh(classical_hessian(v, *args))[0])
-            if hess_min < -1e-9 * max(1.0, abs(coeffs.hY)):
-                continue  # saddle point, not a minimum
-            accepted.append((float(classical_energy(v, *args)), gn, v))
+    for start in zip(xp[minima], xm[minima]):
+        v = _polish(start, *args)
+        gn = float(np.linalg.norm(classical_gradient(v, *args)))
+        best_grad = min(best_grad, gn)
+        if gn > GRAD_TOL_ACCEPT:
+            continue
+        if v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2 >= 1.0:
+            continue
+        hess_min = float(np.linalg.eigvalsh(classical_hessian(v, *args))[0])
+        if hess_min < -1e-9 * max(1.0, abs(coeffs.hY)):
+            continue  # saddle point, not a minimum
+        accepted.append((float(classical_energy(v, *args)), gn, v))
+    accepted.sort(key=lambda t: t[0])
+    context = {"coeffs": coeffs, "N": n_atoms}
+    depleted = np.where(1.0 - xp * xp - xm * xm < MIN_CENTRAL_OCCUPATION, energy, np.inf)
+    i_dep = np.unravel_index(np.argmin(depleted), depleted.shape)
+    if accepted:
+        depleted_lowest = depleted[i_dep] < accepted[0][0]
+    else:
+        depleted_lowest = depleted[i_dep] == np.min(energy)
+    if depleted_lowest:
+        _raise_depleted(xp[i_dep] ** 2, xm[i_dep] ** 2, context,
+                        "the energy is lowest in the depleted part of the search grid")
     if not accepted:
         raise ConvergenceError(
             f"no mean-field start converged; best gradient norm {best_grad:.3e}",
-            context={"coeffs": coeffs, "N": n_atoms},
+            context=context,
         )
-    accepted.sort(key=lambda t: t[0])
     e_best, gn_best, v_best = accepted[0]
+    rho_p = v_best[0] ** 2 + v_best[1] ** 2
+    rho_m = v_best[2] ** 2 + v_best[3] ** 2
+    if 1.0 - rho_p - rho_m < MIN_CENTRAL_OCCUPATION:
+        _raise_depleted(rho_p, rho_m, context, "the global minimum depletes the central mode")
     distinct = [v_best]
     for e, _, v in accepted[1:]:
         if e - e_best > 1e-10:
@@ -161,6 +243,16 @@ def hp_mean_field(coeffs, n_atoms):
         energy_per_atom=e_best,
         grad_norm=gn_best,
         degenerate=len(distinct) > 1,
+    )
+
+
+def _raise_depleted(rho_p, rho_m, context, reason):
+    rho_0 = 1.0 - rho_p - rho_m
+    raise DepletedCondensateError(
+        f"{reason}: rho_0 = {rho_0:.4f} < {MIN_CENTRAL_OCCUPATION}, "
+        f"|beta+|^2 = {rho_p:.4f}, |beta-|^2 = {rho_m:.4f}; "
+        "the Holstein-Primakoff expansion does not hold",
+        context={**context, "rho_0": rho_0, "rho_p": rho_p, "rho_m": rho_m},
     )
 
 

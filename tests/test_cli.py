@@ -234,6 +234,32 @@ N = 50
     assert main(["run", "--config", cfg, "--backend", "gp"]) == 2
 
 
+def test_gaussian_eff_squeeze_report(tmp_path, capsys):
+    out = tmp_path / "gauss"
+    ini = f"""
+[run]
+command = eff-squeeze
+backend = gaussian
+out = {out}
+
+[params]
+omega_R = 2.0
+epsilon = 6.0
+N = 200
+"""
+    cfg = write_config(tmp_path / "run.ini", ini)
+    assert main(["run", "--config", cfg]) == 0
+    report = json.loads(read_bytes(out / "report.json"))
+    assert report["backend"] == "gaussian"
+    assert 0.0 <= report["mf_grad_norm"] <= 1e-10
+    assert report["mf_degenerate"] is False
+    assert 0.0 < report["xi_x"] < 1.0
+    # at epsilon = 2 the mean-field minimum empties the central mode: exit 3
+    depleted = write_config(tmp_path / "depleted.ini", ini.replace("6.0", "2.0"))
+    assert main(["run", "--config", depleted]) == 3
+    assert "Holstein-Primakoff expansion does not hold" in capsys.readouterr().err
+
+
 def test_gp_ground_run(tmp_path):
     out = tmp_path / "gp"
     ini = f"""
@@ -396,14 +422,19 @@ def test_sweep_series_extraction(tmp_path):
 
 
 def test_package_and_cli_import_without_scipy():
-    # scipy loads only with the ED and Gaussian backends, not at startup
+    # scipy loads only with the ED backend: not at startup, not for a Gaussian solve
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, socsqueeze, socsqueeze.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for setup in ("import socsqueeze, socsqueeze.cli",
+                  "import socsqueeze.gaussian as g; from socsqueeze.params import "
+                  "ModelParams, effective_coefficients; "
+                  "g.solve_gaussian(effective_coefficients(ModelParams(2.0, 0.0, 6.0, 200)), 200)"):
+        code = (f"import sys; {setup}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point(tmp_path):

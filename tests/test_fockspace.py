@@ -180,7 +180,8 @@ def _ed_backend():
 
 
 def _gaussian_backend():
-    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.7, epsilon=4.0, N=20))
+    # epsilon = 6: at epsilon = 4 this drive and detuning deplete the central mode
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.7, epsilon=6.0, N=20))
     sol = solve_gaussian(coeffs, 20)
     return (lambda specs: gaussian_moments(sol, specs)), gaussian_moment_set(sol)
 

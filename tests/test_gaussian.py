@@ -1,12 +1,21 @@
 """Mean field and Gaussian expansion: derivative oracles, vacuum limits,
-symplectic purity, and agreement with exact diagonalization."""
+symplectic purity, agreement with exact diagonalization, and the mean-field
+search against a multi-start BFGS oracle."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from socsqueeze.errors import ConfigError, UnstableExpansionError
+from socsqueeze.errors import (
+    ConfigError,
+    ConvergenceError,
+    DepletedCondensateError,
+    UnstableExpansionError,
+)
 from socsqueeze.fockspace import ed_ground_state, ed_moment_set
 from socsqueeze.gaussian import (
+    GRAD_TOL_ACCEPT,
+    MIN_CENTRAL_OCCUPATION,
     OMEGA,
     classical_energy,
     classical_gradient,
@@ -139,3 +148,112 @@ def test_no_convergence_error_carries_context():
     with pytest.raises((ConvergenceError, UnstableExpansionError)):
         mf = hp_mean_field(coeffs, 100)
         hp_quadratic(coeffs, 100, mf)
+
+
+def _bfgs_mean_field(coeffs, n_atoms):
+    """Oracle: 25 BFGS starts from the per-mode seeds {0, +-0.05, +-0.05i},
+    each polished by a root solve, with the same acceptance as the package."""
+    seeds = (0.0, 0.05, -0.05, 0.05j, -0.05j)
+    args = (coeffs, n_atoms)
+    accepted = []
+    for sp in seeds:
+        for sm in seeds:
+            v0 = np.array([sp.real, sp.imag, sm.real, sm.imag])
+            res = scipy.optimize.minimize(
+                classical_energy, v0, args=args, jac=classical_gradient,
+                method="BFGS", options={"gtol": 1e-11, "maxiter": 500},
+            )
+            sol = scipy.optimize.root(classical_gradient, res.x, args=args,
+                                      jac=classical_hessian, method="hybr", tol=1e-13)
+            v = sol.x if sol.success else res.x
+            if np.linalg.norm(classical_gradient(v, *args)) > GRAD_TOL_ACCEPT or v @ v >= 1.0:
+                continue
+            if np.linalg.eigvalsh(classical_hessian(v, *args))[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
+                continue
+            accepted.append((float(classical_energy(v, *args)), v))
+    accepted.sort(key=lambda t: t[0])
+    return accepted[0]
+
+
+def _perfbench_gaussian_cells():
+    """The 24 cells of the three Gaussian benchmark sweeps."""
+    cells = [(om, 0.0, 6.0, 200) for om in np.linspace(0.5, 4.0, 8)]
+    cells += [(2.0, 0.0, ep, 200) for ep in np.linspace(5.0, 7.0, 8)]
+    cells += [(2.0, de, 6.0, 100000) for de in np.linspace(-1.75, 1.75, 8)]
+    return cells
+
+
+def test_phase_closed_form_never_raises_the_energy():
+    rng = np.random.default_rng(21)
+    negative_drive = EffectiveCoefficients(q=0.08, hx=-1.3, hz=0.4, hY=3.0)
+    for coeffs in (COEFFS, negative_drive):
+        sign = np.sign(coeffs.hx)
+        for _ in range(100):
+            v = rng.standard_normal(4)
+            v *= rng.uniform(0.0, 0.999) / np.linalg.norm(v)
+            reduced = np.array([-sign * np.hypot(v[0], v[1]), 0.0,
+                                -sign * np.hypot(v[2], v[3]), 0.0])
+            assert classical_energy(v, coeffs, 100) >= classical_energy(reduced, coeffs, 100) - 1e-12
+
+
+def test_mean_field_matches_multistart_bfgs_oracle():
+    rng = np.random.default_rng(31)
+    cells = _perfbench_gaussian_cells()
+    cells += [(rng.uniform(0.0, 5.0), rng.uniform(-2.0, 2.0), rng.uniform(6.0, 10.0), 200)
+              for _ in range(12)]
+    for omega_r, delta, eps, n in cells:
+        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+        mf = hp_mean_field(coeffs, n)
+        e_ref, v_ref = _bfgs_mean_field(coeffs, n)
+        assert abs(mf.energy_per_atom - e_ref) <= 1e-12 * abs(e_ref)
+        assert np.max(np.abs(mf.as_vector() - v_ref)) <= 1e-8
+        assert not mf.degenerate
+
+
+def test_mirror_symmetry_swaps_side_modes():
+    for omega_r, delta, eps in ((2.0, 0.5, 6.0), (3.0, -1.5, 7.0), (1.0, 2.0, 8.0)):
+        c = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=100))
+        mf = hp_mean_field(c, 100)
+        mirror = hp_mean_field(EffectiveCoefficients(c.q, c.hx, -c.hz, c.hY), 100)
+        assert abs(mf.beta_p) > 1e-3 and abs(mf.beta_p - mf.beta_m) > 1e-3
+        assert abs(mirror.beta_p - mf.beta_m) <= 1e-12
+        assert abs(mirror.beta_m - mf.beta_p) <= 1e-12
+        assert abs(mirror.energy_per_atom - mf.energy_per_atom) <= 1e-12 * abs(mf.energy_per_atom)
+
+
+def test_symmetry_broken_mirror_pair_is_degenerate():
+    # at hz = 0 a strong drive splits the side modes; both orderings are minima
+    coeffs = EffectiveCoefficients(q=0.0225, hx=4.0 / np.sqrt(2.0), hz=0.0, hY=1.25 / np.sqrt(3.0))
+    mf = hp_mean_field(coeffs, 100)
+    assert mf.degenerate
+    assert abs(abs(mf.beta_p) - abs(mf.beta_m)) > 0.1
+    mirror = np.array([mf.beta_m.real, mf.beta_m.imag, mf.beta_p.real, mf.beta_p.imag])
+    assert abs(classical_energy(mirror, coeffs, 100) - mf.energy_per_atom) <= 1e-12
+    assert np.linalg.norm(classical_gradient(mirror, coeffs, 100)) <= GRAD_TOL_ACCEPT
+
+
+def test_free_phase_without_drive_is_degenerate():
+    # omega = 0 with an attractive -q Fz^2: |beta+|^2 = 1/4 at any phase
+    coeffs = EffectiveCoefficients(q=-0.02, hx=0.0, hz=-2.0, hY=1.0 / np.sqrt(3.0))
+    mf = hp_mean_field(coeffs, 100)
+    assert mf.degenerate
+    assert abs(abs(mf.beta_p) ** 2 - 0.25) <= 1e-12
+    assert abs(mf.beta_m) <= 1e-12
+    for phase in np.linspace(0.0, 2.0 * np.pi, 7):
+        v = np.array([0.5 * np.cos(phase), 0.5 * np.sin(phase), 0.0, 0.0])
+        assert abs(classical_energy(v, coeffs, 100) - mf.energy_per_atom) <= 1e-12
+
+
+@pytest.mark.parametrize("omega_r, delta, eps", [
+    (2.0, 0.0, 2.0), (4.0, 0.5, 2.0), (2.0, 0.5, 2.0), (2.0, 2.0, 2.0),
+    (1.0, 2.0, 0.0), (2.0, 0.5, 0.0), (2.0, 2.0, 0.0), (4.0, 2.0, 0.0),
+])
+def test_depleted_condensate_raises_and_ed_confirms(omega_r, delta, eps):
+    n = 100
+    coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+    with pytest.raises(DepletedCondensateError, match=r"rho_0 = .*beta\+\|\^2 = .*beta-\|\^2 = ") as err:
+        solve_gaussian(coeffs, n)
+    assert isinstance(err.value, ConvergenceError)
+    assert err.value.context["rho_0"] < MIN_CENTRAL_OCCUPATION
+    _, rho_0, _ = populations(ed_moment_set(ed_ground_state(coeffs, n)))
+    assert rho_0 < 0.05

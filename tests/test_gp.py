@@ -2,6 +2,7 @@
 propagator oracles, and moment consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,17 +254,43 @@ def test_unconverged_run_raises_with_trace():
     assert "trace" in err.value.context
 
 
+def _count_steps(prob):
+    """Wrap prob.step so that every call is counted in the returned list."""
+    calls = []
+    step = prob.step
+
+    def counted(flat, dt):
+        calls.append(dt)
+        return step(flat, dt)
+
+    prob.step = counted
+    return calls
+
+
+def test_run_stops_at_max_steps_inside_a_check_block():
+    params = ModelParams(omega_R=2.0, delta=0.5, epsilon=1.0, N=100.0)
+    prob = build_problem(params, TRAP, None, GridSpec((128,), (24.0,)))
+    calls = _count_steps(prob)
+    with pytest.raises(ConvergenceError, match="within 10 steps") as err:
+        imaginary_time_ground_state(prob, dt=0.01, tol=1e-16, max_steps=10, check_every=50)
+    assert len(calls) == 10
+    assert [int(s) for s in err.value.context["trace"][:, 0]] == [0, 10]
+
+
 def test_non_finite_energy_aborts_with_last_good_state():
-    # attractive couplings with a large step blow the local factor up to inf
+    # attractive couplings with a large step blow the local factor up to inf;
+    # the run stops at that step without a numpy warning
     params = ModelParams(omega_R=1.0, delta=0.0, epsilon=1.0, N=1e5)
     attractive = InteractionConfig(-101.8, -100.4, 1e5)
     prob = build_problem(params, TRAP, attractive, GridSpec((256,), (48.0,)))
     assert prob.c0 < 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    calls = _count_steps(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="non-finite") as err:
             imaginary_time_ground_state(prob, dt=0.5, tol=1e-8, check_every=10)
     ctx = err.value.context
-    assert ctx["step"] % 10 == 0 and ctx["step"] >= 10
+    assert ctx["step"] == len(calls) >= 1
     assert ctx["last_good"].shape == (3, 256)
     assert np.all(np.isfinite(ctx["last_good"]))
 
