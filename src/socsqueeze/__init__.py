@@ -46,11 +46,11 @@ from .gp import (
     SpinorField,
     TrapConfig,
     build_problem,
+    field_populations,
     gp_moment_set,
     gp_moments,
     imaginary_time_ground_state,
     load_field,
-    populations,
     save_field,
 )
 from .metrics import (

@@ -21,16 +21,22 @@ DEFAULT_TOL_DEG = 1e-6
 _AXIS_NAMES = ("omega_R", "delta", "epsilon")
 
 
-def build_hamiltonian(k, params):
-    """3x3 Hamiltonian at quasimomentum k (recoil units).
+# momentum shift of the +1, 0, -1 components: bare branch i is (k + _SHIFT[i])^2
+_SHIFT = (2.0, 0.0, -2.0)
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_STEPS = 100
 
-    Accepts a scalar or an array of momenta; returns shape (..., 3, 3).
+
+def build_hamiltonian(k, params):
+    """Real symmetric 3x3 Hamiltonian at quasimomentum k (recoil units).
+
+    Accepts a scalar or an array of momenta; returns float64 of shape (..., 3, 3).
     """
     k = np.asarray(k, dtype=float)
-    h = np.zeros(k.shape + (3, 3), dtype=complex)
-    h[..., 0, 0] = (k + 2.0) ** 2 - params.delta
-    h[..., 1, 1] = k**2 - params.epsilon
-    h[..., 2, 2] = (k - 2.0) ** 2 + params.delta
+    h = np.zeros(k.shape + (3, 3))
+    h[..., 0, 0] = (k + _SHIFT[0]) ** 2 - params.delta
+    h[..., 1, 1] = (k + _SHIFT[1]) ** 2 - params.epsilon
+    h[..., 2, 2] = (k + _SHIFT[2]) ** 2 + params.delta
     h[..., 0, 1] = h[..., 1, 0] = params.omega_R / 2.0
     h[..., 1, 2] = h[..., 2, 1] = params.omega_R / 2.0
     return h
@@ -38,24 +44,30 @@ def build_hamiltonian(k, params):
 
 def branch_energies(k, params):
     """Eigenvalues of the band Hamiltonian, ascending along the last axis."""
-    h = build_hamiltonian(k, params)
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError:
-        # batched solve failed; retry pointwise to name the offending momentum
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        for kv in k:
-            try:
-                np.linalg.eigvalsh(build_hamiltonian(kv, params))
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"eigensolver failed at k={kv!r}", context={"k": kv, "params": params}
-                ) from exc
-        raise
+    return np.linalg.eigvalsh(build_hamiltonian(k, params))
 
 
 def lowest_branch(k, params):
     return branch_energies(k, params)[..., 0]
+
+
+def _lowest_root(h):
+    """Lowest eigenvalue of real symmetric 3x3 matrices (..., 3, 3) in closed form.
+
+    Trigonometric solution of the characteristic cubic.  Where the two lowest
+    branches nearly meet it loses accuracy, by about eps * scale^2 / gap and
+    at worst sqrt(eps) * scale, so it only seeds the minima search; every
+    reported energy comes from ``eigvalsh``.
+    """
+    q = (h[..., 0, 0] + h[..., 1, 1] + h[..., 2, 2]) / 3.0
+    a, b, c = h[..., 0, 0] - q, h[..., 1, 1] - q, h[..., 2, 2] - q
+    uu, vv, ww = h[..., 0, 1] ** 2, h[..., 1, 2] ** 2, h[..., 0, 2] ** 2
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (uu + vv + ww)) / 6.0)
+    det = a * (b * c - vv) - b * ww - c * uu + 2.0 * h[..., 0, 1] * h[..., 1, 2] * h[..., 0, 2]
+    # p = 0 only for a multiple of the identity, where det = 0 and the root is q
+    r = np.clip(-det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
+    # q + 2p cos(arccos(-r) / 3 + 2 pi / 3), with the cosine's argument folded into [0, pi / 3]
+    return q - 2.0 * p * np.cos(np.arccos(r) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -72,89 +84,98 @@ class DispersionResult:
         return len(self.minima_k)
 
 
-def _refine_minimum(k0, h0, params):
-    """Polish one local minimum of the lowest branch by parabolic iteration.
-
-    Starts from a bracketing half-width of one grid step and keeps the
-    iterate inside it, so a seed on a genuine discrete minimum converges to
-    the interior stationary point to ~1e-12 in k.
-    """
-    kc, h = float(k0), float(h0)
-    for _ in range(60):
-        fl, fc, fr = lowest_branch(np.array([kc - h, kc, kc + h]), params)
-        denom = fl - 2.0 * fc + fr
-        if denom <= 0.0:
-            h *= 0.5  # locally flat or concave sample; tighten and retry
-        else:
-            shift = 0.5 * h * (fl - fr) / denom
-            kc += float(np.clip(shift, -h, h))
-            h *= 0.5
-        if h < 1e-13:
-            break
-    return kc, float(lowest_branch(kc, params))
-
-
 def _grid_minima_seeds(k, e):
-    """Indices (possibly fractional, for plateau midpoints) of grid minima."""
-    seeds = []
-    n = len(e)
-    j = 1
-    while j < n - 1:
-        if e[j] < e[j - 1] and e[j] < e[j + 1]:
-            seeds.append(float(j))
-            j += 1
-        elif e[j] < e[j - 1] and e[j] == e[j + 1]:
-            # plateau: scan to its end, keep the midpoint if both sides rise
-            j2 = j
-            while j2 + 1 < n and e[j2 + 1] == e[j]:
-                j2 += 1
-            if j2 < n - 1 and e[j2 + 1] > e[j]:
-                seeds.append(0.5 * (j + j2))
-            j = j2 + 1
-        else:
-            j += 1
-    return seeds
+    """Momenta of the interior grid minima of e; a plateau seeds its midpoint.
+
+    A minimum is a run of equal values (one point for a strict minimum) that
+    the grid enters falling and leaves rising, so window edges never count.
+    """
+    step = np.sign(np.diff(e))
+    moves = np.flatnonzero(step)
+    into, out = moves[:-1], moves[1:]
+    turn = (step[into] < 0.0) & (step[out] > 0.0)
+    return k[0] + 0.5 * (into[turn] + 1 + out[turn]) * (k[1] - k[0])
+
+
+def _refine_minima(k0, dk, params):
+    """Stationary points of the lowest branch near every seed k0, all at once.
+
+    Safeguarded Newton on E0'(k) = 0 inside the bracket k0 +- dk.  The
+    derivatives come from one batched ``eigh`` per step by Hellmann-Feynman,
+    with H' = dH/dk = 2 diag(k + _SHIFT) and H'' = 2 I:
+    E0' = v0.H'.v0 and E0'' = 2 + 2 sum_{n>0} (vn.H'.v0)^2 / (E0 - En).  The
+    sign of E0' shrinks the bracket; a step that leaves it, or meets
+    E0'' <= 0, bisects it instead.  A seed stops once its step is at most
+    _NEWTON_TOL, so its result does not depend on the other seeds.
+    """
+    k = k0
+    lo, hi = k - dk, k + dk
+    active = np.ones(k.shape, dtype=bool)
+    shift = np.array(_SHIFT)
+    with np.errstate(divide="ignore", invalid="ignore"):  # E0 = E1 only at omega_R = 0
+        for _ in range(_NEWTON_MAX_STEPS):
+            w, v = np.linalg.eigh(build_hamiltonian(k, params))
+            # g[m, n] = vn.H'.v0 at seed m
+            g = ((2.0 * (k[:, None] + shift) * v[:, :, 0])[:, None, :] @ v)[:, 0]
+            slope, gn = g[:, 0], g[:, 1:]
+            curv = 2.0 - 2.0 * (gn * gn / (w[:, 1:] - w[:, :1])).sum(axis=1)
+            lo = np.where(slope < 0.0, k, lo)
+            hi = np.where(slope > 0.0, k, hi)
+            trial = k - slope / curv
+            # inclusive: a converged step may round onto the bracket edge
+            inside = (curv > 0.0) & (trial >= lo) & (trial <= hi)
+            trial = np.where(active, np.where(inside, trial, 0.5 * (lo + hi)), k)
+            active &= np.abs(trial - k) > _NEWTON_TOL
+            k = trial
+            if not active.any():
+                break
+    return k
+
+
+def _minima(k, params):
+    """Refined interior minima (k_min, E_min) of the lowest branch seeded on grid k.
+
+    Seeds come from the closed-form lowest root on the grid; energies come
+    from ``eigvalsh``.
+    """
+    seeds = _grid_minima_seeds(k, _lowest_root(build_hamiltonian(k, params)))
+    dk = k[1] - k[0]
+    kc = _refine_minima(seeds, dk, params)
+    ec, el, er = lowest_branch(np.stack([kc, kc - dk, kc + dk]), params)
+    # discard refinements that drifted onto a kink: require a discrete
+    # minimum at the original grid resolution
+    keep = (el >= ec) & (er >= ec)
+    mins = sorted(zip(kc[keep].tolist(), ec[keep].tolist()))
+
+    # merge duplicates from plateau seeds refining to the same point
+    merged = []
+    for kv, ev in mins:
+        if merged and abs(kv - merged[-1][0]) < 0.5 * dk:
+            if ev < merged[-1][1]:
+                merged[-1] = (kv, ev)
+            continue
+        merged.append((kv, ev))
+    return np.array([m[0] for m in merged]), np.array([m[1] for m in merged])
+
+
+def _grid(window, n_points):
+    lo, hi = float(window[0]), float(window[1])
+    if not (hi > lo) or n_points < 3:
+        raise ConfigError(f"bad dispersion window {window!r} / n_points={n_points}")
+    return np.linspace(lo, hi, int(n_points))
 
 
 def dispersion(params, window=DEFAULT_WINDOW, n_points=DEFAULT_POINTS):
     """Evaluate the three branches on a uniform grid and locate lowest-branch minima.
 
     Interior grid minima (three-point condition, plateau ties resolved to the
-    midpoint) are refined by bracketed parabolic iteration; window edges are
+    midpoint) are refined by bracketed Newton iteration; window edges are
     never reported as minima.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (hi > lo) or n_points < 3:
-        raise ConfigError(f"bad dispersion window {window!r} / n_points={n_points}")
-    k = np.linspace(lo, hi, int(n_points))
-    energies = branch_energies(k, params)
-    e0 = energies[:, 0]
-    dk = k[1] - k[0]
-
-    mins = []
-    for seed in _grid_minima_seeds(k, e0):
-        k_seed = lo + seed * dk
-        kc, ec = _refine_minimum(k_seed, dk, params)
-        # discard refinements that drifted onto a kink: require a discrete
-        # minimum at the original grid resolution
-        el, er = lowest_branch(np.array([kc - dk, kc + dk]), params)
-        if not (el >= ec and er >= ec):
-            continue
-        mins.append((kc, ec))
-
-    # merge duplicates from plateau seeds refining to the same point
-    mins.sort()
-    merged = []
-    for kc, ec in mins:
-        if merged and abs(kc - merged[-1][0]) < 0.5 * dk:
-            if ec < merged[-1][1]:
-                merged[-1] = (kc, ec)
-            continue
-        merged.append((kc, ec))
-
-    mk = np.array([m[0] for m in merged])
-    me = np.array([m[1] for m in merged])
-    return DispersionResult(k=k, energies=energies, minima_k=mk, minima_E=me)
+    k = _grid(window, n_points)
+    minima_k, minima_E = _minima(k, params)
+    return DispersionResult(k=k, energies=branch_energies(k, params),
+                            minima_k=minima_k, minima_E=minima_E)
 
 
 @dataclass(frozen=True)
@@ -174,21 +195,21 @@ def classify(params, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW, n_points=DE
     ``degenerate`` means at least two minima lie within ``tol_deg`` of the
     global minimum energy.  E_min/k_min refer to the global minimum.
     """
-    disp = dispersion(params, window=window, n_points=n_points)
-    if disp.n_minima == 0:
+    minima_k, minima_E = _minima(_grid(window, n_points), params)
+    if len(minima_k) == 0:
         raise ConvergenceError(
             "no interior minima found; widen the momentum window",
             context={"params": params, "window": window},
         )
-    order = np.argsort(disp.minima_E)
-    e_sorted = disp.minima_E[order]
-    degenerate = disp.n_minima > 1 and (e_sorted[1] - e_sorted[0]) < tol_deg
+    order = np.argsort(minima_E)
+    e_sorted = minima_E[order]
+    degenerate = len(minima_k) > 1 and (e_sorted[1] - e_sorted[0]) < tol_deg
     return PhaseCell(
         params=params,
-        n_minima=disp.n_minima,
+        n_minima=len(minima_k),
         degenerate=bool(degenerate),
         E_min=float(e_sorted[0]),
-        k_min=float(disp.minima_k[order][0]),
+        k_min=float(minima_k[order][0]),
     )
 
 

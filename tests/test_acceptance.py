@@ -22,8 +22,8 @@ from socsqueeze.gp import (
     InteractionConfig,
     TrapConfig,
     build_problem,
+    field_populations,
     imaginary_time_ground_state,
-    populations as field_populations,
 )
 from socsqueeze.metrics import optimize_theta, populations, xi_x
 from socsqueeze.params import ModelParams, effective_coefficients

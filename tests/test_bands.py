@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from socsqueeze import bands
 from socsqueeze.bands import (
+    _grid_minima_seeds,
+    _lowest_root,
+    _minima,
     build_hamiltonian,
     classify,
     dispersion,
@@ -11,7 +15,7 @@ from socsqueeze.bands import (
     phase_diagram,
     phase_diagram_rows,
 )
-from socsqueeze.errors import ConfigError
+from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.params import ModelParams
 
 
@@ -136,3 +140,153 @@ def test_window_edges_never_reported_as_minima():
     p = ModelParams(omega_R=0.0, delta=0.0, epsilon=0.0)
     d = dispersion(p, window=(0.5, 1.5), n_points=101)
     assert d.n_minima == 0
+
+
+# --- oracle: the grid scan and parabolic refinement the minima path replaced ---
+
+def oracle_grid_minima_seeds(e):
+    """Indices (possibly fractional, for plateau midpoints) of grid minima."""
+    seeds = []
+    n = len(e)
+    j = 1
+    while j < n - 1:
+        if e[j] < e[j - 1] and e[j] < e[j + 1]:
+            seeds.append(float(j))
+            j += 1
+        elif e[j] < e[j - 1] and e[j] == e[j + 1]:
+            # plateau: scan to its end, keep the midpoint if both sides rise
+            j2 = j
+            while j2 + 1 < n and e[j2 + 1] == e[j]:
+                j2 += 1
+            if j2 < n - 1 and e[j2 + 1] > e[j]:
+                seeds.append(0.5 * (j + j2))
+            j = j2 + 1
+        else:
+            j += 1
+    return seeds
+
+
+def oracle_refine_minimum(k0, h0, params):
+    """Bracketed parabolic iteration from a grid minimum, half-width one grid step."""
+    kc, h = float(k0), float(h0)
+    for _ in range(60):
+        fl, fc, fr = lowest_branch(np.array([kc - h, kc, kc + h]), params)
+        denom = fl - 2.0 * fc + fr
+        if denom <= 0.0:
+            h *= 0.5
+        else:
+            shift = 0.5 * h * (fl - fr) / denom
+            kc += float(np.clip(shift, -h, h))
+            h *= 0.5
+        if h < 1e-13:
+            break
+    return kc, float(lowest_branch(kc, params))
+
+
+def oracle_minima(params, window=(-4.0, 4.0), n_points=2001):
+    """Refined lowest-branch minima [(k, E)], sorted by k, duplicates merged."""
+    k = np.linspace(window[0], window[1], n_points)
+    e0 = lowest_branch(k, params)
+    dk = k[1] - k[0]
+    mins = []
+    for seed in oracle_grid_minima_seeds(e0):
+        kc, ec = oracle_refine_minimum(window[0] + seed * dk, dk, params)
+        el, er = lowest_branch(np.array([kc - dk, kc + dk]), params)
+        if el >= ec and er >= ec:
+            mins.append((kc, ec))
+    mins.sort()
+    merged = []
+    for kc, ec in mins:
+        if merged and abs(kc - merged[-1][0]) < 0.5 * dk:
+            if ec < merged[-1][1]:
+                merged[-1] = (kc, ec)
+            continue
+        merged.append((kc, ec))
+    return merged
+
+
+def test_grid_seeds_match_loop_oracle():
+    # small integers give many plateaus, edge runs and ties
+    rng = np.random.default_rng(3)
+    k = np.linspace(-1.0, 1.0, 41)
+    for _ in range(2000):
+        e = rng.integers(0, 4, size=41).astype(float)
+        expected = k[0] + np.array(oracle_grid_minima_seeds(e)) * (k[1] - k[0])
+        assert np.array_equal(_grid_minima_seeds(k, e), expected), e
+
+
+def oracle_points():
+    """The criterion-3 grid plus seeded random points, drive 0 and near 0 included."""
+    pts = [ModelParams(omega_R=float(o), delta=float(d), epsilon=6.0)
+           for o in np.linspace(0.25, 5.0, 20) for d in np.linspace(-4.75, 4.75, 20)]
+    rng = np.random.default_rng(2016)
+    for i in range(560):
+        omega = (0.0, 1e-6, 1e-3)[i % 8] if i % 8 < 3 else float(rng.uniform(0.0, 8.0))
+        pts.append(ModelParams(omega_R=omega, delta=float(rng.uniform(-5.0, 5.0)),
+                               epsilon=float(rng.uniform(-3.0, 10.0))))
+    return pts
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    return [(p, oracle_minima(p)) for p in oracle_points()]
+
+
+def test_classify_matches_parabolic_oracle(oracle_cases):
+    for p, merged in oracle_cases:
+        if not merged:
+            with pytest.raises(ConvergenceError):
+                classify(p)
+            continue
+        ks, es = np.array(merged).T
+        order = np.argsort(es)
+        degenerate = len(merged) > 1 and (es[order[1]] - es[order[0]]) < 1e-6
+        cell = classify(p)
+        assert (cell.n_minima, cell.degenerate) == (len(merged), degenerate), p
+        assert abs(cell.E_min - es[order[0]]) <= 1e-12 * max(1.0, abs(es[order[0]])), p
+        assert abs(cell.k_min - ks[order[0]]) <= 1e-7, p
+
+
+def test_refined_minima_are_stationary(oracle_cases):
+    h = 1e-5
+    k = np.linspace(-4.0, 4.0, 2001)
+    for p, _ in oracle_cases:
+        for km in _minima(k, p)[0]:
+            el, er = lowest_branch(np.array([km - h, km + h]), p)
+            assert abs(er - el) / (2.0 * h) <= 1e-8, (p, km)
+
+
+def test_newton_refinement_takes_few_steps(monkeypatch):
+    # one build_hamiltonian call per Newton step; a converged seed must not
+    # fall back to bisecting its bracket down to the step tolerance
+    steps = []
+    build = bands.build_hamiltonian
+
+    def counting(k, params):
+        steps[-1] += 1
+        return build(k, params)
+
+    k = np.linspace(-4.0, 4.0, 2001)
+    seeds = [(p, _grid_minima_seeds(k, _lowest_root(build(k, p)))) for p in oracle_points()]
+    monkeypatch.setattr(bands, "build_hamiltonian", counting)
+    for p, k0 in seeds:
+        steps.append(0)
+        bands._refine_minima(k0, k[1] - k[0], p)
+    assert max(steps) <= 6
+
+
+def test_closed_form_lowest_root_matches_eigvalsh(oracle_cases):
+    # Roots of the characteristic cubic lose accuracy as the two lowest
+    # branches meet: the error is first order in eps * scale^2 / gap and
+    # O(sqrt(eps) * scale) at a crossing.  Away from crossings it stays at
+    # roundoff, so the bound below is tight there.
+    eps = np.finfo(float).eps
+    k = np.linspace(-4.0, 4.0, 2001)
+    for p, _ in oracle_cases:
+        h = build_hamiltonian(k, p)
+        ev = np.linalg.eigvalsh(h)
+        scale = np.max(np.abs(ev), axis=1)
+        gap = ev[:, 1] - ev[:, 0]
+        with np.errstate(divide="ignore"):
+            bound = np.minimum(32.0 * eps * scale**2 / gap, np.sqrt(eps) * scale)
+        assert np.all(np.abs(_lowest_root(h) - ev[:, 0]) <= bound), p

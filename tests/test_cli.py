@@ -210,6 +210,35 @@ n_points = 801
     assert first[0] == "0" and first[1] == "3" and first[3] == "1"
 
 
+def test_phase_diagram_bytes_do_not_depend_on_jobs(tmp_path):
+    # 4 x 6 = 24 cells reach a --jobs 2 pool as chunks of 3
+    ini = """
+[run]
+command = phase-diagram
+
+[params]
+epsilon = 6.0
+
+[phase-diagram]
+axis1 = omega_R
+min1 = 0.25
+max1 = 5.0
+count1 = 4
+axis2 = delta
+min2 = -4.75
+max2 = 4.75
+count2 = 6
+"""
+    cfg = write_config(tmp_path / "run.ini", ini)
+    tables = []
+    for name, jobs in (("j1a", "1"), ("j2a", "2"), ("j1b", "1"), ("j2b", "2")):
+        out = tmp_path / name
+        assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        tables.append(read_bytes(out / "phase_diagram.csv"))
+    assert len(tables[0].decode().splitlines()) == 25
+    assert all(t == tables[0] for t in tables[1:])
+
+
 def test_eff_squeeze_report(tmp_path):
     out = tmp_path / "eff"
     ini = f"""

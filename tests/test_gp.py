@@ -17,11 +17,11 @@ from socsqueeze.gp import (
     SpinorField,
     TrapConfig,
     build_problem,
+    field_populations,
     gp_moment_set,
     imaginary_time_ground_state,
     load_field,
     mean_field_couplings,
-    populations,
     raman_recoil_momentum,
     save_field,
     spin_exponential,
@@ -212,7 +212,7 @@ def test_harmonic_oscillator_ground_state():
     w = TRAP.frequency_ratio(0)
     assert res.converged
     assert abs(res.energy - (0.5 * w - eps)) <= 1e-6
-    rm, r0, rp = populations(res.field)
+    rm, r0, rp = field_populations(res.field)
     assert abs(r0 - 1.0) <= 1e-8
     # diagnostics: the final check's per-step change met tol, and the field is
     # an eigenstate up to the splitting bias, unlike the seed it started from
@@ -241,7 +241,7 @@ def test_detuning_polarizes_toward_plus_one():
     params = ModelParams(omega_R=1.0, delta=0.5, epsilon=0.0, N=100.0)
     prob = build_problem(params, TRAP, None, GridSpec((128,), (24.0,)))
     res = imaginary_time_ground_state(prob, dt=0.01, tol=1e-10, seed=4)
-    rm, r0, rp = populations(res.field)
+    rm, r0, rp = field_populations(res.field)
     assert rp > rm
     assert rp > 0.5
 
@@ -302,7 +302,7 @@ def test_populations_component_order():
     psi = np.zeros((3, 64), dtype=complex)
     psi[0] = np.exp(-(x**2) / 8.0)
     f = SpinorField(psi, g.axes(), g.dv).normalized()
-    rm, r0, rp = populations(f)
+    rm, r0, rp = field_populations(f)
     assert abs(rp - 1.0) <= 1e-12 and abs(rm) <= 1e-12 and abs(r0) <= 1e-12
 
 
@@ -330,7 +330,7 @@ def test_field_and_moment_populations_agree():
     params = ModelParams(omega_R=1.5, delta=0.3, epsilon=1.0, N=1000.0)
     prob = build_problem(params, TRAP, None, GridSpec((128,), (24.0,)))
     res = imaginary_time_ground_state(prob, dt=0.02, tol=1e-9, seed=8)
-    direct = populations(res.field)
+    direct = field_populations(res.field)
     via_moments = moment_populations(gp_moment_set(res.field, 1000))
     assert np.max(np.abs(np.array(direct) - np.array(via_moments))) <= 1e-9
 
