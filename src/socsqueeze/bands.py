@@ -8,6 +8,7 @@ or whole planes of the parameter space by minima count.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,7 +163,15 @@ def _grid(window, n_points):
     lo, hi = float(window[0]), float(window[1])
     if not (hi > lo) or n_points < 3:
         raise ConfigError(f"bad dispersion window {window!r} / n_points={n_points}")
-    return np.linspace(lo, hi, int(n_points))
+    return _cached_grid(lo, hi, int(n_points))
+
+
+@lru_cache(maxsize=8)
+def _cached_grid(lo, hi, n_points):
+    """The momentum grid of one window, built once and shared read-only."""
+    k = np.linspace(lo, hi, n_points)
+    k.setflags(write=False)
+    return k
 
 
 def dispersion(params, window=DEFAULT_WINDOW, n_points=DEFAULT_POINTS):

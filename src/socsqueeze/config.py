@@ -34,8 +34,6 @@ def _get(section, key, cast, default=None, required=False):
         return default
     raw = section[key]
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc

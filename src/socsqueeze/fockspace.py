@@ -62,21 +62,19 @@ class FockBasis:
             raise ConfigError(f"invalid mode pair {key!r}")
         return self._transfer_cache[key]
 
-    @property
+    @cached_property
     def _transfer_cache(self):
-        if not hasattr(self, "_tc"):
-            d = {}
-            d[(1, 1)] = sp.diags(self.n_plus.astype(float))
-            d[(0, 0)] = sp.diags(self.n_zero.astype(float))
-            d[(-1, -1)] = sp.diags(self.n_minus.astype(float))
-            d[(1, 0)] = self._hop(1, 0, lambda p, m, z: np.sqrt((p + 1.0) * z))
-            d[(-1, 0)] = self._hop(0, 1, lambda p, m, z: np.sqrt((m + 1.0) * z))
-            d[(1, -1)] = self._hop(1, -1, lambda p, m, z: np.sqrt((p + 1.0) * m))
-            d[(0, 1)] = d[(1, 0)].T.tocsr()
-            d[(0, -1)] = d[(-1, 0)].T.tocsr()
-            d[(-1, 1)] = d[(1, -1)].T.tocsr()
-            self._tc = d
-        return self._tc
+        d = {}
+        d[(1, 1)] = sp.diags(self.n_plus.astype(float))
+        d[(0, 0)] = sp.diags(self.n_zero.astype(float))
+        d[(-1, -1)] = sp.diags(self.n_minus.astype(float))
+        d[(1, 0)] = self._hop(1, 0, lambda p, m, z: np.sqrt((p + 1.0) * z))
+        d[(-1, 0)] = self._hop(0, 1, lambda p, m, z: np.sqrt((m + 1.0) * z))
+        d[(1, -1)] = self._hop(1, -1, lambda p, m, z: np.sqrt((p + 1.0) * m))
+        d[(0, 1)] = d[(1, 0)].T.tocsr()
+        d[(0, -1)] = d[(-1, 0)].T.tocsr()
+        d[(-1, 1)] = d[(1, -1)].T.tocsr()
+        return d
 
     def collective(self, matrix3):
         """Second-quantized collective operator sum_mn G[m,n] a_m^dag a_n (sparse).

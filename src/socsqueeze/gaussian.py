@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GENERATOR_LABELS, generator_matrix
+from .algebra import generator_matrix, generator_stack
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -31,7 +31,7 @@ MIN_CENTRAL_OCCUPATION = 0.5  # below this s^2 the expansion around the central 
 _GRID_POINTS = 41         # per axis of the coarse search grid (see _energy_grid)
 _NEWTON_MAX_STEPS = 50
 _NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-_PLANE = [0, 2]           # the (x+, x-) entries of v = (x+, y+, x-, y-)
+_PLANE = slice(0, 4, 2)   # the (x+, x-) entries of v = (x+, y+, x-, y-)
 
 # symplectic form of (x+, p+, x-, p-)
 OMEGA = np.array([
@@ -41,16 +41,50 @@ OMEGA = np.array([
     [0.0, 0.0, -1.0, 0.0],
 ])
 
-_D1 = np.diag([1.0, 1.0, -1.0, -1.0])
-_EG = np.array([1.0, 0.0, 1.0, 0.0])
 _S_FLOOR = 1e-14
+# the per-atom energy is -qN<Jz>^2 + <L>, with L = hz Jz + hx Jx + hY Y
+_ENERGY_GENERATORS = np.stack([generator_matrix(lbl) for lbl in ("Jz", "Jx", "Y")])
+_GENERATORS = generator_stack()
+_CONDENSATE_COUPLED = (_GENERATORS[:, 0, 1] != 0.0) | (_GENERATORS[:, 2, 1] != 0.0)
+# dz/du of z = (x+ + i y+, s, x- + i y-), less its central row -u/s
+_SIDE_JACOBIAN = np.array([[1.0, 1j, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]])
 
 
-def _split(v):
-    rho_p = v[0] ** 2 + v[1] ** 2
-    rho_m = v[2] ** 2 + v[3] ** 2
-    s = np.sqrt(np.maximum(1.0 - rho_p - rho_m, _S_FLOOR))
-    return rho_p, rho_m, s
+def _product_state(u, n_atoms):
+    """z = (beta+, s, beta-) and s = sqrt(n - |u|^2) of mode coordinates u.
+
+    u = (x+, y+, x-, y-) may carry trailing axes; s is floored so that points
+    on or beyond the rim stay finite.
+    """
+    s = np.sqrt(np.maximum(n_atoms - np.einsum("i...,i...->...", u, u), _S_FLOOR))
+    z = np.einsum("ij,j...->i...", _SIDE_JACOBIAN, u)
+    z[1] = s
+    return z, s
+
+
+def _symbol_value(mats, z):
+    """z^dag G z for each Hermitian G of the stack mats (k, 3, 3), shape (k, ...)."""
+    return np.einsum("i...,kij,j...->k...", z.conj(), mats, z).real
+
+
+def _symbol(mats, u, n_atoms):
+    """Value, gradient and Hessian in u of the classical symbol z^dag G z.
+
+    The symbol is the expectation of each generator G of the stack mats
+    (k, 3, 3) in the displaced product state z = (beta+, s, beta-), at one
+    point u = (x+, y+, x-, y-) (unscaled, so |u|^2 counts atoms).  With
+    J = dz/du, the gradient is 2 Re((Gz)^dag J) and the Hessian is
+    2 Re(J^dag G J) + 2 Re((Gz)_1) d2s, where (Gz)_1 is the central (m = 0)
+    entry and d2s = -(I/s + u u^T/s^3) the Hessian of s.  Returns arrays of
+    shape (k,), (k, 4) and (k, 4, 4).
+    """
+    z, s = _product_state(u, n_atoms)
+    jac = _SIDE_JACOBIAN.copy()
+    jac[1] = -u / s
+    gz = mats @ z
+    d2s = -(np.eye(4) / s + u[:, None] * u / s**3)
+    hess = 2.0 * (jac.conj().T @ mats @ jac).real + (2.0 * gz[:, 1].real)[:, None, None] * d2s
+    return _symbol_value(mats, z), 2.0 * (gz.conj() @ jac).real, hess
 
 
 def classical_energy(v, coeffs, n_atoms):
@@ -58,50 +92,26 @@ def classical_energy(v, coeffs, n_atoms):
 
     ``v`` may carry trailing axes, giving the energy at every point of a grid.
     """
-    a = coeffs.q * n_atoms
-    omega = np.sqrt(2.0) * coeffs.hx
-    rho_p, rho_m, s = _split(v)
-    w = rho_p - rho_m
-    g = v[0] + v[2]
-    return (
-        -a * w * w
-        + omega * s * g
-        + coeffs.hz * w
-        + np.sqrt(3.0) * coeffs.hY * (rho_p + rho_m)
-        - 2.0 * coeffs.hY / np.sqrt(3.0)
-    )
+    jz, jx, y = _symbol_value(_ENERGY_GENERATORS, _product_state(v, 1.0)[0])
+    return -coeffs.q * n_atoms * jz * jz + coeffs.hz * jz + coeffs.hx * jx + coeffs.hY * y
+
+
+def _energy_derivatives(v, coeffs, n_atoms):
+    """Gradient and Hessian of the per-atom energy at one point, by the chain rule."""
+    (jz, _, _), grad, hess = _symbol(_ENERGY_GENERATORS, v, 1.0)
+    a = -2.0 * coeffs.q * n_atoms
+    w = np.array([coeffs.hz, coeffs.hx, coeffs.hY])
+    gradient = a * jz * grad[0] + w @ grad
+    hessian = a * (grad[0][:, None] * grad[0] + jz * hess[0]) + np.einsum("k,kij->ij", w, hess)
+    return gradient, hessian
 
 
 def classical_gradient(v, coeffs, n_atoms):
-    a = coeffs.q * n_atoms
-    omega = np.sqrt(2.0) * coeffs.hx
-    rho_p, rho_m, s = _split(v)
-    w = rho_p - rho_m
-    g = v[0] + v[2]
-    vs = _D1 @ v
-    return (
-        -4.0 * a * w * vs
-        + omega * (s * _EG - (g / s) * v)
-        + 2.0 * coeffs.hz * vs
-        + 2.0 * np.sqrt(3.0) * coeffs.hY * v
-    )
+    return _energy_derivatives(v, coeffs, n_atoms)[0]
 
 
 def classical_hessian(v, coeffs, n_atoms):
-    a = coeffs.q * n_atoms
-    omega = np.sqrt(2.0) * coeffs.hx
-    rho_p, rho_m, s = _split(v)
-    w = rho_p - rho_m
-    g = v[0] + v[2]
-    vs = _D1 @ v
-    eye = np.eye(4)
-    h = -8.0 * a * np.outer(vs, vs) - 4.0 * a * w * _D1
-    h += omega * (
-        -(np.outer(_EG, v) + np.outer(v, _EG)) / s
-        - g * (eye / s + np.outer(v, v) / s**3)
-    )
-    h += 2.0 * coeffs.hz * _D1 + 2.0 * np.sqrt(3.0) * coeffs.hY * eye
-    return h
+    return _energy_derivatives(v, coeffs, n_atoms)[1]
 
 
 @dataclass(frozen=True)
@@ -156,9 +166,9 @@ def _polish(start, coeffs, n_atoms):
     v = np.array([start[0], 0.0, start[1], 0.0])
     e = classical_energy(v, coeffs, n_atoms)
     for _ in range(_NEWTON_MAX_STEPS):
-        g = classical_gradient(v, coeffs, n_atoms)[_PLANE]
-        w, u = np.linalg.eigh(classical_hessian(v, coeffs, n_atoms)[np.ix_(_PLANE, _PLANE)])
-        step = -u @ ((u.T @ g) / np.maximum(np.abs(w), 1e-12))
+        g, h = _energy_derivatives(v, coeffs, n_atoms)
+        w, u = np.linalg.eigh(h[_PLANE, _PLANE])
+        step = -u @ ((u.T @ g[_PLANE]) / np.maximum(np.abs(w), 1e-12))
         slack = 1e-13 * max(1.0, abs(e))
         while True:
             trial = v.copy()
@@ -189,9 +199,10 @@ def hp_mean_field(coeffs, n_atoms):
     (symmetry-broken pairs, or the free phase at omega = 0).
 
     Raises DepletedCondensateError when the global minimum leaves less than
-    MIN_CENTRAL_OCCUPATION in the central mode, or when a grid point that
-    does lies below every accepted minimum (for instance on the rim, where
-    the minimum is closer to s = 0 than the grid resolves): the
+    MIN_CENTRAL_OCCUPATION in the central mode, or when a grid point with
+    s^2 < MIN_CENTRAL_OCCUPATION lies below every accepted minimum (is the
+    lowest grid point, if none is accepted), for instance on the rim, where
+    the minimum is closer to s = 0 than the grid resolves: the
     Holstein-Primakoff expansion does not hold there.
     """
     args = (coeffs, n_atoms)
@@ -200,13 +211,14 @@ def hp_mean_field(coeffs, n_atoms):
     best_grad = np.inf
     for start in zip(xp[minima], xm[minima]):
         v = _polish(start, *args)
-        gn = float(np.linalg.norm(classical_gradient(v, *args)))
+        g, h = _energy_derivatives(v, *args)
+        gn = float(np.linalg.norm(g))
         best_grad = min(best_grad, gn)
         if gn > GRAD_TOL_ACCEPT:
             continue
-        if v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2 >= 1.0:
+        if v @ v >= 1.0:
             continue
-        hess_min = float(np.linalg.eigvalsh(classical_hessian(v, *args))[0])
+        hess_min = float(np.linalg.eigvalsh(h)[0])
         if hess_min < -1e-9 * max(1.0, abs(coeffs.hY)):
             continue  # saddle point, not a minimum
         accepted.append((float(classical_energy(v, *args)), gn, v))
@@ -284,12 +296,13 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
         v = np.asarray(mean_field, dtype=float)
         if v.shape != (4,):
             raise ConfigError("mean_field must be a MeanFieldResult or a 4-vector")
-    gn = float(np.linalg.norm(classical_gradient(v, coeffs, n_atoms)))
+    g, h = _energy_derivatives(v, coeffs, n_atoms)
+    gn = float(np.linalg.norm(g))
     if gn > GRAD_TOL_EXPAND:
         raise ConfigError(
             f"quadratic expansion requires a stationary point; gradient norm {gn:.3e}"
         )
-    m = classical_hessian(v, coeffs, n_atoms) / 2.0
+    m = h / 2.0
     w_m, u_m = np.linalg.eigh(m)
     if w_m[0] <= 0.0:
         modes = np.linalg.eigvals(OMEGA @ m)
@@ -321,77 +334,17 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
     )
 
 
-def _symbol_pieces(matrix3, u, n_atoms):
-    """Value, gradient and Hessian of one generator's classical symbol.
-
-    The symbol is the expectation in the displaced product state, written in
-    the four real mode coordinates u (unscaled, so |u|^2 counts atoms).
-    """
-    s_t = np.sqrt(max(n_atoms - u @ u, _S_FLOOR))
-    gpp = matrix3[0, 0].real
-    g00 = matrix3[1, 1].real
-    gmm = matrix3[2, 2].real
-    gp0 = complex(matrix3[0, 1])
-    gm0 = complex(matrix3[2, 1])
-    gpm = complex(matrix3[0, 2])
-
-    rho_p = u[0] ** 2 + u[1] ** 2
-    rho_m = u[2] ** 2 + u[3] ** 2
-    ell = 2.0 * np.array([gp0.real, gp0.imag, gm0.real, gm0.imag])
-    lin = float(ell @ u)
-    cross = 2.0 * (
-        gpm.real * (u[0] * u[2] + u[1] * u[3])
-        - gpm.imag * (u[0] * u[3] - u[1] * u[2])
-    )
-    value = (
-        g00 * (n_atoms - rho_p - rho_m)
-        + gpp * rho_p + gmm * rho_m + s_t * lin + cross
-    )
-
-    grad = (
-        -2.0 * g00 * u
-        + 2.0 * gpp * np.array([u[0], u[1], 0.0, 0.0])
-        + 2.0 * gmm * np.array([0.0, 0.0, u[2], u[3]])
-        + s_t * ell - (lin / s_t) * u
-        + 2.0 * gpm.real * np.array([u[2], u[3], u[0], u[1]])
-        - 2.0 * gpm.imag * np.array([u[3], -u[2], -u[1], u[0]])
-    )
-
-    eye = np.eye(4)
-    hess = -2.0 * g00 * eye + 2.0 * gpp * np.diag([1.0, 1.0, 0.0, 0.0])
-    hess = hess + 2.0 * gmm * np.diag([0.0, 0.0, 1.0, 1.0])
-    hess = hess - (np.outer(ell, u) + np.outer(u, ell)) / s_t
-    hess = hess - lin * (eye / s_t + np.outer(u, u) / s_t**3)
-    re_block = np.zeros((4, 4))
-    re_block[0, 2] = re_block[2, 0] = re_block[1, 3] = re_block[3, 1] = 1.0
-    im_block = np.zeros((4, 4))
-    im_block[0, 3] = im_block[3, 0] = -1.0
-    im_block[1, 2] = im_block[2, 1] = 1.0
-    hess = hess + 2.0 * gpm.real * re_block + 2.0 * gpm.imag * im_block
-
-    condensate_coupled = gp0 != 0.0 or gm0 != 0.0
-    return value, grad, hess, condensate_coupled
-
-
-def _observable_terms(matrix3, u, n_atoms):
-    """(constant, linear coefficients, quadratic form) of one generator.
-
-    Observables that transfer atoms with the condensate mode are kept to
-    linear order in the fluctuations (their quadratic piece is 1/sqrt(N)
-    suppressed); pure number/side-mode bilinears keep their exact quadratic
-    form, with the Weyl-ordering constant folded into the scalar part.
-    """
-    value, grad, hess, coupled = _symbol_pieces(matrix3, u, n_atoms)
-    if coupled:
-        return value, grad / np.sqrt(2.0), np.zeros((4, 4))
-    f = hess / 2.0
-    return value - np.trace(f) / 4.0, grad / np.sqrt(2.0), f
-
-
 def _generator_moments(solution):
     """Means (8,) and symmetrized covariances (8, 8) of the eight generators.
 
-    Uses <O> = c + tr(F sigma)/2 and the Gaussian covariance formula
+    Each generator is expanded to second order in the fluctuations around the
+    mean field by its classical symbol: constant c, linear coefficients
+    a = grad/sqrt(2) and quadratic form F = hess/2.  Generators that transfer
+    atoms with the condensate mode (G[+1, 0] or G[-1, 0] nonzero) are kept to
+    linear order (their quadratic piece is 1/sqrt(N) suppressed); pure
+    number/side-mode bilinears keep their exact quadratic form, with the
+    Weyl-ordering constant -tr(F)/4 folded into c.  Then
+    <O> = c + tr(F sigma)/2 and
     Cov(O1, O2) = a1.sigma.a2 + tr(F1 sigma F2 sigma)/2 + tr(F1 W F2 W)/8
     with W the symplectic form (the last term is the Weyl-ordering
     correction; it vanishes for commuting quadratics).
@@ -401,18 +354,15 @@ def _generator_moments(solution):
         solution.beta_m.real, solution.beta_m.imag,
     ])
     sigma = solution.covariance
-    terms = [_observable_terms(generator_matrix(lbl), u, solution.N) for lbl in GENERATOR_LABELS]
-    means = np.array([c + 0.5 * np.trace(f @ sigma) for c, _, f in terms])
-    cov = np.empty((8, 8))
-    for i in range(8):
-        _, ai, fi = terms[i]
-        for j in range(i, 8):
-            _, aj, fj = terms[j]
-            val = float(ai @ sigma @ aj)
-            val += 0.5 * np.trace(fi @ sigma @ fj @ sigma)
-            val += 0.125 * np.trace(fi @ OMEGA @ fj @ OMEGA)
-            cov[i, j] = cov[j, i] = val
-    return means, cov
+    value, grad, hess = _symbol(_GENERATORS, u, solution.N)
+    f = np.where(_CONDENSATE_COUPLED[:, None, None], 0.0, hess / 2.0)
+    f_sigma = f @ sigma
+    f_omega = f @ OMEGA
+    means = value - np.trace(f, axis1=1, axis2=2) / 4.0 + 0.5 * np.trace(f_sigma, axis1=1, axis2=2)
+    cov = (0.5 * grad @ sigma @ grad.T
+           + 0.5 * np.einsum("iab,jba->ij", f_sigma, f_sigma)
+           + 0.125 * np.einsum("iab,jba->ij", f_omega, f_omega))
+    return means, 0.5 * (cov + cov.T)
 
 
 def gaussian_moments(solution, specs):

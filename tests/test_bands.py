@@ -290,3 +290,23 @@ def test_closed_form_lowest_root_matches_eigvalsh(oracle_cases):
         with np.errstate(divide="ignore"):
             bound = np.minimum(32.0 * eps * scale**2 / gap, np.sqrt(eps) * scale)
         assert np.all(np.abs(_lowest_root(h) - ev[:, 0]) <= bound), p
+
+
+def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
+    params = ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0)
+    fresh = np.linspace(-4.0, 4.0, 2001)
+    first, second = dispersion(params), dispersion(params)
+    assert first.k is second.k
+    assert not first.k.flags.writeable
+    with pytest.raises(ValueError):
+        first.k[0] = 0.0
+    assert np.array_equal(first.k, fresh)
+    assert np.array_equal(first.energies, bands.branch_energies(fresh, params))
+    minima_k, minima_e = _minima(fresh, params)
+    assert np.array_equal(first.minima_k, minima_k)
+    assert np.array_equal(first.minima_E, minima_e)
+    cell = classify(params)
+    assert (cell.k_min, cell.E_min) == (minima_k[np.argmin(minima_e)], minima_e.min())
+    for window, n_points in (((1.0, 1.0), 11), ((-4.0, 4.0), 2)):
+        with pytest.raises(ConfigError):
+            dispersion(params, window=window, n_points=n_points)

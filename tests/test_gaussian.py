@@ -1,6 +1,7 @@
 """Mean field and Gaussian expansion: derivative oracles, vacuum limits,
-symplectic purity, agreement with exact diagonalization, and the mean-field
-search against a multi-start BFGS oracle."""
+symplectic purity, agreement with exact diagonalization, the mean-field
+search against a multi-start BFGS oracle, and the generator moments against
+a hand-derived, per-generator oracle."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from socsqueeze.errors import (
     DepletedCondensateError,
     UnstableExpansionError,
 )
+from socsqueeze.algebra import GENERATOR_LABELS, generator_matrix, generator_stack
 from socsqueeze.fockspace import ed_ground_state, ed_moment_set
 from socsqueeze.gaussian import (
     GRAD_TOL_ACCEPT,
     MIN_CENTRAL_OCCUPATION,
     OMEGA,
+    _symbol,
     classical_energy,
     classical_gradient,
     classical_hessian,
@@ -25,10 +28,91 @@ from socsqueeze.gaussian import (
     hp_quadratic,
     solve_gaussian,
 )
-from socsqueeze.metrics import populations, xi_x
+from socsqueeze.metrics import GENERATOR_SPECS, MomentSet, populations, spec_moments, xi_x
 from socsqueeze.params import EffectiveCoefficients, ModelParams, effective_coefficients
 
 COEFFS = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=100))
+
+
+def _symbol_pieces(matrix3, u, n_atoms):
+    """Oracle: value, gradient and Hessian of one generator's classical symbol,
+    derived by hand in the four real mode coordinates u (unscaled, so |u|^2
+    counts atoms)."""
+    s_t = np.sqrt(max(n_atoms - u @ u, 1e-14))
+    gpp = matrix3[0, 0].real
+    g00 = matrix3[1, 1].real
+    gmm = matrix3[2, 2].real
+    gp0 = complex(matrix3[0, 1])
+    gm0 = complex(matrix3[2, 1])
+    gpm = complex(matrix3[0, 2])
+
+    rho_p = u[0] ** 2 + u[1] ** 2
+    rho_m = u[2] ** 2 + u[3] ** 2
+    ell = 2.0 * np.array([gp0.real, gp0.imag, gm0.real, gm0.imag])
+    lin = float(ell @ u)
+    cross = 2.0 * (
+        gpm.real * (u[0] * u[2] + u[1] * u[3])
+        - gpm.imag * (u[0] * u[3] - u[1] * u[2])
+    )
+    value = (
+        g00 * (n_atoms - rho_p - rho_m)
+        + gpp * rho_p + gmm * rho_m + s_t * lin + cross
+    )
+
+    grad = (
+        -2.0 * g00 * u
+        + 2.0 * gpp * np.array([u[0], u[1], 0.0, 0.0])
+        + 2.0 * gmm * np.array([0.0, 0.0, u[2], u[3]])
+        + s_t * ell - (lin / s_t) * u
+        + 2.0 * gpm.real * np.array([u[2], u[3], u[0], u[1]])
+        - 2.0 * gpm.imag * np.array([u[3], -u[2], -u[1], u[0]])
+    )
+
+    eye = np.eye(4)
+    hess = -2.0 * g00 * eye + 2.0 * gpp * np.diag([1.0, 1.0, 0.0, 0.0])
+    hess = hess + 2.0 * gmm * np.diag([0.0, 0.0, 1.0, 1.0])
+    hess = hess - (np.outer(ell, u) + np.outer(u, ell)) / s_t
+    hess = hess - lin * (eye / s_t + np.outer(u, u) / s_t**3)
+    re_block = np.zeros((4, 4))
+    re_block[0, 2] = re_block[2, 0] = re_block[1, 3] = re_block[3, 1] = 1.0
+    im_block = np.zeros((4, 4))
+    im_block[0, 3] = im_block[3, 0] = -1.0
+    im_block[1, 2] = im_block[2, 1] = 1.0
+    hess = hess + 2.0 * gpm.real * re_block + 2.0 * gpm.imag * im_block
+
+    condensate_coupled = gp0 != 0.0 or gm0 != 0.0
+    return value, grad, hess, condensate_coupled
+
+
+def _observable_terms(matrix3, u, n_atoms):
+    """Oracle: (constant, linear coefficients, quadratic form) of one generator;
+    condensate-coupled generators keep only their linear term."""
+    value, grad, hess, coupled = _symbol_pieces(matrix3, u, n_atoms)
+    if coupled:
+        return value, grad / np.sqrt(2.0), np.zeros((4, 4))
+    f = hess / 2.0
+    return value - np.trace(f) / 4.0, grad / np.sqrt(2.0), f
+
+
+def _looped_generator_moments(solution):
+    """Oracle: generator means and covariances, one pair of generators at a time."""
+    u = np.sqrt(solution.N) * np.array([
+        solution.beta_p.real, solution.beta_p.imag,
+        solution.beta_m.real, solution.beta_m.imag,
+    ])
+    sigma = solution.covariance
+    terms = [_observable_terms(generator_matrix(lbl), u, solution.N) for lbl in GENERATOR_LABELS]
+    means = np.array([c + 0.5 * np.trace(f @ sigma) for c, _, f in terms])
+    cov = np.empty((8, 8))
+    for i in range(8):
+        _, ai, fi = terms[i]
+        for j in range(i, 8):
+            _, aj, fj = terms[j]
+            val = float(ai @ sigma @ aj)
+            val += 0.5 * np.trace(fi @ sigma @ fj @ sigma)
+            val += 0.125 * np.trace(fi @ OMEGA @ fj @ OMEGA)
+            cov[i, j] = cov[j, i] = val
+    return means, cov
 
 
 def test_gradient_matches_finite_differences():
@@ -56,6 +140,31 @@ def test_hessian_matches_finite_differences():
         fd = (classical_gradient(v + dv, COEFFS, 100)
               - classical_gradient(v - dv, COEFFS, 100)) / (2 * h)
         assert np.max(np.abs(hess[:, i] - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_symbol_derivatives_match_finite_differences_for_every_generator():
+    # all eight generators, including the complex Jy, Qxy and Qyz, out to
+    # |u|^2 = 0.9999 N where the Hessian of s grows like 1/s^3
+    mats = generator_stack()
+    rng = np.random.default_rng(41)
+    for n in (1.0, 50.0):
+        for frac in (0.05, 0.5, 0.9, 0.999, 0.9999):
+            u = rng.standard_normal(4)
+            u *= np.sqrt(frac * n) / np.linalg.norm(u)
+            h = 1e-4 * (n - u @ u) / np.sqrt(n)  # shrinks with s^2 near the rim
+            _, grad, hess = _symbol(mats, u, n)
+            fd_grad, fd_hess = np.empty_like(grad), np.empty_like(hess)
+            for i in range(4):
+                du = np.zeros(4)
+                du[i] = h
+                v_p, g_p, _ = _symbol(mats, u + du, n)
+                v_m, g_m, _ = _symbol(mats, u - du, n)
+                fd_grad[:, i] = (v_p - v_m) / (2 * h)
+                fd_hess[:, :, i] = (g_p - g_m) / (2 * h)
+            # per generator, relative to its largest derivative entry
+            err_g = np.max(np.abs(grad - fd_grad), axis=1) / np.max(np.abs(grad), axis=1)
+            err_h = np.max(np.abs(hess - fd_hess), axis=(1, 2)) / np.max(np.abs(hess), axis=(1, 2))
+            assert np.all(err_g <= 1e-6) and np.all(err_h <= 1e-6), (n, frac)
 
 
 def test_mean_field_is_stationary_and_stable():
@@ -181,6 +290,21 @@ def _perfbench_gaussian_cells():
     cells += [(2.0, 0.0, ep, 200) for ep in np.linspace(5.0, 7.0, 8)]
     cells += [(2.0, de, 6.0, 100000) for de in np.linspace(-1.75, 1.75, 8)]
     return cells
+
+
+def test_moment_set_matches_looped_oracle():
+    # the 24 benchmark cells and the vacuum; entries that vanish exactly come
+    # out as roundoff of the largest one, hence the 1e-14 floor
+    vacuum = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0, N=150))
+    solutions = [hp_quadratic(vacuum, 150, np.zeros(4))]
+    for omega_r, delta, eps, n in _perfbench_gaussian_cells():
+        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+        solutions.append(solve_gaussian(coeffs, n))
+    for sol in solutions:
+        got = gaussian_moment_set(sol)
+        ref = MomentSet(sol.N, *spec_moments(*_looped_generator_moments(sol), GENERATOR_SPECS))
+        for a, b in ((got.means, ref.means), (got.covariances, ref.covariances)):
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b) + 1e-14 * np.max(np.abs(b)))
 
 
 def test_phase_closed_form_never_raises_the_energy():
