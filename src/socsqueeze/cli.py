@@ -11,13 +11,14 @@ failed to converge or the Gaussian expansion point is a depleted condensate
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .bands import classify, dispersion
-from .config import ENV_PREFIX, RunConfig, load_config
+from .config import ENV_PREFIX, load_config
 from .errors import ConfigError, ConvergenceError
 from .gp import build_problem, gp_moment_set, imaginary_time_ground_state, save_field
 from .io import ensure_dir, write_csv, write_json
@@ -150,7 +151,7 @@ def _run_eff_squeeze(cfg):
 
 
 def _run_gp_ground(cfg):
-    gp_cfg = RunConfig(**{**cfg.__dict__, "backend": "gp"})
+    gp_cfg = dataclasses.replace(cfg, backend="gp")
     # build first: configuration problems must surface before anything is written
     build_problem(gp_cfg.params, gp_cfg.trap, gp_cfg.interaction, gp_cfg.grid)
     ensure_dir(cfg.out)

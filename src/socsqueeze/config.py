@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .bands import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW
 from .errors import ConfigError
-from .gp import GridSpec, InteractionConfig, TrapConfig
+from .gp import SOLVER_DEFAULTS, GridSpec, InteractionConfig, TrapConfig, check_solver_settings
 from .params import ModelParams
 
 COMMANDS = ("dispersion", "phase-diagram", "eff-squeeze", "gp-ground", "sweep")
@@ -23,8 +23,6 @@ ENV_PREFIX = "SOCSQUEEZE_"
 # Rb-87 scattering lengths (Bohr radii) used when [interaction] omits them
 DEFAULT_A_S0 = 101.8
 DEFAULT_A_S2 = 100.4
-
-_SOLVER_DEFAULTS = {"dt": 0.01, "tol": 1e-10, "max_steps": 400000, "check_every": 50}
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -96,7 +94,7 @@ class RunConfig:
     trap: TrapConfig = None
     interaction: InteractionConfig = None
     grid: GridSpec = None
-    solver: dict = field(default_factory=lambda: dict(_SOLVER_DEFAULTS))
+    solver: dict = field(default_factory=lambda: dict(SOLVER_DEFAULTS))
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -114,6 +112,7 @@ class RunConfig:
         )
         if needs_gp and self.grid is None:
             raise ConfigError("GP runs need a [grid] section")
+        check_solver_settings(**self.solver)
 
     def resolved(self):
         """Manifest dictionary with every default made explicit."""
@@ -244,7 +243,7 @@ def load_config(path, overrides=None):
             extent=_floats(_get(gsec, "extent", str, required=True)),
         )
 
-    solver = dict(_SOLVER_DEFAULTS)
+    solver = dict(SOLVER_DEFAULTS)
     if parser.has_section("solver"):
         ssec = parser["solver"]
         solver["dt"] = _get(ssec, "dt", float, solver["dt"])

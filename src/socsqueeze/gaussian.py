@@ -2,8 +2,9 @@
 
 The two side modes are treated as bosonic fluctuations on top of a
 macroscopically occupied central mode.  The classical (per-atom) energy
-surface is minimized over the two complex side-mode amplitudes (a 2-D search,
-since the phases have a closed form); the quadratic
+is minimized over the two complex side-mode amplitudes as the lowest
+eigenvector of a 3x3 matrix in a self-consistent effective Zeeman field (a
+1-D search over the self-consistent <Jz>); the quadratic
 expansion around the minimum is brought to normal form symplectically, giving
 the ground-state covariance of the quadratures (x+, p+, x-, p-).  Collective
 observables are then evaluated by Gaussian moment formulas.
@@ -28,10 +29,8 @@ from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
 MIN_CENTRAL_OCCUPATION = 0.5  # below this s^2 the expansion around the central mode fails
-_GRID_POINTS = 41         # per axis of the coarse search grid (see _energy_grid)
-_NEWTON_MAX_STEPS = 50
-_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-_PLANE = slice(0, 4, 2)   # the (x+, x-) entries of v = (x+, y+, x-, y-)
+_SCAN = np.linspace(-1.0, 1.0, 201)  # mu points of the crossing scan (see _crossings)
+_BISECTIONS = 52          # shrink a 0.01 scan bracket to about 2e-18
 
 # symplectic form of (x+, p+, x-, p-)
 OMEGA = np.array([
@@ -44,6 +43,7 @@ OMEGA = np.array([
 _S_FLOOR = 1e-14
 # the per-atom energy is -qN<Jz>^2 + <L>, with L = hz Jz + hx Jx + hY Y
 _ENERGY_GENERATORS = np.stack([generator_matrix(lbl) for lbl in ("Jz", "Jx", "Y")])
+_JZ = _ENERGY_GENERATORS[0].real
 _GENERATORS = generator_stack()
 _CONDENSATE_COUPLED = (_GENERATORS[:, 0, 1] != 0.0) | (_GENERATORS[:, 2, 1] != 0.0)
 # dz/du of z = (x+ + i y+, s, x- + i y-), less its central row -u/s
@@ -129,132 +129,106 @@ class MeanFieldResult:
                          self.beta_m.real, self.beta_m.imag])
 
 
-def _energy_grid(coeffs, n_atoms):
-    """The energy on a coarse grid that covers the real (x+, x-) disk.
+def _self_consistent_states(base, slope, mu):
+    """Ascending eigenvalues and eigenvectors of A(mu) = base - slope mu Jz, per mu of an array."""
+    return np.linalg.eigh(base - (slope * mu)[:, None, None] * _JZ)
 
-    The grid is square in p, with x = p sin(pi |p| / 2) / |p| and so
-    s = cos(pi |p| / 2): its points are evenly spaced in angle on the
-    hemisphere (s, x+, x-), which resolves the rim s -> 0 as well as the
-    centre.  Returns the points as (x+, x-) arrays, their energies (inf
-    outside |p| <= 1) and the mask of the interior local minima.
+
+def _crossings(base, slope):
+    """The upward zero crossings of h(mu) = mu - <Jz>_0(mu) on [-1, 1].
+
+    <Jz>_0 is the Jz expectation of the lowest eigenvector of A(mu).  Since
+    |<Jz>_0| <= 1, h < 0 below mu = -1 and h(1) >= 0, so a scan point with
+    h >= 0 that follows one with h < 0 (or is mu = -1 itself) brackets a
+    crossing, and a zero exactly on a scan point counts once.  All brackets
+    are closed together by bisection, which also closes on a jump of h where
+    lambda_0 is degenerate.
     """
-    p = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    pp, pm = np.meshgrid(p, p, indexing="ij")
-    radius = np.hypot(pp, pm)
-    scale = 0.5 * np.pi * np.sinc(0.5 * radius)  # sin(pi r / 2) / r
-    xp, xm = scale * pp, scale * pm
-    zero = np.zeros_like(xp)
-    inside = radius <= 1.0
-    energy = np.where(inside, classical_energy(np.array([xp, zero, xm, zero]),
-                                               coeffs, n_atoms), np.inf)
-    padded = np.pad(energy, 1, constant_values=np.inf)
-    n = _GRID_POINTS
-    neighbours = np.array([padded[1 + di:1 + di + n, 1 + dj:1 + dj + n]
-                           for di, dj in _NEIGHBOURS])
-    rim = np.any(np.isinf(neighbours), axis=0)
-    minima = inside & ~rim & np.all(energy <= neighbours, axis=0)
-    return xp, xm, energy, minima
+    def h(mu):
+        vecs = _self_consistent_states(base, slope, mu)[1]
+        return mu - vecs[:, 0, 0] ** 2 + vecs[:, 2, 0] ** 2
+
+    above = h(_SCAN) >= 0.0
+    up = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
+    lo, hi = _SCAN[np.maximum(up - 1, 0)], _SCAN[up]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        mid_above = h(mid) >= 0.0
+        lo, hi = np.where(mid_above, lo, mid), np.where(mid_above, mid, hi)
+    return hi
 
 
-def _polish(start, coeffs, n_atoms):
-    """2x2 Newton on the real (x+, x-) plane from a grid point.
+def _degenerate_mix(e0, e1, mu):
+    """The real mix of a degenerate eigenpair e0, e1 whose <Jz> is mu.
 
-    Steps along -|H|^-1 g (plain Newton where the Hessian is positive
-    definite, a descent direction elsewhere) and halves a step that leaves
-    the disk or raises the energy beyond roundoff.
+    <Jz> of cos(t) e0 + sin(t) e1 is m + d cos(2t) + c sin(2t), with m and d
+    the mean and half difference of the pair's own <Jz> and c = e0^T Jz e1;
+    with r = hypot(d, c) that is m + r cos(2t - atan2(c, d)).
     """
-    v = np.array([start[0], 0.0, start[1], 0.0])
-    e = classical_energy(v, coeffs, n_atoms)
-    for _ in range(_NEWTON_MAX_STEPS):
-        g, h = _energy_derivatives(v, coeffs, n_atoms)
-        w, u = np.linalg.eigh(h[_PLANE, _PLANE])
-        step = -u @ ((u.T @ g[_PLANE]) / np.maximum(np.abs(w), 1e-12))
-        slack = 1e-13 * max(1.0, abs(e))
-        while True:
-            trial = v.copy()
-            trial[_PLANE] += step
-            e_trial = classical_energy(trial, coeffs, n_atoms)
-            if trial @ trial < 1.0 and e_trial <= e + slack:
-                break
-            step = 0.5 * step
-            if np.max(np.abs(step)) < 1e-16:
-                return v
-        v, e = trial, e_trial
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    return v
+    a, b, cross = e0 @ _JZ @ e0, e1 @ _JZ @ e1, e0 @ _JZ @ e1
+    r = np.hypot(0.5 * (a - b), cross)
+    cos_arg = np.clip((mu - 0.5 * (a + b)) / r, -1.0, 1.0) if r > 0.0 else 1.0
+    t = 0.5 * (np.arctan2(cross, 0.5 * (a - b)) + np.arccos(cos_arg))
+    return np.cos(t) * e0 + np.sin(t) * e1
 
 
 def hp_mean_field(coeffs, n_atoms):
     """Minimize the classical energy over the two side-mode amplitudes.
 
-    The energy depends on the side-mode phases only through the drive term
-    omega s (x+ + x-), so a global minimum lies on the real plane
-    y+ = y- = 0, with x+ and x- of the sign of -omega.  The search runs over
-    the real disk x+^2 + x-^2 < 1: the local minima of a coarse grid are
-    polished by 2x2 Newton on (x+, x-).  Accepted points must have
-    gradient norm <= 1e-10, lie inside the unit ball and have a
-    positive-semidefinite 4x4 Hessian; the lowest-energy accepted point
-    wins.  Distinct minimizers tied in energy mark the result degenerate
-    (symmetry-broken pairs, or the free phase at omega = 0).
+    The per-atom energy -qN j^2 + z^dag L z, with j = z^dag Jz z and
+    L = hz Jz + hx Jx + hY Y, is minimized by the lowest eigenvector of
+    A(mu) = L - 2qN mu Jz at a self-consistent mu = j: for q > 0 because
+    -qN j^2 = min_mu (qN mu^2 - 2qN mu j), for q < 0 because the joint
+    numerical range of (L, Jz) is convex, so the Lagrange dual is exact.  A
+    is real, so the amplitudes are real, with x+ and x- of the sign of
+    -omega once the central amplitude s is taken >= 0.  The candidates are
+    the upward zero crossings of mu - <Jz>_0(mu) on [-1, 1], found by a
+    201-point scan and closed by bisection; the lowest in energy wins.
+    Where lambda_0 is degenerate at a crossing (only at omega = 0) the
+    minimizer is the mix of the pair with <Jz> = mu, and its relative phase
+    is free.  A free phase, or distinct candidates tied in energy within
+    1e-10 (symmetry-broken pairs), mark the result degenerate.
 
     Raises DepletedCondensateError when the global minimum leaves less than
-    MIN_CENTRAL_OCCUPATION in the central mode, or when a grid point with
-    s^2 < MIN_CENTRAL_OCCUPATION lies below every accepted minimum (is the
-    lowest grid point, if none is accepted), for instance on the rim, where
-    the minimum is closer to s = 0 than the grid resolves: the
-    Holstein-Primakoff expansion does not hold there.
+    MIN_CENTRAL_OCCUPATION in the central mode: the Holstein-Primakoff
+    expansion does not hold there.  Raises ConvergenceError unless the
+    winner has gradient norm <= GRAD_TOL_ACCEPT and a positive-semidefinite
+    4x4 Hessian.
     """
     args = (coeffs, n_atoms)
-    xp, xm, energy, minima = _energy_grid(*args)
-    accepted = []
-    best_grad = np.inf
-    for start in zip(xp[minima], xm[minima]):
-        v = _polish(start, *args)
-        g, h = _energy_derivatives(v, *args)
-        gn = float(np.linalg.norm(g))
-        best_grad = min(best_grad, gn)
-        if gn > GRAD_TOL_ACCEPT:
-            continue
-        if v @ v >= 1.0:
-            continue
-        hess_min = float(np.linalg.eigvalsh(h)[0])
-        if hess_min < -1e-9 * max(1.0, abs(coeffs.hY)):
-            continue  # saddle point, not a minimum
-        accepted.append((float(classical_energy(v, *args)), gn, v))
-    accepted.sort(key=lambda t: t[0])
     context = {"coeffs": coeffs, "N": n_atoms}
-    depleted = np.where(1.0 - xp * xp - xm * xm < MIN_CENTRAL_OCCUPATION, energy, np.inf)
-    i_dep = np.unravel_index(np.argmin(depleted), depleted.shape)
-    if accepted:
-        depleted_lowest = depleted[i_dep] < accepted[0][0]
-    else:
-        depleted_lowest = depleted[i_dep] == np.min(energy)
-    if depleted_lowest:
-        _raise_depleted(xp[i_dep] ** 2, xm[i_dep] ** 2, context,
-                        "the energy is lowest in the depleted part of the search grid")
-    if not accepted:
-        raise ConvergenceError(
-            f"no mean-field start converged; best gradient norm {best_grad:.3e}",
-            context=context,
-        )
-    e_best, gn_best, v_best = accepted[0]
-    rho_p = v_best[0] ** 2 + v_best[1] ** 2
-    rho_m = v_best[2] ** 2 + v_best[3] ** 2
+    base = np.einsum("k,kij->ij", [coeffs.hz, coeffs.hx, coeffs.hY], _ENERGY_GENERATORS.real)
+    slope = 2.0 * coeffs.q * n_atoms
+    mu = _crossings(base, slope)
+    w, vecs = _self_consistent_states(base, slope, mu)
+    z = vecs[:, :, 0].copy()
+    free_phase = w[:, 1] - w[:, 0] <= 1e-12 * np.maximum(1.0, np.max(np.abs(w), axis=1))
+    for i in np.flatnonzero(free_phase):
+        z[i] = _degenerate_mix(vecs[i, :, 0], vecs[i, :, 1], mu[i])
+    z *= np.where(z[:, 1] < 0.0, -1.0, 1.0)[:, None]
+    zero = np.zeros_like(mu)
+    energies = classical_energy(np.array([z[:, 0], zero, z[:, 2], zero]), *args)
+    best = int(np.argmin(energies))
+    v_best = np.array([z[best, 0], 0.0, z[best, 2], 0.0])
+    rho_p, rho_m = v_best[0] ** 2, v_best[2] ** 2
     if 1.0 - rho_p - rho_m < MIN_CENTRAL_OCCUPATION:
         _raise_depleted(rho_p, rho_m, context, "the global minimum depletes the central mode")
-    distinct = [v_best]
-    for e, _, v in accepted[1:]:
-        if e - e_best > 1e-10:
-            break
-        if all(np.max(np.abs(v - u)) > 1e-6 for u in distinct):
-            distinct.append(v)
+    g, h = _energy_derivatives(v_best, *args)
+    gn = float(np.linalg.norm(g))
+    hess_min = float(np.linalg.eigvalsh(h)[0])
+    if gn > GRAD_TOL_ACCEPT or hess_min < -1e-9 * max(1.0, abs(coeffs.hY)):
+        raise ConvergenceError(
+            f"the self-consistent mean field is not a minimum: gradient norm {gn:.3e}, "
+            f"lowest Hessian eigenvalue {hess_min:.3e}",
+            context=context,
+        )
+    tied = np.count_nonzero(energies - energies[best] <= 1e-10)
     return MeanFieldResult(
         beta_p=complex(v_best[0], v_best[1]),
         beta_m=complex(v_best[2], v_best[3]),
-        energy_per_atom=e_best,
-        grad_norm=gn_best,
-        degenerate=len(distinct) > 1,
+        energy_per_atom=float(energies[best]),
+        grad_norm=gn,
+        degenerate=bool(free_phase[best] or tied > 1),
     )
 
 
@@ -317,10 +291,10 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
     t = w_sqrt @ OMEGA @ w_sqrt
     tt = t @ t.T
     w_tt, u_tt = np.linalg.eigh(tt)
-    abs_t = u_tt @ np.diag(np.sqrt(np.maximum(w_tt, 0.0))) @ u_tt.T
+    freqs = np.sqrt(np.maximum(w_tt, 0.0))  # ascending, each frequency twice
+    abs_t = u_tt @ np.diag(freqs) @ u_tt.T
     sigma = 0.5 * w_inv @ abs_t @ w_inv
     sigma = 0.5 * (sigma + sigma.T)
-    freqs = np.linalg.svd(t, compute_uv=False)  # each frequency appears twice
     energy = float(classical_energy(v, coeffs, n_atoms))
     zero_point = float(0.5 * np.trace(m @ sigma) - 0.25 * np.trace(m))
     return GaussianSolution(
@@ -328,7 +302,7 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
         beta_p=complex(v[0], v[1]),
         beta_m=complex(v[2], v[3]),
         covariance=sigma,
-        frequencies=freqs[[0, 2]].copy(),
+        frequencies=freqs[[3, 1]],
         energy_per_atom=energy,
         zero_point_energy=zero_point,
     )

@@ -18,7 +18,9 @@ frequency ratio; the reduction requires a trap.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,6 +34,10 @@ RB87_MASS = 1.44316060e-25      # kg
 BOHR_RADIUS = 5.29177210903e-11  # m
 
 _AXIS_NAMES = ("x", "y", "z")
+
+# imaginary-time settings of imaginary_time_ground_state and of a config's [solver]
+SOLVER_DEFAULTS = MappingProxyType({"dt": 0.01, "tol": 1e-10, "max_steps": 400000,
+                                    "check_every": 50})
 
 
 @dataclass(frozen=True)
@@ -73,8 +79,8 @@ class InteractionConfig:
     N: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError(f"atom number must be >= 1, got {self.N!r}")
+        if not (math.isfinite(self.N) and self.N >= 1):
+            raise ConfigError(f"atom number must be finite and >= 1, got {self.N!r}")
         for name in ("a_s0", "a_s2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -390,8 +396,20 @@ class GpResult:
     residual: float
 
 
-def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
-                                check_every=50, seed=0, initial=None):
+def check_solver_settings(dt, tol, max_steps, check_every):
+    """Raise ConfigError unless dt and tol are positive finite numbers and
+    max_steps and check_every are positive integers."""
+    for name, value in (("dt", dt), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    for name, value in (("max_steps", max_steps), ("check_every", check_every)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DEFAULTS["tol"],
+                                max_steps=SOLVER_DEFAULTS["max_steps"],
+                                check_every=SOLVER_DEFAULTS["check_every"], seed=0, initial=None):
     """Relax to the ground state; terminate when the per-step energy change
     drops below tol.
 
@@ -400,10 +418,10 @@ def imaginary_time_ground_state(problem, dt=0.01, tol=1e-10, max_steps=200000,
     non-increasing over its final 90% (within a slack tied to tol), otherwise
     the step size is too large and a ConvergenceError is raised.  A step
     whose norm is not finite aborts at once, with the last finite state
-    attached to the error context.
+    attached to the error context.  Bad settings raise ConfigError (see
+    check_solver_settings).
     """
-    if dt <= 0.0 or tol <= 0.0:
-        raise ConfigError(f"dt and tol must be positive, got dt={dt}, tol={tol}")
+    check_solver_settings(dt, tol, max_steps, check_every)
     field = problem.initial_field(seed) if initial is None else initial.normalized()
     flat = field.psi.reshape(3, -1).astype(complex)
     flat = flat / np.sqrt(np.sum(np.abs(flat) ** 2) * problem.dv)

@@ -348,6 +348,41 @@ recoil_frequency = 3678.0
         load_config(write_config(tmp_path / "r.ini", ini))
 
 
+def test_bad_gp_settings_exit_2_and_write_nothing(tmp_path):
+    # run as a child with a timeout: check_every <= 0 once looped forever
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    cases = [("solver", "check_every = 0"), ("solver", "check_every = -2"),
+             ("solver", "max_steps = 0"), ("solver", "max_steps = -5"),
+             ("solver", "dt = nan"), ("solver", "tol = nan"),
+             ("interaction", "n_atoms = nan"), ("interaction", "n_atoms = inf")]
+    for i, (section, line) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        ini = f"""
+[run]
+command = gp-ground
+out = {out}
+
+[trap]
+omega_x = 150.0
+omega_y = 150.0
+omega_z = 1500.0
+recoil_frequency = 3678.0
+
+[grid]
+n_points = 64
+extent = 24.0
+
+[{section}]
+{line}
+"""
+        cfg = write_config(tmp_path / f"r{i}.ini", ini)
+        proc = subprocess.run([sys.executable, "-m", "socsqueeze.cli", "run", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2, (line, proc.stderr)
+        assert "configuration error" in proc.stderr
+        assert not out.exists(), line
+
 def test_gp_nonconvergence_exits_3_with_error_file(tmp_path, capsys):
     out = tmp_path / "gp"
     ini = f"""

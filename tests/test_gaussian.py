@@ -1,7 +1,8 @@
 """Mean field and Gaussian expansion: derivative oracles, vacuum limits,
 symplectic purity, agreement with exact diagonalization, the mean-field
-search against a multi-start BFGS oracle, and the generator moments against
-a hand-derived, per-generator oracle."""
+search against a multi-start BFGS oracle and against the earlier 2-D
+grid-and-Newton search, and the generator moments against a hand-derived,
+per-generator oracle."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from socsqueeze.gaussian import (
     GRAD_TOL_ACCEPT,
     MIN_CENTRAL_OCCUPATION,
     OMEGA,
+    MeanFieldResult,
+    _energy_derivatives,
     _symbol,
     classical_energy,
     classical_gradient,
@@ -325,13 +328,144 @@ def test_mean_field_matches_multistart_bfgs_oracle():
     cells = _perfbench_gaussian_cells()
     cells += [(rng.uniform(0.0, 5.0), rng.uniform(-2.0, 2.0), rng.uniform(6.0, 10.0), 200)
               for _ in range(12)]
-    for omega_r, delta, eps, n in cells:
-        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+    points = [(effective_coefficients(ModelParams(omega_R=om, delta=de, epsilon=ep, N=n)), n)
+              for om, de, ep, n in cells]
+    # q < 0 with a drive: there the 1-D search rests on the exact Lagrange dual
+    rng = np.random.default_rng(32)
+    points += [(EffectiveCoefficients(q=-rng.uniform(0.005, 0.03),
+                                      hx=float(rng.choice([-1.0, 1.0])) * rng.uniform(0.3, 2.0),
+                                      hz=rng.uniform(-1.5, 1.5), hY=rng.uniform(1.5, 4.0)), 100)
+               for _ in range(8)]
+    for coeffs, n in points:
         mf = hp_mean_field(coeffs, n)
         e_ref, v_ref = _bfgs_mean_field(coeffs, n)
         assert abs(mf.energy_per_atom - e_ref) <= 1e-12 * abs(e_ref)
         assert np.max(np.abs(mf.as_vector() - v_ref)) <= 1e-8
         assert not mf.degenerate
+
+
+_ORACLE_GRID_POINTS = 41
+_ORACLE_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+_ORACLE_PLANE = slice(0, 4, 2)  # the (x+, x-) entries of v = (x+, y+, x-, y-)
+
+
+def _oracle_energy_grid(coeffs, n_atoms):
+    """Oracle grid: square in p, with x = p sin(pi |p| / 2) / |p| and so
+    s = cos(pi |p| / 2), evenly spaced in angle on the hemisphere
+    (s, x+, x-).  Returns the points, their energies (inf outside |p| <= 1)
+    and the mask of the interior local minima."""
+    p = np.linspace(-1.0, 1.0, _ORACLE_GRID_POINTS)
+    pp, pm = np.meshgrid(p, p, indexing="ij")
+    radius = np.hypot(pp, pm)
+    scale = 0.5 * np.pi * np.sinc(0.5 * radius)  # sin(pi r / 2) / r
+    xp, xm = scale * pp, scale * pm
+    zero = np.zeros_like(xp)
+    inside = radius <= 1.0
+    energy = np.where(inside, classical_energy(np.array([xp, zero, xm, zero]),
+                                               coeffs, n_atoms), np.inf)
+    padded = np.pad(energy, 1, constant_values=np.inf)
+    n = _ORACLE_GRID_POINTS
+    neighbours = np.array([padded[1 + di:1 + di + n, 1 + dj:1 + dj + n]
+                           for di, dj in _ORACLE_NEIGHBOURS])
+    rim = np.any(np.isinf(neighbours), axis=0)
+    minima = inside & ~rim & np.all(energy <= neighbours, axis=0)
+    return xp, xm, energy, minima
+
+
+def _oracle_polish(start, coeffs, n_atoms):
+    """Oracle: 2x2 Newton on the real (x+, x-) plane along -|H|^-1 g, halving
+    a step that leaves the disk or raises the energy beyond roundoff."""
+    v = np.array([start[0], 0.0, start[1], 0.0])
+    e = classical_energy(v, coeffs, n_atoms)
+    for _ in range(50):
+        g, h = _energy_derivatives(v, coeffs, n_atoms)
+        w, u = np.linalg.eigh(h[_ORACLE_PLANE, _ORACLE_PLANE])
+        step = -u @ ((u.T @ g[_ORACLE_PLANE]) / np.maximum(np.abs(w), 1e-12))
+        slack = 1e-13 * max(1.0, abs(e))
+        while True:
+            trial = v.copy()
+            trial[_ORACLE_PLANE] += step
+            e_trial = classical_energy(trial, coeffs, n_atoms)
+            if trial @ trial < 1.0 and e_trial <= e + slack:
+                break
+            step = 0.5 * step
+            if np.max(np.abs(step)) < 1e-16:
+                return v
+        v, e = trial, e_trial
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return v
+
+
+def _grid_newton_mean_field(coeffs, n_atoms):
+    """Oracle: the earlier mean-field search.  The local minima of a 41x41
+    hemisphere grid over the real (x+, x-) disk are polished by 2x2 Newton;
+    accepted points are stationary, inside the disk and have a PSD Hessian.
+    Depletion is raised when the winner has s^2 < MIN_CENTRAL_OCCUPATION, or
+    when a grid point with s^2 < MIN_CENTRAL_OCCUPATION lies below every
+    accepted point (is lowest on the grid, if none is accepted)."""
+    args = (coeffs, n_atoms)
+    xp, xm, energy, minima = _oracle_energy_grid(*args)
+    accepted = []
+    for start in zip(xp[minima], xm[minima]):
+        v = _oracle_polish(start, *args)
+        g, h = _energy_derivatives(v, *args)
+        gn = float(np.linalg.norm(g))
+        if gn > GRAD_TOL_ACCEPT or v @ v >= 1.0:
+            continue
+        if np.linalg.eigvalsh(h)[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
+            continue
+        accepted.append((float(classical_energy(v, *args)), gn, v))
+    accepted.sort(key=lambda t: t[0])
+    depleted = np.where(1.0 - xp * xp - xm * xm < MIN_CENTRAL_OCCUPATION, energy, np.inf)
+    if accepted:
+        depleted_lowest = np.min(depleted) < accepted[0][0]
+    else:
+        depleted_lowest = np.min(depleted) == np.min(energy)
+    if depleted_lowest:
+        raise DepletedCondensateError("the grid is lowest in its depleted part")
+    if not accepted:
+        raise ConvergenceError("no mean-field start converged")
+    e_best, gn_best, v_best = accepted[0]
+    if 1.0 - v_best @ v_best < MIN_CENTRAL_OCCUPATION:
+        raise DepletedCondensateError("the global minimum depletes the central mode")
+    distinct = [v_best]
+    for e, _, v in accepted[1:]:
+        if e - e_best > 1e-10:
+            break
+        if all(np.max(np.abs(v - u)) > 1e-6 for u in distinct):
+            distinct.append(v)
+    return MeanFieldResult(complex(v_best[0], v_best[1]), complex(v_best[2], v_best[3]),
+                           e_best, gn_best, len(distinct) > 1)
+
+
+def test_mean_field_matches_grid_newton_oracle():
+    # the 24 benchmark cells and 1 000 seeded points across the solved and
+    # depleted regions, at three atom numbers
+    rng = np.random.default_rng(33)
+    cells = _perfbench_gaussian_cells()
+    cells += [(rng.uniform(0.0, 8.0), rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 12.0),
+               int(rng.choice([20, 200, 100000]))) for _ in range(1000)]
+    outcomes = {}
+    for omega_r, delta, eps, n in cells:
+        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+        got, ref = [], []
+        for search, result in ((hp_mean_field, got), (_grid_newton_mean_field, ref)):
+            try:
+                result.append(search(coeffs, n))
+            except ConvergenceError as exc:
+                result.append(type(exc))
+        got, ref = got[0], ref[0]
+        if isinstance(ref, type):
+            assert got is ref, (omega_r, delta, eps, n)
+            outcomes[ref.__name__] = outcomes.get(ref.__name__, 0) + 1
+            continue
+        assert isinstance(got, MeanFieldResult), (omega_r, delta, eps, n, got)
+        outcomes["solved"] = outcomes.get("solved", 0) + 1
+        assert abs(got.energy_per_atom - ref.energy_per_atom) <= 1e-12 * abs(ref.energy_per_atom)
+        assert np.max(np.abs(got.as_vector() - ref.as_vector())) <= 1e-8
+        assert got.degenerate == ref.degenerate
+    assert outcomes["solved"] >= 300 and outcomes["DepletedCondensateError"] >= 300, outcomes
 
 
 def test_mirror_symmetry_swaps_side_modes():

@@ -12,11 +12,13 @@ from socsqueeze.algebra import generator_matrix
 from socsqueeze.bands import branch_energies
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.gp import (
+    SOLVER_DEFAULTS,
     GridSpec,
     InteractionConfig,
     SpinorField,
     TrapConfig,
     build_problem,
+    check_solver_settings,
     field_populations,
     gp_moment_set,
     imaginary_time_ground_state,
@@ -48,8 +50,9 @@ def test_trap_derived_lengths():
 
 
 def test_interaction_validation():
-    with pytest.raises(ConfigError):
-        InteractionConfig(101.8, 100.4, 0.5)
+    for n_atoms in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            InteractionConfig(101.8, 100.4, n_atoms)
     with pytest.raises(ConfigError):
         InteractionConfig(float("nan"), 100.4, 100.0)
 
@@ -105,10 +108,18 @@ def test_only_periodic_boundaries():
 def test_solver_rejects_bad_stepping():
     params = ModelParams(omega_R=0.0, delta=0.0, epsilon=0.0, N=100.0)
     prob = build_problem(params, None, None, GridSpec((64,), (16.0,)))
-    with pytest.raises(ConfigError):
-        imaginary_time_ground_state(prob, dt=-0.1)
-    with pytest.raises(ConfigError):
-        imaginary_time_ground_state(prob, tol=0.0)
+    bad = [{"dt": -0.1}, {"dt": float("nan")}, {"dt": float("inf")},
+           {"tol": 0.0}, {"tol": float("nan")},
+           {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 10.5},
+           {"check_every": 0}, {"check_every": -1}]
+    for setting in bad:
+        with pytest.raises(ConfigError):
+            check_solver_settings(**{**SOLVER_DEFAULTS, **setting})
+        # check_every <= 0 once looped forever, so the solver itself runs only
+        # the other cases; the CLI test runs those two under a timeout
+        if "check_every" not in setting:
+            with pytest.raises(ConfigError):
+                imaginary_time_ground_state(prob, **setting)
 
 
 def test_kinetic_propagator_matches_expm():
