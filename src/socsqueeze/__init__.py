@@ -5,9 +5,9 @@ squeezing by exact diagonalization or Gaussian fluctuation theory, and spinor
 Gross-Pitaevskii ground states, with a config-driven CLI for reproducible
 sweeps.
 
-The squeezing backends, ``fockspace`` (ED, backed by scipy) and
-``gaussian``, load on first use of one of their names, so importing the
-package does not import scipy; the Gaussian backend never does.
+The squeezing backends, ``fockspace`` (ED) and ``gaussian``, load on first
+use of one of their names.  The package runs on numpy alone: no module of it
+imports scipy.
 """
 
 import importlib

@@ -38,7 +38,8 @@ def _report_for_point(cfg, params, seed):
         state = ed_ground_state(coeffs, params.N)
         moments = ed_moment_set(state)
         extras = {"backend": "ed", "ground_energy": state.energy,
-                  "ed_dim": state.basis.dim, "ed_residual": state.residual}
+                  "ed_dim": state.basis.dim, "ed_residual": state.residual,
+                  "ed_iterations": state.iterations}
     elif cfg.backend == "gaussian":
         from .gaussian import gaussian_moment_set, hp_mean_field, hp_quadratic
 
@@ -175,9 +176,6 @@ def _run_sweep(cfg):
     if cfg.command == "sweep" and cfg.backend == "gp":
         # surface grid/trap problems before creating any files
         build_problem(cfg.params, cfg.trap, cfg.interaction, cfg.grid)
-    if cfg.backend == "ed":
-        # import scipy once here, so that forked workers inherit it instead of each importing it
-        from . import fockspace  # noqa: F401
     tasks = [(cfg, i, float(v)) for i, v in enumerate(cfg.sweep.values)]
     payloads = _map_ordered(_sweep_cell, tasks, cfg.jobs)
     ensure_dir(cfg.out)

@@ -5,6 +5,7 @@ Raman recoil momentum; the atom number N sets the collective spin length.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -24,8 +25,11 @@ class ModelParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
-        if self.N < 1:
-            raise ConfigError(f"N must be a positive integer, got {self.N!r}")
+        n = self.N
+        # integral floats such as 100.0 are accepted: N is the collective spin
+        # length, and only its value matters
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) and n >= 1):
+            raise ConfigError(f"N must be a positive integer, got {n!r}")
 
     def replace(self, **kw):
         d = dict(omega_R=self.omega_R, delta=self.delta, epsilon=self.epsilon, N=self.N)

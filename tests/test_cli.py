@@ -259,8 +259,21 @@ N = 50
     assert report["backend"] == "ed"
     assert report["ed_dim"] == 51 * 52 // 2
     assert 0.0 <= report["ed_residual"] <= 1e-10 * max(1.0, abs(report["ground_energy"]))
+    assert isinstance(report["ed_iterations"], int) and report["ed_iterations"] > 0
     assert 0.0 < report["xi_x"] < 1.0
     assert main(["run", "--config", cfg, "--backend", "gp"]) == 2
+
+
+def test_ed_step_cap_exits_3(tmp_path, monkeypatch, capsys):
+    from socsqueeze import fockspace
+
+    monkeypatch.setattr(fockspace, "MAX_LANCZOS_STEPS", 2)
+    out = tmp_path / "eff"
+    cfg = write_config(tmp_path / "run.ini", SWEEP_INI.replace("command = sweep",
+                                                               "command = eff-squeeze"))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_gaussian_eff_squeeze_report(tmp_path, capsys):
@@ -485,20 +498,37 @@ def test_sweep_series_extraction(tmp_path):
     assert not (out / "series_status.csv").exists()
 
 
-def test_package_and_cli_import_without_scipy():
-    # scipy loads only with the ED backend: not at startup, not for a Gaussian solve
+def test_package_and_cli_import_without_scipy(tmp_path):
+    # no path of the package loads scipy: not at startup, not for a Gaussian
+    # solve, not for an ED report, not for an ED sweep in a --jobs 2 pool
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    for setup in ("import socsqueeze, socsqueeze.cli",
-                  "import socsqueeze.gaussian as g; from socsqueeze.params import "
-                  "ModelParams, effective_coefficients; "
-                  "g.solve_gaussian(effective_coefficients(ModelParams(2.0, 0.0, 6.0, 200)), 200)"):
+    cfg = write_config(tmp_path / "sweep.ini", SWEEP_INI)
+    eff = write_config(tmp_path / "eff.ini", SWEEP_INI.replace("command = sweep",
+                                                               "command = eff-squeeze"))
+    run = "from socsqueeze.cli import main; assert main({!r}) == 0"
+    setups = ("import socsqueeze, socsqueeze.cli",
+              "import socsqueeze.gaussian as g; from socsqueeze.params import "
+              "ModelParams, effective_coefficients; "
+              "g.solve_gaussian(effective_coefficients(ModelParams(2.0, 0.0, 6.0, 200)), 200)",
+              run.format(["run", "--config", eff, "--out", str(tmp_path / "eff")]),
+              run.format(["run", "--config", cfg, "--out", str(tmp_path / "sweep"),
+                          "--jobs", "2"]))
+    # the pool's workers are other processes: a scipy that fails on import,
+    # first on the path, makes any import of it there fail the sweep
+    blocked = tmp_path / "blocked" / "scipy"
+    blocked.mkdir(parents=True)
+    (blocked / "__init__.py").write_text("raise ImportError('scipy is blocked')\n")
+    for i, setup in enumerate(setups):
+        path = [str(blocked.parent), src] if i == len(setups) - 1 else [src]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         code = (f"import sys; {setup}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+    body = read_bytes(tmp_path / "sweep" / "sweep.csv").decode().splitlines()[1:]
+    assert [ln.split(",")[-1] for ln in body] == ["ok", "ok", "ok"]
 
 
 def test_console_script_entry_point(tmp_path):

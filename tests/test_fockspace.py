@@ -1,11 +1,14 @@
 """Exact diagonalization: independent two-particle oracle, analytic moments,
 and the spec projection shared with the Gaussian and GP backends."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from socsqueeze import fockspace
 from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator, generator_matrix
-from socsqueeze.errors import ConfigError, UnsupportedObservableError
+from socsqueeze.errors import ConfigError, ConvergenceError, UnsupportedObservableError
 from socsqueeze.fockspace import (
     RESIDUAL_TOL,
     build_effective_hamiltonian,
@@ -41,6 +44,51 @@ def two_particle_oracle_energy(coeffs):
     sym = v[:, w > 0.5]
     assert sym.shape[1] == 6
     return float(np.linalg.eigvalsh(sym.T @ h @ sym)[0])
+
+
+def product_space_collective(matrix3, n):
+    """G acting on each of n particles in turn, G x I x ... + ... + I x ... x G,
+    on the raw 3^n product space."""
+    total = 0.0
+    for k in range(n):
+        op = np.ones((1, 1))
+        for j in range(n):
+            op = np.kron(op, matrix3 if j == k else np.eye(3))
+        total = total + op
+    return total
+
+
+def symmetric_projection_oracle(n):
+    """Columns: the normalized symmetric states |n_plus, n_minus> of n spin-1
+    particles in the product space, in lexicographic (n_plus, n_minus) order.
+
+    Shares no code with the Fock-space implementation.
+    """
+    configs = list(itertools.product(range(3), repeat=n))  # mode 0 is +1, mode 2 is -1
+    pairs = sorted({(c.count(0), c.count(2)) for c in configs})
+    proj = np.zeros((len(configs), len(pairs)))
+    for row, c in enumerate(configs):
+        proj[row, pairs.index((c.count(0), c.count(2)))] = 1.0
+    return proj / np.linalg.norm(proj, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_operators_match_product_space_projection_oracle(n):
+    proj = symmetric_projection_oracle(n)
+    basis = fock_basis(n)
+    x = np.random.default_rng(n).standard_normal((basis.dim, 2))
+    for lbl in GENERATOR_LABELS:
+        g = generator_matrix(lbl)
+        expected = proj.T @ product_space_collective(g, n) @ proj
+        op = basis.collective(g)
+        assert np.max(np.abs(op.toarray() - expected)) <= 1e-12
+        assert np.max(np.abs(op @ x - expected @ x)) <= 1e-12
+        assert np.max(np.abs(op @ x[:, 0] - expected @ x[:, 0])) <= 1e-12
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=n))
+    fz, fx, fy = (product_space_collective(generator_matrix(lbl).real, n)
+                  for lbl in ("Jz", "Jx", "Y"))
+    h = proj.T @ (-coeffs.q * fz @ fz + coeffs.hx * fx + coeffs.hz * fz + coeffs.hY * fy) @ proj
+    assert np.max(np.abs(build_effective_hamiltonian(coeffs, n).toarray() - h)) <= 1e-12 * n**2
 
 
 def test_basis_dimension_and_lexicographic_order():
@@ -106,6 +154,28 @@ def test_uncoupled_ground_state_is_single_fock_state():
     assert abs(xi_x(moments) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_diagonal_hamiltonian_krylov_breakdown(n):
+    # at Omega_R = 0, H is diagonal and the Krylov space of the uniform start
+    # vector closes (beta = 0) after as many steps as H has distinct diagonal
+    # values; N = 1 and 2 reach that point, N = 40 converges before it
+    coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.5, epsilon=6.0, N=n))
+    diag = np.diag(build_effective_hamiltonian(coeffs, n).toarray())
+    state = ed_ground_state(coeffs, n)
+    assert 1 <= state.iterations <= len(np.unique(diag))
+    assert abs(state.energy - diag.min()) <= 1e-12 * max(1.0, abs(diag.min()))
+    assert abs(state.amplitudes[state.basis.index(0, 0)] - 1.0) <= 1e-12
+    assert state.residual <= RESIDUAL_TOL * max(1.0, abs(state.energy))
+
+
+def test_lanczos_step_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(fockspace, "MAX_LANCZOS_STEPS", 2)
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=20))
+    with pytest.raises(ConvergenceError) as info:
+        ed_ground_state(coeffs, 20)
+    assert info.value.context["N"] == 20 and info.value.context["steps"] == 2
+
+
 def test_dense_and_lanczos_paths_agree():
     # compare the Lanczos solve against a dense solve of the same Hamiltonian
     coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=62))
@@ -126,8 +196,9 @@ def test_single_real_lanczos_path_matches_dense_oracle(n):
     coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=n))
     state = ed_ground_state(coeffs, n)
     h = build_effective_hamiltonian(coeffs, n)
-    assert not np.iscomplexobj(h.data)
-    w = scipy.linalg.eigvalsh(h.toarray(), subset_by_index=[0, 0])
+    dense = h.toarray()
+    assert np.dtype(h.dtype) == np.float64 and dense.dtype == np.float64
+    w = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])
     assert abs(state.energy - float(w[0])) <= 1e-9
     assert not np.iscomplexobj(state.amplitudes)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
@@ -171,6 +242,16 @@ def test_atom_cap_enforced():
     coeffs = effective_coefficients(ModelParams(omega_R=1.0, delta=0.0, epsilon=6.0, N=301))
     with pytest.raises(ConfigError):
         ed_ground_state(coeffs, 301)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, 0, -3])
+def test_model_params_reject_non_integral_atom_numbers(bad):
+    with pytest.raises(ConfigError):
+        ModelParams(omega_R=1.0, delta=0.0, epsilon=6.0, N=bad)
+
+
+def test_model_params_accept_integral_float_atom_number():
+    assert ModelParams(omega_R=1.0, delta=0.0, epsilon=6.0, N=200.0).N == 200
 
 
 def _ed_backend():
