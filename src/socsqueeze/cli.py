@@ -92,14 +92,16 @@ def _classify_cell(task):
 def _map_ordered(worker, tasks, jobs):
     """Run tasks through the same worker inline or in processes; order by index.
 
-    A pool gets the tasks in chunks of about a quarter of each worker's share,
-    so a cheap cell does not pay one pickled round trip of its own.
+    The pool has at most one worker per task, since it starts all of them at
+    once.  It gets the tasks in chunks of about a quarter of each worker's
+    share, so a cheap cell does not pay one pickled round trip of its own.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         results = [worker(t) for t in tasks]
     else:
-        chunksize = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunksize = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, tasks, chunksize=chunksize))
     results.sort(key=lambda pair: pair[0])
     return [payload for _, payload in results]

@@ -61,10 +61,8 @@ class AxisSpec:
 
 def _axis_from_section(section, suffix=""):
     name = _get(section, f"axis{suffix}", str, required=True)
-    raw_values = _get(section, f"values{suffix}", str)
-    if raw_values is not None:
-        values = _floats(raw_values)
-    else:
+    values = _get(section, f"values{suffix}", _floats)
+    if values is None:
         lo = _get(section, f"min{suffix}", float, required=True)
         hi = _get(section, f"max{suffix}", float, required=True)
         count = _get(section, f"count{suffix}", int, required=True)
@@ -103,6 +101,8 @@ class RunConfig:
             raise ConfigError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.command == "phase-diagram" and (self.axis1 is None or self.axis2 is None):
             raise ConfigError("phase-diagram needs [phase-diagram] axis1/axis2")
         if self.command == "sweep" and self.sweep is None:
@@ -239,8 +239,8 @@ def load_config(path, overrides=None):
     if parser.has_section("grid"):
         gsec = parser["grid"]
         grid = GridSpec(
-            n_points=_ints(_get(gsec, "n_points", str, required=True)),
-            extent=_floats(_get(gsec, "extent", str, required=True)),
+            n_points=_get(gsec, "n_points", _ints, required=True),
+            extent=_get(gsec, "extent", _floats, required=True),
         )
 
     solver = dict(SOLVER_DEFAULTS)

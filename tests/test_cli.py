@@ -396,6 +396,83 @@ extent = 24.0
         assert "configuration error" in proc.stderr
         assert not out.exists(), line
 
+
+GP_SECTIONS = """
+[trap]
+omega_x = 150.0
+omega_y = 150.0
+omega_z = 1500.0
+recoil_frequency = 3678.0
+
+[grid]
+n_points = 64
+extent = 24.0
+"""
+PHASE_SECTION = """
+[phase-diagram]
+axis1 = omega_R
+values1 = 1 2
+axis2 = delta
+values2 = -1 1
+"""
+
+# (case, command, config text after [run]'s command and out lines); each is a
+# configuration error that must exit 2 before anything is written
+MALFORMED = [
+    ("sweep-values-word", "sweep", "[sweep]\naxis = delta\nvalues = 1 y\n"),
+    ("sweep-values-commas", "sweep", "[sweep]\naxis = delta\nvalues = 1, 2, x\n"),
+    ("sweep-values-nan", "sweep", "[sweep]\naxis = delta\nvalues = nan 1\n"),
+    ("phase-values1", "phase-diagram", PHASE_SECTION.replace("values1 = 1 2", "values1 = 1 y")),
+    ("phase-values2", "phase-diagram", PHASE_SECTION.replace("values2 = -1 1", "values2 = -1 1x")),
+    ("grid-n-points-word", "gp-ground", GP_SECTIONS.replace("n_points = 64", "n_points = 64 x")),
+    ("grid-n-points-float", "gp-ground", GP_SECTIONS.replace("n_points = 64", "n_points = 64.5")),
+    ("grid-extent-word", "gp-ground", GP_SECTIONS.replace("extent = 24.0", "extent = 1 z")),
+    ("trap-nan", "gp-ground", GP_SECTIONS.replace("omega_x = 150.0", "omega_x = nan")),
+    ("gp-negative-seed", "gp-ground", "seed = -1\n" + GP_SECTIONS),
+    ("sweep-negative-seed", "sweep", "seed = -3\n[sweep]\naxis = delta\nvalues = 1 2\n"),
+    ("jobs-zero", "sweep", "jobs = 0\n[sweep]\naxis = delta\nvalues = 1 2\n"),
+    ("reversed-window", "dispersion", "[dispersion]\nk_min = 2.0\nk_max = -2.0\n"),
+]
+
+
+@pytest.mark.parametrize("command,body", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, body):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini",
+                       f"[run]\ncommand = {command}\nout = {out}\n{body}")
+    assert main(["run", "--config", cfg]) == 2
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    # records the pool size and runs the tasks inline: no process is started
+    import socsqueeze.cli as cli
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg = write_config(tmp_path / "run.ini", SWEEP_INI)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "5000"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
+    assert sizes == [3, 2]
+    assert read_bytes(tmp_path / "a" / "sweep.csv") == read_bytes(tmp_path / "b" / "sweep.csv")
+
+
 def test_gp_nonconvergence_exits_3_with_error_file(tmp_path, capsys):
     out = tmp_path / "gp"
     ini = f"""
@@ -419,7 +496,7 @@ extent = 24.0
 
 [solver]
 tol = 1e-16
-max_steps = 100
+max_steps = 5
 """
     cfg = write_config(tmp_path / "run.ini", ini)
     assert main(["run", "--config", cfg]) == 3
@@ -432,7 +509,7 @@ max_steps = 100
 
 
 def test_sweep_failed_cell_keeps_siblings(tmp_path, capsys):
-    # max_steps sits between the two convergence step counts (1750 and 7400),
+    # max_steps sits between the two convergence iteration counts (9 and 19),
     # so the second cell fails while the first completes
     out = tmp_path / "sw"
     ini = f"""
@@ -447,7 +524,7 @@ epsilon = 1.0
 
 [sweep]
 axis = omega_R
-values = 0.5 4.0
+values = 0.25 8.0
 
 [trap]
 omega_x = 150.0
@@ -461,14 +538,14 @@ extent = 24.0
 
 [solver]
 tol = 1e-10
-max_steps = 4000
+max_steps = 14
 """
     cfg = write_config(tmp_path / "run.ini", ini)
     assert main(["run", "--config", cfg]) == 3
     assert "sweep cell 1 failed" in capsys.readouterr().err
     lines = read_bytes(out / "sweep.csv").decode().splitlines()
     assert len(lines) == 3
-    assert lines[1].endswith("ok") and lines[1].startswith("0.5")
+    assert lines[1].endswith("ok") and lines[1].startswith("0.25")
     assert lines[2].endswith("failed") and "nan" in lines[2]
     assert (out / "report_000.json").exists()
     assert not (out / "report_001.json").exists()
