@@ -5,70 +5,51 @@ squeezing by exact diagonalization or Gaussian fluctuation theory, and spinor
 Gross-Pitaevskii ground states, with a config-driven CLI for reproducible
 sweeps.
 
-The squeezing backends, ``fockspace`` (ED) and ``gaussian``, load on first
-use of one of their names.  The package runs on numpy alone: no module of it
-imports scipy.
+Every layer loads on first use of one of its names: ``import socsqueeze``
+imports neither numpy nor any submodule, and ``socsqueeze.classify`` loads
+``socsqueeze.bands`` when it is first looked up.  So a CLI process loads only
+the layers its command runs, after it has fixed its BLAS thread count.  The
+package runs on numpy alone: no module of it imports scipy.
 """
 
 import importlib
 
-from .algebra import (
-    GENERATOR_LABELS,
-    CollectiveOperatorSpec,
-    SpinOperator,
-    commutator,
-    generator,
-    generator_matrix,
-    generators,
-    verify_algebra,
-)
-from .bands import (
-    DispersionResult,
-    PhaseCell,
-    PhaseDiagramResult,
-    build_hamiltonian,
-    classify,
-    dispersion,
-    phase_diagram,
-    phase_diagram_rows,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DepletedCondensateError,
-    MomentInputError,
-    UnstableExpansionError,
-    UnsupportedObservableError,
-)
-from .gp import (
-    GpProblem,
-    InteractionConfig,
-    SpinorField,
-    TrapConfig,
-    build_problem,
-    field_populations,
-    gp_moment_set,
-    gp_moments,
-    imaginary_time_ground_state,
-    load_field,
-    save_field,
-)
-from .metrics import (
-    MomentSet,
-    SqueezingReport,
-    build_report,
-    optimize_theta,
-    quadratures,
-    rf_rotate,
-    xi_dcz,
-    xi_uv,
-    xi_x,
-)
-from .params import EffectiveCoefficients, ModelParams, effective_coefficients
-
 __version__ = "0.1.0"
 
 _LAZY = {
+    **dict.fromkeys((
+        "GENERATOR_LABELS",
+        "CollectiveOperatorSpec",
+        "SpinOperator",
+        "commutator",
+        "generator",
+        "generator_matrix",
+        "generators",
+        "verify_algebra",
+    ), "algebra"),
+    **dict.fromkeys((
+        "DispersionResult",
+        "PhaseCell",
+        "PhaseDiagramResult",
+        "build_hamiltonian",
+        "classify",
+        "dispersion",
+        "phase_diagram",
+        "phase_diagram_rows",
+    ), "bands"),
+    **dict.fromkeys((
+        "GridSpec",
+        "InteractionConfig",
+        "TrapConfig",
+    ), "config"),
+    **dict.fromkeys((
+        "ConfigError",
+        "ConvergenceError",
+        "DepletedCondensateError",
+        "MomentInputError",
+        "UnstableExpansionError",
+        "UnsupportedObservableError",
+    ), "errors"),
     **dict.fromkeys((
         "FockBasis",
         "SymmetricFockState",
@@ -87,7 +68,36 @@ _LAZY = {
         "hp_quadratic",
         "solve_gaussian",
     ), "gaussian"),
+    **dict.fromkeys((
+        "GpProblem",
+        "SpinorField",
+        "build_problem",
+        "field_populations",
+        "gp_moment_set",
+        "gp_moments",
+        "imaginary_time_ground_state",
+        "load_field",
+        "save_field",
+    ), "gp"),
+    **dict.fromkeys((
+        "MomentSet",
+        "SqueezingReport",
+        "build_report",
+        "optimize_theta",
+        "quadratures",
+        "rf_rotate",
+        "xi_dcz",
+        "xi_uv",
+        "xi_x",
+    ), "metrics"),
+    **dict.fromkeys((
+        "EffectiveCoefficients",
+        "ModelParams",
+        "effective_coefficients",
+    ), "params"),
 }
+
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name):

@@ -12,12 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW
 from .errors import ConfigError, ConvergenceError
 from .params import ModelParams
-
-DEFAULT_WINDOW = (-4.0, 4.0)
-DEFAULT_POINTS = 2001
-DEFAULT_TOL_DEG = 1e-6
 
 _AXIS_NAMES = ("omega_R", "delta", "epsilon")
 

@@ -1,9 +1,14 @@
 """Command-line runner: config-driven computations with reproducible outputs.
 
-Every run writes a manifest (the fully resolved configuration) next to its
-result tables, and reruns with the same config and seed are byte-identical,
-including under worker parallelism: cells are computed by index and
-assembled in order, never as they complete.
+Every run writes a manifest (the fully resolved configuration, the numpy
+version and the BLAS thread variables) next to its result tables, and reruns
+with the same config and seed are byte-identical, including under worker
+parallelism: cells are computed by index and assembled in order, never as
+they complete.
+
+A process fixes its BLAS thread count before numpy loads and imports the
+band and GP layers, the squeezing backends and the process pool only in the
+runners that use them.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge or the Gaussian expansion point is a depleted condensate
@@ -14,13 +19,22 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+
+# BLAS runs on one thread unless the environment sets a count.  The --jobs
+# worker processes are the CLI's only parallelism, and every BLAS call it makes
+# is small: the largest, the 10x10 Gram matrix of an ED report at N = 300, is
+# about 20 Mflop.  On a 2-vCPU host a second OpenBLAS thread costs about 70 ms of
+# `import numpy` per process, and its spin-waiting adds CPU time.  OpenBLAS reads
+# the count when numpy loads, so this comes before any import that loads numpy.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np
 
 from . import __version__
-from .bands import classify, dispersion
 from .config import ENV_PREFIX, load_config
 from .errors import ConfigError, ConvergenceError
-from .gp import build_problem, gp_moment_set, imaginary_time_ground_state, save_field
 from .io import ensure_dir, write_csv, write_json
 from .metrics import build_report
 from .params import effective_coefficients
@@ -53,6 +67,8 @@ def _report_for_point(cfg, params, seed):
                   "mf_grad_norm": mean_field.grad_norm,
                   "mf_degenerate": mean_field.degenerate}
     elif cfg.backend == "gp":
+        from .gp import build_problem, gp_moment_set, imaginary_time_ground_state
+
         problem = build_problem(params, cfg.trap, cfg.interaction, cfg.grid)
         s = cfg.solver
         result = imaginary_time_ground_state(
@@ -83,6 +99,8 @@ def _sweep_cell(task):
 
 
 def _classify_cell(task):
+    from .bands import classify
+
     cfg, index, v1, v2 = task
     params = cfg.params.replace(**{cfg.axis1.name: v1, cfg.axis2.name: v2})
     cell = classify(params, tol_deg=cfg.tol_deg, window=cfg.window, n_points=cfg.n_points)
@@ -100,6 +118,8 @@ def _map_ordered(worker, tasks, jobs):
     if workers <= 1:
         results = [worker(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, tasks, chunksize=chunksize))
@@ -108,12 +128,18 @@ def _map_ordered(worker, tasks, jobs):
 
 
 def _write_manifest(cfg):
+    """The resolved config plus what else the output bytes depend on: the
+    package and numpy versions and the BLAS thread variables."""
     manifest = cfg.resolved()
     manifest["version"] = __version__
+    manifest["numpy"] = np.__version__
+    manifest["blas_threads"] = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     write_json(os.path.join(cfg.out, "manifest.json"), manifest)
 
 
 def _run_dispersion(cfg):
+    from .bands import dispersion
+
     disp = dispersion(cfg.params, window=cfg.window, n_points=cfg.n_points)
     ensure_dir(cfg.out)
     _write_manifest(cfg)
@@ -154,6 +180,8 @@ def _run_eff_squeeze(cfg):
 
 
 def _run_gp_ground(cfg):
+    from .gp import build_problem, save_field
+
     gp_cfg = dataclasses.replace(cfg, backend="gp")
     # build first: configuration problems must surface before anything is written
     build_problem(gp_cfg.params, gp_cfg.trap, gp_cfg.interaction, gp_cfg.grid)
@@ -176,6 +204,8 @@ def _run_gp_ground(cfg):
 
 def _run_sweep(cfg):
     if cfg.command == "sweep" and cfg.backend == "gp":
+        from .gp import build_problem
+
         # surface grid/trap problems before creating any files
         build_problem(cfg.params, cfg.trap, cfg.interaction, cfg.grid)
     tasks = [(cfg, i, float(v)) for i, v in enumerate(cfg.sweep.values)]

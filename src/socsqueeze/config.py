@@ -1,4 +1,10 @@
-"""INI run configurations: parsing, validation, and default resolution.
+"""INI run configurations: the config schema, parsing, validation, and
+default resolution.
+
+This module owns every configuration type and default that a run resolves:
+the band window and degeneracy tolerance, the ED atom-number cap, the GP
+trap, interaction, grid and solver settings.  The solver modules import them
+from here, so reading and validating a config loads no solver.
 
 Precedence for the settings that have knobs elsewhere: command-line flag,
 then SOCSQUEEZE_* environment variable, then the config file, then the
@@ -7,12 +13,15 @@ is what lands in the run manifest.
 """
 
 import configparser
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
-from .bands import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW
+import numpy as np
+
 from .errors import ConfigError
-from .gp import SOLVER_DEFAULTS, GridSpec, InteractionConfig, TrapConfig, check_solver_settings
 from .params import ModelParams
 
 COMMANDS = ("dispersion", "phase-diagram", "eff-squeeze", "gp-ground", "sweep")
@@ -23,6 +32,115 @@ ENV_PREFIX = "SOCSQUEEZE_"
 # Rb-87 scattering lengths (Bohr radii) used when [interaction] omits them
 DEFAULT_A_S0 = 101.8
 DEFAULT_A_S2 = 100.4
+
+# band momentum window, grid points and degeneracy tolerance of [dispersion]
+# and [phase-diagram]
+DEFAULT_WINDOW = (-4.0, 4.0)
+DEFAULT_POINTS = 2001
+DEFAULT_TOL_DEG = 1e-6
+
+# largest atom number the ED backend solves: the symmetric subspace has
+# (N+1)(N+2)/2 states
+DEFAULT_N_CAP = 300
+
+# settings of imaginary_time_ground_state and of a config's [solver]: dt is the
+# trial angle where the energy is not convex along the search direction, tol the
+# bound on the squared residual and on the last iteration's energy decrease,
+# max_steps the iteration cap and check_every the spacing of the energy trace rows
+SOLVER_DEFAULTS = MappingProxyType({"dt": 0.01, "tol": 1e-10, "max_steps": 400000,
+                                    "check_every": 50})
+
+
+def check_solver_settings(dt, tol, max_steps, check_every):
+    """Raise ConfigError unless dt and tol are positive finite numbers and
+    max_steps and check_every are positive integers."""
+    for name, value in (("dt", dt), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    for name, value in (("max_steps", max_steps), ("check_every", check_every)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class TrapConfig:
+    """Harmonic trap frequencies in Hz plus the recoil frequency in Hz.
+
+    ``recoil_frequency`` (the recoil energy over Planck's constant) is the
+    bridge between laboratory Hz and the dimensionless units; it has no
+    default on purpose.
+    """
+
+    omega_x: float
+    omega_y: float
+    omega_z: float
+    recoil_frequency: float
+
+    def __post_init__(self):
+        for name in ("omega_x", "omega_y", "omega_z", "recoil_frequency"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be a positive finite frequency, got {v!r}")
+
+    def frequency_ratio(self, axis):
+        """Dimensionless trap frequency of an axis (0=x, 1=y, 2=z)."""
+        return (self.omega_x, self.omega_y, self.omega_z)[axis] / self.recoil_frequency
+
+    def oscillator_length(self, axis):
+        """Ground-state Gaussian length of an axis in recoil units."""
+        return math.sqrt(2.0 / self.frequency_ratio(axis))
+
+
+@dataclass(frozen=True)
+class InteractionConfig:
+    """s-wave scattering lengths (Bohr radii) of the two collision channels
+    and the atom number that scales the mean-field couplings."""
+
+    a_s0: float
+    a_s2: float
+    N: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.N) and self.N >= 1):
+            raise ConfigError(f"atom number must be finite and >= 1, got {self.N!r}")
+        for name in ("a_s0", "a_s2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform periodic grid: per-axis point counts and half-widths (recoil units)."""
+
+    n_points: tuple
+    extent: tuple
+
+    def __post_init__(self):
+        n = tuple(int(v) for v in np.atleast_1d(self.n_points))
+        l = tuple(float(v) for v in np.atleast_1d(self.extent))
+        if not 1 <= len(n) <= 3 or len(n) != len(l):
+            raise ConfigError(f"grid needs matching 1..3 n_points/extent, got {n} / {l}")
+        if any(v < 8 for v in n):
+            raise ConfigError(f"each axis needs >= 8 points, got {n}")
+        if any(not (math.isfinite(v) and v > 0.0) for v in l):
+            raise ConfigError(f"extents must be positive, got {l}")
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "extent", l)
+
+    @property
+    def dimension(self):
+        return len(self.n_points)
+
+    def axes(self):
+        out = []
+        for n, l in zip(self.n_points, self.extent):
+            dx = 2.0 * l / n
+            out.append(-l + dx * np.arange(n))
+        return tuple(out)
+
+    @property
+    def dv(self):
+        return float(np.prod([2.0 * l / n for n, l in zip(self.n_points, self.extent)]))
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -103,10 +221,18 @@ class RunConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.command == "phase-diagram" and (self.axis1 is None or self.axis2 is None):
-            raise ConfigError("phase-diagram needs [phase-diagram] axis1/axis2")
+        if self.command == "phase-diagram":
+            if self.axis1 is None or self.axis2 is None:
+                raise ConfigError("phase-diagram needs [phase-diagram] axis1/axis2")
+            if self.axis1.name == self.axis2.name:
+                raise ConfigError(f"phase-diagram axes must differ, both are {self.axis1.name!r}")
+        if not (math.isfinite(self.tol_deg) and self.tol_deg > 0.0):
+            raise ConfigError(f"tol_deg must be positive and finite, got {self.tol_deg!r}")
         if self.command == "sweep" and self.sweep is None:
             raise ConfigError("sweep needs a [sweep] section")
+        if (self.backend == "ed" and self.command in ("eff-squeeze", "sweep")
+                and self.params.N > DEFAULT_N_CAP):
+            raise ConfigError(f"N={self.params.N} exceeds the ED cap {DEFAULT_N_CAP}")
         needs_gp = self.command == "gp-ground" or (
             self.command == "sweep" and self.backend == "gp"
         )

@@ -18,11 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import GENERATOR_LABELS, generator_matrix
+from .config import DEFAULT_N_CAP
 from .errors import ConfigError, ConvergenceError
 from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 from .params import EffectiveCoefficients
 
-DEFAULT_N_CAP = 300
 RESIDUAL_TOL = 1e-10
 # the Lanczos recurrence stops once the Ritz estimate of the ground-state
 # residual falls below RITZ_TOL * max(1, |E|); the true residual is gated by

@@ -20,18 +20,28 @@ grid preconditions enforce.
 Quasi-1D/2D: interactions are reduced by the Gaussian ground-state overlap
 of each transverse axis, sqrt(w_t / 4 pi) per axis with w_t the transverse
 frequency ratio; the reduction requires a trap.
+
+The configuration types ``TrapConfig``, ``InteractionConfig`` and
+``GridSpec``, the solver defaults ``SOLVER_DEFAULTS`` and their check
+``check_solver_settings`` belong to ``socsqueeze.config``; this module
+imports them, so ``socsqueeze.gp.TrapConfig`` and the like still resolve.
 """
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import SQRT2, generator_stack
 from .bands import build_hamiltonian
+from .config import (  # noqa: F401  the config types stay importable from gp
+    SOLVER_DEFAULTS,
+    GridSpec,
+    InteractionConfig,
+    TrapConfig,
+    check_solver_settings,
+)
 from .errors import ConfigError, ConvergenceError
 from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 
@@ -41,12 +51,6 @@ BOHR_RADIUS = 5.29177210903e-11  # m
 
 _AXIS_NAMES = ("x", "y", "z")
 
-# settings of imaginary_time_ground_state and of a config's [solver]: dt is the
-# trial angle where the energy is not convex along the search direction, tol the
-# bound on the squared residual and on the last iteration's energy decrease,
-# max_steps the iteration cap and check_every the spacing of the energy trace rows
-SOLVER_DEFAULTS = MappingProxyType({"dt": 0.01, "tol": 1e-10, "max_steps": 400000,
-                                    "check_every": 50})
 # shift alpha of the kinetic preconditioner (h1(k) - min h1 + alpha)^-1, in recoil
 # energies: about one trap quantum of the shipped configs (w = 0.041), the level
 # spacing of the soft modes the preconditioner has to resolve.  Over seeds 0-7 of
@@ -56,87 +60,6 @@ PRECONDITIONER_SHIFT = 0.05
 ARMIJO = 1e-4          # fraction of the slope a trial angle must gain
 MAX_BACKTRACKS = 40    # halvings of the trial angle before the line search gives up
 ROUNDOFF = 1e-14       # relative energy change taken as rounding in the Armijo test
-
-
-@dataclass(frozen=True)
-class TrapConfig:
-    """Harmonic trap frequencies in Hz plus the recoil frequency in Hz.
-
-    ``recoil_frequency`` (the recoil energy over Planck's constant) is the
-    bridge between laboratory Hz and the dimensionless units; it has no
-    default on purpose.
-    """
-
-    omega_x: float
-    omega_y: float
-    omega_z: float
-    recoil_frequency: float
-
-    def __post_init__(self):
-        for name in ("omega_x", "omega_y", "omega_z", "recoil_frequency"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be a positive finite frequency, got {v!r}")
-
-    def frequency_ratio(self, axis):
-        """Dimensionless trap frequency of an axis (0=x, 1=y, 2=z)."""
-        return (self.omega_x, self.omega_y, self.omega_z)[axis] / self.recoil_frequency
-
-    def oscillator_length(self, axis):
-        """Ground-state Gaussian length of an axis in recoil units."""
-        return math.sqrt(2.0 / self.frequency_ratio(axis))
-
-
-@dataclass(frozen=True)
-class InteractionConfig:
-    """s-wave scattering lengths (Bohr radii) of the two collision channels
-    and the atom number that scales the mean-field couplings."""
-
-    a_s0: float
-    a_s2: float
-    N: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.N) and self.N >= 1):
-            raise ConfigError(f"atom number must be finite and >= 1, got {self.N!r}")
-        for name in ("a_s0", "a_s2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform periodic grid: per-axis point counts and half-widths (recoil units)."""
-
-    n_points: tuple
-    extent: tuple
-
-    def __post_init__(self):
-        n = tuple(int(v) for v in np.atleast_1d(self.n_points))
-        l = tuple(float(v) for v in np.atleast_1d(self.extent))
-        if not 1 <= len(n) <= 3 or len(n) != len(l):
-            raise ConfigError(f"grid needs matching 1..3 n_points/extent, got {n} / {l}")
-        if any(v < 8 for v in n):
-            raise ConfigError(f"each axis needs >= 8 points, got {n}")
-        if any(not (math.isfinite(v) and v > 0.0) for v in l):
-            raise ConfigError(f"extents must be positive, got {l}")
-        object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "extent", l)
-
-    @property
-    def dimension(self):
-        return len(self.n_points)
-
-    def axes(self):
-        out = []
-        for n, l in zip(self.n_points, self.extent):
-            dx = 2.0 * l / n
-            out.append(-l + dx * np.arange(n))
-        return tuple(out)
-
-    @property
-    def dv(self):
-        return float(np.prod([2.0 * l / n for n, l in zip(self.n_points, self.extent)]))
 
 
 def raman_recoil_momentum(recoil_frequency):
@@ -432,17 +355,6 @@ class GpResult:
     converged: bool
     last_change: float
     residual: float
-
-
-def check_solver_settings(dt, tol, max_steps, check_every):
-    """Raise ConfigError unless dt and tol are positive finite numbers and
-    max_steps and check_every are positive integers."""
-    for name, value in (("dt", dt), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    for name, value in (("max_steps", max_steps), ("check_every", check_every)):
-        if not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
 def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DEFAULTS["tol"],

@@ -432,6 +432,13 @@ MALFORMED = [
     ("sweep-negative-seed", "sweep", "seed = -3\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("jobs-zero", "sweep", "jobs = 0\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("reversed-window", "dispersion", "[dispersion]\nk_min = 2.0\nk_max = -2.0\n"),
+    ("phase-same-axes", "phase-diagram", PHASE_SECTION.replace("axis2 = delta", "axis2 = omega_R")),
+    ("tol-deg-nan", "phase-diagram", PHASE_SECTION + "tol_deg = nan\n"),
+    ("tol-deg-inf", "phase-diagram", PHASE_SECTION + "tol_deg = inf\n"),
+    ("tol-deg-zero", "phase-diagram", PHASE_SECTION + "tol_deg = 0\n"),
+    ("tol-deg-negative", "phase-diagram", PHASE_SECTION + "tol_deg = -5\n"),
+    ("ed-sweep-over-cap", "sweep", "[params]\nN = 400\n[sweep]\naxis = delta\nvalues = 1 2\n"),
+    ("ed-eff-squeeze-over-cap", "eff-squeeze", "[params]\nN = 400\n"),
 ]
 
 
@@ -447,8 +454,10 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, 
 
 
 def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
-    # records the pool size and runs the tasks inline: no process is started
-    import socsqueeze.cli as cli
+    # records the pool size and runs the tasks inline: no process is started.
+    # cli._map_ordered looks the pool class up in concurrent.futures when it
+    # starts a pool
+    import concurrent.futures
 
     sizes = []
 
@@ -465,7 +474,7 @@ def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = write_config(tmp_path / "run.ini", SWEEP_INI)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "5000"]) == 0
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
@@ -577,33 +586,55 @@ def test_sweep_series_extraction(tmp_path):
 
 def test_package_and_cli_import_without_scipy(tmp_path):
     # no path of the package loads scipy: not at startup, not for a Gaussian
-    # solve, not for an ED report, not for an ED sweep in a --jobs 2 pool
+    # solve, not for an ED report, not for an ED sweep in a --jobs 2 pool.
+    # Each layer loads on first use, and the CLI fixes the BLAS thread count
+    # before numpy loads unless the environment already sets one
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    submodules = tuple(f"socsqueeze.{name[:-3]}"
+                       for name in os.listdir(os.path.join(src, "socsqueeze"))
+                       if name.endswith(".py") and name != "__init__.py")
     cfg = write_config(tmp_path / "sweep.ini", SWEEP_INI)
     eff = write_config(tmp_path / "eff.ini", SWEEP_INI.replace("command = sweep",
                                                                "command = eff-squeeze"))
     run = "from socsqueeze.cli import main; assert main({!r}) == 0"
-    setups = ("import socsqueeze, socsqueeze.cli",
-              "import socsqueeze.gaussian as g; from socsqueeze.params import "
-              "ModelParams, effective_coefficients; "
-              "g.solve_gaussian(effective_coefficients(ModelParams(2.0, 0.0, 6.0, 200)), 200)",
-              run.format(["run", "--config", eff, "--out", str(tmp_path / "eff")]),
-              run.format(["run", "--config", cfg, "--out", str(tmp_path / "sweep"),
-                          "--jobs", "2"]))
+    solvers = ("socsqueeze.bands", "socsqueeze.gp", "socsqueeze.fockspace",
+               "socsqueeze.gaussian", "concurrent.futures.process")
+    # (setup, thread variables set before it, modules it must not load besides
+    # scipy, OPENBLAS_NUM_THREADS after it)
+    setups = (
+        ("import socsqueeze", {}, ("numpy",) + submodules, None),
+        ("import socsqueeze.cli", {}, solvers, "1"),
+        ("import socsqueeze.cli", {"OPENBLAS_NUM_THREADS": "3"}, (), "3"),
+        ("import socsqueeze.cli", {"OMP_NUM_THREADS": "2"}, (), None),
+        ("import socsqueeze.gaussian as g; from socsqueeze.params import "
+         "ModelParams, effective_coefficients; "
+         "g.solve_gaussian(effective_coefficients(ModelParams(2.0, 0.0, 6.0, 200)), 200)",
+         {}, (), None),
+        (run.format(["run", "--config", eff, "--out", str(tmp_path / "eff")]),
+         {}, ("socsqueeze.gp", "socsqueeze.bands"), "1"),
+        (run.format(["run", "--config", cfg, "--out", str(tmp_path / "sweep"),
+                     "--jobs", "2"]), {}, (), "1"),
+    )
     # the pool's workers are other processes: a scipy that fails on import,
     # first on the path, makes any import of it there fail the sweep
     blocked = tmp_path / "blocked" / "scipy"
     blocked.mkdir(parents=True)
     (blocked / "__init__.py").write_text("raise ImportError('scipy is blocked')\n")
-    for i, setup in enumerate(setups):
+    base_env = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    for i, (setup, threads, absent, blas_threads) in enumerate(setups):
         path = [str(blocked.parent), src] if i == len(setups) - 1 else [src]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        code = (f"import sys; {setup}; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**base_env, **threads, "PYTHONPATH": os.pathsep.join(path)}
+        code = (f"import sys, os, json; {setup}; "
+                "print(json.dumps([sorted(sys.modules), os.environ.get('OPENBLAS_NUM_THREADS')]))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        modules, openblas = json.loads(proc.stdout.splitlines()[-1])
+        loaded = [m for m in modules
+                  if any(m == name or m.startswith(name + ".") for name in ("scipy",) + absent)]
+        assert loaded == [], setup
+        assert openblas == blas_threads, setup
     body = read_bytes(tmp_path / "sweep" / "sweep.csv").decode().splitlines()[1:]
     assert [ln.split(",")[-1] for ln in body] == ["ok", "ok", "ok"]
 
