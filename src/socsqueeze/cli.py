@@ -6,17 +6,21 @@ with the same config and seed are byte-identical, including under worker
 parallelism: cells are computed by index and assembled in order, never as
 they complete.
 
+Every squeezing report comes from one cell function, run once per sweep
+value or once at the point of ``eff-squeeze`` and ``gp-ground``.  A failed
+cell records its error, so the other cells and the manifest are kept; every
+configuration error is raised by ``load_config`` before any cell runs.
+
 A process fixes its BLAS thread count before numpy loads and imports the
 band and GP layers, the squeezing backends and the process pool only in the
 runners that use them.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
-failed to converge or the Gaussian expansion point is a depleted condensate
-(partial results are kept), 4 I/O failure.
+failed to converge, the Gaussian expansion point is a depleted condensate or
+a report is undefined at the state (partial results kept), 4 I/O failure.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .config import ENV_PREFIX, load_config
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, MomentInputError
 from .io import ensure_dir, write_csv, write_json
 from .metrics import build_report
 from .params import effective_coefficients
@@ -44,7 +48,8 @@ REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
 
 
 def _report_for_point(cfg, params, seed):
-    """One squeezing report at a parameter point, on the configured backend."""
+    """(squeezing report, GP ground state or None) on the configured backend."""
+    ground = None
     if cfg.backend == "ed":
         from .fockspace import ed_ground_state, ed_moment_set
 
@@ -66,36 +71,42 @@ def _report_for_point(cfg, params, seed):
                   "mode_frequencies": list(sol.frequencies),
                   "mf_grad_norm": mean_field.grad_norm,
                   "mf_degenerate": mean_field.degenerate}
-    elif cfg.backend == "gp":
+    else:
         from .gp import build_problem, gp_moment_set, imaginary_time_ground_state
 
         problem = build_problem(params, cfg.trap, cfg.interaction, cfg.grid)
         s = cfg.solver
-        result = imaginary_time_ground_state(
+        ground = imaginary_time_ground_state(
             problem, dt=s["dt"], tol=s["tol"], max_steps=s["max_steps"],
             check_every=s["check_every"], seed=seed,
         )
         n_atoms = cfg.interaction.N if cfg.interaction is not None else params.N
-        moments = gp_moment_set(result.field, n_atoms)
+        moments = gp_moment_set(ground.field, n_atoms)
         extras = {"backend": "gp", "moment_method": "hartree_product",
-                  "gp_energy_per_atom": result.energy, "gp_steps": result.n_steps,
-                  "gp_last_energy_change": result.last_change,
-                  "gp_residual": result.residual}
-        return build_report(moments, extras=extras), result
-    else:
-        raise ConfigError(f"backend {cfg.backend!r} cannot produce squeezing reports")
-    return build_report(moments, extras=extras), None
+                  "gp_energy_per_atom": ground.energy, "gp_steps": ground.n_steps,
+                  "gp_last_energy_change": ground.last_change,
+                  "gp_residual": ground.residual}
+    return build_report(moments, extras=extras), ground
 
 
 def _sweep_cell(task):
-    """Worker for one sweep cell; returns (index, row dict | error dict)."""
-    cfg, index, value = task
-    params = cfg.params.replace(**{cfg.sweep.name: value})
+    """One report cell: (index, the report dict | the error and its reason).
+    Only gp-ground keeps the GP ground state, so no field crosses the pool."""
+    cfg, index, params = task
     try:
-        report, _ = _report_for_point(cfg, params, seed=cfg.seed + index)
-        return index, {"report": report.to_dict()}
-    except (ConfigError, ConvergenceError) as exc:
-        return index, {"error": f"{type(exc).__name__}: {exc}"}
+        report, ground = _report_for_point(cfg, params, seed=cfg.seed + index)
+    except (ConfigError, ConvergenceError, MomentInputError) as exc:
+        reason = ("report undefined at this state" if isinstance(exc, MomentInputError)
+                  else "solver did not converge")
+        return index, {"error": f"{type(exc).__name__}: {exc}", "reason": reason}
+    payload = {"report": report.to_dict()}
+    if cfg.command == "gp-ground":
+        payload["ground_state"] = ground
+    return index, payload
+
+
+def _print_failure(where, payload):
+    print(f"{where} failed, {payload['reason']}: {payload['error']}", file=sys.stderr)
 
 
 def _classify_cell(task):
@@ -169,46 +180,29 @@ def _run_phase_diagram(cfg):
     return 0
 
 
-def _run_eff_squeeze(cfg):
-    if cfg.backend == "gp":
-        raise ConfigError("eff-squeeze runs on the ed/gaussian backends; use gp-ground")
-    report, _ = _report_for_point(cfg, cfg.params, seed=cfg.seed)
+def _run_point(cfg):
+    """eff-squeeze and gp-ground: one report cell at the configured point."""
+    _, payload = _sweep_cell((cfg, 0, cfg.params))
     ensure_dir(cfg.out)
     _write_manifest(cfg)
-    write_json(os.path.join(cfg.out, "report.json"), report.to_dict())
-    return 0
-
-
-def _run_gp_ground(cfg):
-    from .gp import build_problem, save_field
-
-    gp_cfg = dataclasses.replace(cfg, backend="gp")
-    # build first: configuration problems must surface before anything is written
-    build_problem(gp_cfg.params, gp_cfg.trap, gp_cfg.interaction, gp_cfg.grid)
-    ensure_dir(cfg.out)
-    _write_manifest(gp_cfg)
-    try:
-        report, result = _report_for_point(gp_cfg, gp_cfg.params, seed=gp_cfg.seed)
-    except ConvergenceError as exc:
-        write_json(os.path.join(cfg.out, "error.json"),
-                   {"error": f"{type(exc).__name__}: {exc}"})
-        print(f"solver did not converge: {exc}", file=sys.stderr)
+    if "error" in payload:
+        write_json(os.path.join(cfg.out, "error.json"), {"error": payload["error"]})
+        _print_failure(cfg.command, payload)
         return 3
-    write_json(os.path.join(cfg.out, "report.json"), report.to_dict())
-    save_field(result.field, os.path.join(cfg.out, "field.npz"),
-               meta={"seed": gp_cfg.seed})
-    trace_rows = [(int(s), float(e)) for s, e in result.energy_trace]
-    write_csv(os.path.join(cfg.out, "energy_trace.csv"), ("step", "energy"), trace_rows)
+    write_json(os.path.join(cfg.out, "report.json"), payload["report"])
+    ground = payload.get("ground_state")
+    if ground is not None:
+        from .gp import save_field
+
+        save_field(ground.field, os.path.join(cfg.out, "field.npz"), meta={"seed": cfg.seed})
+        trace_rows = [(int(s), float(e)) for s, e in ground.energy_trace]
+        write_csv(os.path.join(cfg.out, "energy_trace.csv"), ("step", "energy"), trace_rows)
     return 0
 
 
 def _run_sweep(cfg):
-    if cfg.command == "sweep" and cfg.backend == "gp":
-        from .gp import build_problem
-
-        # surface grid/trap problems before creating any files
-        build_problem(cfg.params, cfg.trap, cfg.interaction, cfg.grid)
-    tasks = [(cfg, i, float(v)) for i, v in enumerate(cfg.sweep.values)]
+    tasks = [(cfg, i, cfg.params.replace(**{cfg.sweep.name: float(v)}))
+             for i, v in enumerate(cfg.sweep.values)]
     payloads = _map_ordered(_sweep_cell, tasks, cfg.jobs)
     ensure_dir(cfg.out)
     _write_manifest(cfg)
@@ -216,6 +210,7 @@ def _run_sweep(cfg):
     for i, (value, payload) in enumerate(zip(cfg.sweep.values, payloads)):
         if "error" in payload:
             errors[str(i)] = payload["error"]
+            _print_failure(f"sweep cell {i}", payload)
             rows.append((float(value),) + tuple(float("nan") for _ in REPORT_COLUMNS)
                         + ("failed",))
             continue
@@ -226,8 +221,6 @@ def _run_sweep(cfg):
     write_csv(os.path.join(cfg.out, "sweep.csv"), header, rows)
     if errors:
         write_json(os.path.join(cfg.out, "errors.json"), errors)
-        for i in sorted(errors, key=int):
-            print(f"sweep cell {i} failed: {errors[i]}", file=sys.stderr)
         return 3
     return 0
 
@@ -235,8 +228,8 @@ def _run_sweep(cfg):
 _RUNNERS = {
     "dispersion": _run_dispersion,
     "phase-diagram": _run_phase_diagram,
-    "eff-squeeze": _run_eff_squeeze,
-    "gp-ground": _run_gp_ground,
+    "eff-squeeze": _run_point,
+    "gp-ground": _run_point,
     "sweep": _run_sweep,
 }
 

@@ -3,8 +3,12 @@ default resolution.
 
 This module owns every configuration type and default that a run resolves:
 the band window and degeneracy tolerance, the ED atom-number cap, the GP
-trap, interaction, grid and solver settings.  The solver modules import them
-from here, so reading and validating a config loads no solver.
+trap, interaction, grid and solver settings.  It also owns the rules a GP
+setup must meet (``check_gp_setup``: interactions need a trap, and the box
+spans 3 oscillator lengths), which ``RunConfig`` and ``gp.GpProblem`` both
+apply.  The solver modules import all of these from here, so reading and
+validating a config loads no solver, and a config that loads is one the
+runner can set up.
 
 Precedence for the settings that have knobs elsewhere: command-line flag,
 then SOCSQUEEZE_* environment variable, then the config file, then the
@@ -16,7 +20,7 @@ import configparser
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -143,6 +147,27 @@ class GridSpec:
         return float(np.prod([2.0 * l / n for n, l in zip(self.n_points, self.extent)]))
 
 
+def check_gp_setup(trap, interaction, grid):
+    """Raise ConfigError unless a GP problem can be set up on this trap,
+    interaction and grid: interactions need a trap, whose recoil frequency
+    converts the scattering lengths and whose transverse frequencies reduce
+    them below three dimensions, and a trap must decay the state well inside
+    the periodic box, so each half-width spans 3 oscillator lengths."""
+    if trap is None:
+        if interaction is not None:
+            raise ConfigError("interactions need a trap: its recoil frequency converts the "
+                              "scattering lengths and its transverse confinement sets the "
+                              "reduced-dimension couplings")
+        return
+    for axis, half_width in enumerate(grid.extent):
+        needed = 3.0 * trap.oscillator_length(axis)
+        if half_width < needed:
+            raise ConfigError(
+                f"grid half-width {half_width} on axis {'xyz'[axis]} is under "
+                f"3 oscillator lengths ({needed:.3g}); enlarge the box"
+            )
+
+
 def _get(section, key, cast, default=None, required=False):
     if section is None or key not in section:
         if required:
@@ -191,6 +216,13 @@ def _axis_from_section(section, suffix=""):
     return AxisSpec(name=name, values=values)
 
 
+def _manifest_entries(items):
+    """The dict_factory of RunConfig.resolved: tuples become JSON lists and a
+    section the run has no value for is left out."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in items if value is not None}
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run request, ready for the runner."""
@@ -217,6 +249,8 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
+        if self.command == "gp-ground":
+            self.backend = "gp"  # whatever the setting names
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
@@ -230,59 +264,24 @@ class RunConfig:
             raise ConfigError(f"tol_deg must be positive and finite, got {self.tol_deg!r}")
         if self.command == "sweep" and self.sweep is None:
             raise ConfigError("sweep needs a [sweep] section")
+        if self.command == "eff-squeeze" and self.backend == "gp":
+            raise ConfigError("eff-squeeze runs on the ed/gaussian backends; use gp-ground")
         if (self.backend == "ed" and self.command in ("eff-squeeze", "sweep")
                 and self.params.N > DEFAULT_N_CAP):
             raise ConfigError(f"N={self.params.N} exceeds the ED cap {DEFAULT_N_CAP}")
-        needs_gp = self.command == "gp-ground" or (
-            self.command == "sweep" and self.backend == "gp"
-        )
-        if needs_gp and self.grid is None:
-            raise ConfigError("GP runs need a [grid] section")
+        if self.backend == "gp" and self.command in ("gp-ground", "sweep"):
+            if self.grid is None:
+                raise ConfigError("GP runs need a [grid] section")
+            check_gp_setup(self.trap, self.interaction, self.grid)
         check_solver_settings(**self.solver)
 
     def resolved(self):
-        """Manifest dictionary with every default made explicit."""
-        d = {
-            "command": self.command,
-            "backend": self.backend,
-            "out": self.out,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "params": {
-                "omega_R": self.params.omega_R,
-                "delta": self.params.delta,
-                "epsilon": self.params.epsilon,
-                "N": self.params.N,
-            },
-            "tol_deg": self.tol_deg,
-            "window": list(self.window),
-            "n_points": self.n_points,
-            "solver": dict(self.solver),
-        }
-        if self.sweep is not None:
-            d["sweep"] = {"axis": self.sweep.name, "values": list(self.sweep.values)}
-        if self.axis1 is not None:
-            d["axis1"] = {"axis": self.axis1.name, "values": list(self.axis1.values)}
-        if self.axis2 is not None:
-            d["axis2"] = {"axis": self.axis2.name, "values": list(self.axis2.values)}
-        if self.trap is not None:
-            d["trap"] = {
-                "omega_x": self.trap.omega_x,
-                "omega_y": self.trap.omega_y,
-                "omega_z": self.trap.omega_z,
-                "recoil_frequency": self.trap.recoil_frequency,
-            }
-        if self.interaction is not None:
-            d["interaction"] = {
-                "a_s0": self.interaction.a_s0,
-                "a_s2": self.interaction.a_s2,
-                "N": self.interaction.N,
-            }
-        if self.grid is not None:
-            d["grid"] = {
-                "n_points": list(self.grid.n_points),
-                "extent": list(self.grid.extent),
-            }
+        """Manifest dictionary with every default made explicit: the fields,
+        nested sections as dictionaries and each axis as its name and values."""
+        d = asdict(self, dict_factory=_manifest_entries)
+        for key in ("sweep", "axis1", "axis2"):
+            if key in d:
+                d[key] = {"axis": d[key]["name"], "values": d[key]["values"]}
         return d
 
 

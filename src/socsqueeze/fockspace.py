@@ -354,9 +354,10 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
     except ConvergenceError as exc:
         exc.context.update(N=n_atoms, coeffs=coeffs)
         raise
-    if residual > RESIDUAL_TOL * max(1.0, abs(energy)):
+    # written so that a NaN energy or residual (an overflowed Ritz vector) fails too
+    if not (math.isfinite(energy) and residual <= RESIDUAL_TOL * max(1.0, abs(energy))):
         raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance",
+            f"eigenpair residual {residual:.3e} exceeds tolerance (energy {energy:.6g})",
             context={"N": n_atoms, "residual": residual, "steps": steps},
         )
     vec = psi[basis.pad_index]

@@ -14,17 +14,18 @@ axis.  The wavefunction is normalized to one; atom number enters only
 through the interaction couplings and the moment scaling.
 
 The coupled axis is always axis 0.  Boundaries are periodic (the kinetic
-term is spectral); traps must decay the state well inside the box, which the
-grid preconditions enforce.
+term is spectral); traps must decay the state well inside the box, which
+``check_gp_setup`` enforces.
 
 Quasi-1D/2D: interactions are reduced by the Gaussian ground-state overlap
 of each transverse axis, sqrt(w_t / 4 pi) per axis with w_t the transverse
 frequency ratio; the reduction requires a trap.
 
 The configuration types ``TrapConfig``, ``InteractionConfig`` and
-``GridSpec``, the solver defaults ``SOLVER_DEFAULTS`` and their check
-``check_solver_settings`` belong to ``socsqueeze.config``; this module
-imports them, so ``socsqueeze.gp.TrapConfig`` and the like still resolve.
+``GridSpec``, the solver defaults ``SOLVER_DEFAULTS`` and the checks
+``check_solver_settings`` and ``check_gp_setup`` belong to
+``socsqueeze.config``; this module imports them, so
+``socsqueeze.gp.TrapConfig`` and the like still resolve.
 """
 
 import json
@@ -40,6 +41,7 @@ from .config import (  # noqa: F401  the config types stay importable from gp
     GridSpec,
     InteractionConfig,
     TrapConfig,
+    check_gp_setup,
     check_solver_settings,
 )
 from .errors import ConfigError, ConvergenceError
@@ -48,8 +50,6 @@ from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
 HBAR = 1.054571817e-34          # J s
 RB87_MASS = 1.44316060e-25      # kg
 BOHR_RADIUS = 5.29177210903e-11  # m
-
-_AXIS_NAMES = ("x", "y", "z")
 
 # shift alpha of the kinetic preconditioner (h1(k) - min h1 + alpha)^-1, in recoil
 # energies: about one trap quantum of the shipped configs (w = 0.041), the level
@@ -129,26 +129,13 @@ def field_populations(field):
 class GpProblem:
     """Discretized problem: grids, trap potential, couplings, spectral kinetics."""
 
-    def __init__(self, params, trap, interaction, grid, boundary="periodic"):
-        if boundary != "periodic":
-            raise ConfigError(f"only periodic boundaries are supported, got {boundary!r}")
+    def __init__(self, params, trap, interaction, grid):
+        check_gp_setup(trap, interaction, grid)
         self.params = params
         self.trap = trap
         self.interaction = interaction
         self.grid = grid
-        self.boundary = boundary
         d = grid.dimension
-
-        if trap is not None:
-            for axis in range(d):
-                needed = 3.0 * trap.oscillator_length(axis)
-                if grid.extent[axis] < needed:
-                    raise ConfigError(
-                        f"grid half-width {grid.extent[axis]} on axis "
-                        f"{_AXIS_NAMES[axis]} is under 3 oscillator lengths ({needed:.3g}); "
-                        "enlarge the box"
-                    )
-
         self.c0, self.c2 = mean_field_couplings(interaction, trap, d)
         self.axes = grid.axes()
         self.dv = grid.dv
@@ -334,11 +321,11 @@ def _apply_spin_vector(a, flat):
     return np.stack((a[2] * p + a_minus * z, a_plus * p + a_minus * m, a_plus * z - a[2] * m))
 
 
-def build_problem(params, trap, interaction, grid, boundary="periodic"):
+def build_problem(params, trap, interaction, grid):
     """Validate the configuration and assemble a GpProblem."""
     if not isinstance(grid, GridSpec):
         grid = GridSpec(*grid)
-    return GpProblem(params, trap, interaction, grid, boundary=boundary)
+    return GpProblem(params, trap, interaction, grid)
 
 
 @dataclass
@@ -352,7 +339,6 @@ class GpResult:
     energy: float
     energy_trace: np.ndarray  # rows (iteration, energy)
     n_steps: int
-    converged: bool
     last_change: float
     residual: float
 
@@ -447,7 +433,7 @@ def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DE
 
     out = SpinorField(flat.reshape((3,) + problem.shape), problem.axes, problem.dv)
     return GpResult(field=out.check_norm(), energy=energy, energy_trace=energy_trace(),
-                    n_steps=done, converged=True, last_change=last_change,
+                    n_steps=done, last_change=last_change,
                     residual=math.sqrt(res2))
 
 

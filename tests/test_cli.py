@@ -274,6 +274,62 @@ def test_ed_step_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert "did not converge" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+    assert json.loads(read_bytes(out / "manifest.json"))["command"] == "eff-squeeze"
+    assert "ConvergenceError" in json.loads(read_bytes(out / "error.json"))["error"]
+
+
+# ED points where the report cannot be made: at epsilon = -4 Lanczos overflows
+# to a NaN state, and at omega_R = 0, epsilon = 4 the ground space is threefold
+# degenerate so <F_Y> vanishes and xi_uv is undefined.  Each exits 3 with its
+# error recorded, never with a traceback
+ED_FAILURES = [
+    ("nan-state", "omega_R = 1.0\nepsilon = -4.0\nN = 10\n", "ConvergenceError"),
+    ("degenerate-ground-space", "omega_R = 0.0\nepsilon = 4.0\nN = 200\n",
+     "MomentInputError"),
+]
+
+
+@pytest.mark.parametrize("params,error", [case[1:] for case in ED_FAILURES],
+                         ids=[case[0] for case in ED_FAILURES])
+def test_ed_point_failure_exits_3_with_error_file(tmp_path, capsys, params, error):
+    out = tmp_path / "eff"
+    cfg = write_config(tmp_path / "run.ini", f"""
+[run]
+command = eff-squeeze
+backend = ed
+out = {out}
+
+[params]
+delta = 0.0
+{params}""")
+    assert main(["run", "--config", cfg]) == 3
+    assert "eff-squeeze failed" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["error.json", "manifest.json"]
+    assert json.loads(read_bytes(out / "error.json"))["error"].startswith(error + ": ")
+
+
+def test_ed_sweep_keeps_cells_around_a_nan_state(tmp_path, capsys):
+    out = tmp_path / "sw"
+    cfg = write_config(tmp_path / "run.ini", f"""
+[run]
+command = sweep
+backend = ed
+out = {out}
+
+[params]
+omega_R = 1.0
+N = 10
+
+[sweep]
+axis = epsilon
+values = 6 -4 -2
+""")
+    assert main(["run", "--config", cfg]) == 3
+    assert "sweep cell 1 failed, solver did not converge" in capsys.readouterr().err
+    status = [ln.split(",")[-1] for ln in read_bytes(out / "sweep.csv").decode().splitlines()]
+    assert status == ["status", "ok", "failed", "ok"]
+    assert list(json.loads(read_bytes(out / "errors.json"))) == ["1"]
+    assert (out / "report_000.json").exists() and (out / "report_002.json").exists()
 
 
 def test_gaussian_eff_squeeze_report(tmp_path, capsys):
@@ -342,6 +398,7 @@ tol = 1e-10
     assert trace[0] == "step,energy"
     assert float(trace[-1].split(",")[1]) < float(trace[1].split(",")[1])
     manifest = json.loads(read_bytes(out / "manifest.json"))
+    assert manifest["backend"] == "gp"
     assert manifest["grid"] == {"n_points": [256], "extent": [32.0]}
     assert manifest["trap"]["recoil_frequency"] == 3678.0
 
@@ -439,6 +496,15 @@ MALFORMED = [
     ("tol-deg-negative", "phase-diagram", PHASE_SECTION + "tol_deg = -5\n"),
     ("ed-sweep-over-cap", "sweep", "[params]\nN = 400\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("ed-eff-squeeze-over-cap", "eff-squeeze", "[params]\nN = 400\n"),
+    # the oscillator length of the 150 Hz axis is 7.0, so a half-width of 4 is too small
+    ("gp-small-box", "gp-ground", GP_SECTIONS.replace("extent = 24.0", "extent = 4.0")),
+    ("gp-sweep-small-box", "sweep", "backend = gp\n[sweep]\naxis = delta\nvalues = 1 2\n"
+     + GP_SECTIONS.replace("extent = 24.0", "extent = 4.0")),
+    ("gp-interaction-no-trap", "gp-ground", "[grid]\nn_points = 64\nextent = 24.0\n"
+     "[interaction]\nn_atoms = 100\n"),
+    ("gp-sweep-interaction-no-trap", "sweep", "backend = gp\n[sweep]\naxis = delta\n"
+     "values = 1 2\n[grid]\nn_points = 64\nextent = 24.0\n[interaction]\nn_atoms = 100\n"),
+    ("eff-squeeze-gp", "eff-squeeze", "backend = gp\n" + GP_SECTIONS),
 ]
 
 
