@@ -56,14 +56,12 @@ _LAZY = {
         "build_effective_hamiltonian",
         "ed_ground_state",
         "ed_moment_set",
-        "ed_moments",
         "fock_basis",
     ), "fockspace"),
     **dict.fromkeys((
         "GaussianSolution",
         "MeanFieldResult",
         "gaussian_moment_set",
-        "gaussian_moments",
         "hp_mean_field",
         "hp_quadratic",
         "solve_gaussian",
@@ -74,7 +72,6 @@ _LAZY = {
         "build_problem",
         "field_populations",
         "gp_moment_set",
-        "gp_moments",
         "imaginary_time_ground_state",
         "load_field",
         "save_field",

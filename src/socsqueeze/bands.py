@@ -134,16 +134,14 @@ def _minima(k, params):
     """Refined interior minima (k_min, E_min) of the lowest branch seeded on grid k.
 
     Seeds come from the closed-form lowest root on the grid; energies come
-    from ``eigvalsh``.
+    from ``eigvalsh``.  Every refined point is a minimum: the bracketed
+    Newton closes only where the slope turns from - to +, and a kink in the
+    lowest of smooth branches always bends down, so it cannot fake one.
     """
     seeds = _grid_minima_seeds(k, _lowest_root(build_hamiltonian(k, params)))
     dk = k[1] - k[0]
     kc = _refine_minima(seeds, dk, params)
-    ec, el, er = lowest_branch(np.stack([kc, kc - dk, kc + dk]), params)
-    # discard refinements that drifted onto a kink: require a discrete
-    # minimum at the original grid resolution
-    keep = (el >= ec) & (er >= ec)
-    mins = sorted(zip(kc[keep].tolist(), ec[keep].tolist()))
+    mins = sorted(zip(kc.tolist(), lowest_branch(kc, params).tolist()))
 
     # merge duplicates from plateau seeds refining to the same point
     merged = []

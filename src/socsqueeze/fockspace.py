@@ -11,6 +11,7 @@ from one real Lanczos solve at every N, on numpy alone.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -20,7 +21,7 @@ import numpy as np
 from .algebra import GENERATOR_LABELS, generator_matrix
 from .config import DEFAULT_N_CAP
 from .errors import ConfigError, ConvergenceError
-from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
+from .metrics import MomentSet
 from .params import EffectiveCoefficients
 
 RESIDUAL_TOL = 1e-10
@@ -131,11 +132,6 @@ class FockBasis:
         hops = tuple((matrix3[key], hop, transposed)
                      for key, (hop, transposed) in self._hops.items() if matrix3[key] != 0.0)
         return FockOperator(self, diag, hops)
-
-    @cached_property
-    def operators(self):
-        """The eight collective generators F_a, in canonical label order."""
-        return tuple(self.collective(generator_matrix(lbl)) for lbl in GENERATOR_LABELS)
 
 
 class FockOperator:
@@ -269,20 +265,22 @@ def _lowest_eigenvalue(alphas, betas):
             lo = mid
 
 
-def _lowest_ritz_pair(alphas, betas):
-    """Lowest eigenvalue of the tridiagonal T with diagonal ``alphas`` and
-    off-diagonal ``betas``, and its unit eigenvector.
+def _ritz_check(alphas, betas):
+    """Lowest Ritz vector s of the Lanczos steps so far, its residual estimate
+    beta_k |s_k| and the bound RITZ_TOL * max(1, |theta|) on that estimate.
 
-    The eigenvector is one inverse-iteration step on a twisted factorization
-    of T - theta (as in Dhillon and Parlett's MRRR): pivots run down from the
-    top and up from the bottom to the twist index r where the residual is
-    least, and x_r = 1.  Leading and trailing blocks of T - theta are positive
-    definite, so each component is its neighbour times -beta / pivot with a
-    positive pivot, free of cancellation even where components are tiny.
+    With one beta per step, T has diagonal ``alphas`` and off-diagonal
+    ``betas[:-1]``; theta is its lowest eigenvalue.  The eigenvector is one
+    inverse-iteration step on a twisted factorization of T - theta (as in
+    Dhillon and Parlett's MRRR): pivots run down from the top and up from the
+    bottom to the twist index r where the residual is least, and x_r = 1.
+    Leading and trailing blocks of T - theta are positive definite, so each
+    component is its neighbour times -beta / pivot with a positive pivot,
+    free of cancellation even where components are tiny.
     """
     k = len(alphas)
-    theta = _lowest_eigenvalue(alphas, betas)
-    floor = np.finfo(float).eps * max(1.0, abs(theta))
+    theta = _lowest_eigenvalue(alphas, betas[:-1])
+    floor = sys.float_info.epsilon * max(1.0, abs(theta))
     shifted = [a - theta for a in alphas]
     top, bottom = shifted[:], shifted[:]
     for j in range(1, k):
@@ -297,7 +295,29 @@ def _lowest_ritz_pair(alphas, betas):
     for j in range(r + 1, k):
         x[j] = -betas[j - 1] / max(bottom[j], floor) * x[j - 1]
     x = np.array(x)
-    return theta, x / math.sqrt(float((x * x).sum()))
+    # a near-double Ritz value (a ghost copy, see _lanczos_ground_state) can
+    # overflow x; its vector and estimate are then NaN
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float((x * x).sum()))
+    s = x / norm if math.isfinite(norm) else np.full(k, math.nan)
+    return s, betas[-1] * abs(s[-1]), RITZ_TOL * max(1.0, abs(theta))
+
+
+def _accepted(energy, residual):
+    # written so that a NaN energy or residual (an overflowed Ritz vector) fails too
+    return math.isfinite(energy) and residual <= RESIDUAL_TOL * max(1.0, abs(energy))
+
+
+def _ritz_vector(apply, v0, s):
+    """(energy, unit vector, residual) of sum_j s_j v_j, rerunning the recurrence."""
+    psi = np.zeros_like(v0)
+    for weight, (v, _, _) in zip(s, _recurrence(apply, v0)):
+        psi += weight * v
+    psi /= math.sqrt(float(np.einsum("i,i->", psi, psi)))
+    h_psi = apply(psi)
+    energy = float(np.einsum("i,i->", psi, h_psi))
+    h_psi -= energy * psi
+    return energy, psi, math.sqrt(float(np.einsum("i,i->", h_psi, h_psi)))
 
 
 def _lanczos_ground_state(apply, v0):
@@ -306,6 +326,12 @@ def _lanczos_ground_state(apply, v0):
     The recurrence runs until the Ritz estimate of the residual is small,
     then runs again from v0 to assemble the Ritz vector, so that no Krylov
     basis is stored.  Returns (energy, unit vector, residual, steps).
+
+    The estimate is checked every CHECK_EVERY steps.  Once a Ritz value has
+    converged, lost orthogonality soon makes ghost copies of it (Paige),
+    whose pair is poor or overflows, so a pair that fails the residual test
+    is replaced by the pair of the first step whose estimate passed, before
+    any copy existed; if that fails too, ConvergenceError.
     """
     alphas, betas, hnorm = [], [], 0.0
     for _, alpha, beta in _recurrence(apply, v0):
@@ -317,20 +343,25 @@ def _lanczos_ground_state(apply, v0):
         # omega_R = 0 or N = 1): check at once instead of dividing by it
         if (beta <= BREAKDOWN_TOL * hnorm or steps % CHECK_EVERY == 0
                 or steps >= MAX_LANCZOS_STEPS):
-            theta, s = _lowest_ritz_pair(alphas, betas[:-1])
-            if beta * abs(s[-1]) <= RITZ_TOL * max(1.0, abs(theta)):
+            s, estimate, bound = _ritz_check(alphas, betas)
+            # a NaN estimate is an overflowed pair: a ghost, so converged before
+            if not estimate > bound:
                 break
             if steps >= MAX_LANCZOS_STEPS:
                 raise ConvergenceError(f"Lanczos did not converge in {steps} steps",
                                        context={"steps": steps})
-    psi = np.zeros_like(v0)
-    for weight, (v, _, _) in zip(s, _recurrence(apply, v0)):
-        psi += weight * v
-    psi /= math.sqrt(float(np.einsum("i,i->", psi, psi)))
-    h_psi = apply(psi)
-    energy = float(np.einsum("i,i->", psi, h_psi))
-    h_psi -= energy * psi
-    return energy, psi, math.sqrt(float(np.einsum("i,i->", h_psi, h_psi))), steps
+    energy, psi, residual = _ritz_vector(apply, v0, s)
+    if not _accepted(energy, residual):
+        for steps in range(1, steps + 1):
+            s, estimate, bound = _ritz_check(alphas[:steps], betas[:steps])
+            if estimate <= bound:
+                break
+        energy, psi, residual = _ritz_vector(apply, v0, s)
+        if not _accepted(energy, residual):
+            raise ConvergenceError(
+                f"eigenpair residual {residual:.3e} exceeds tolerance (energy {energy:.6g})",
+                context={"residual": residual, "steps": steps})
+    return energy, psi, residual, steps
 
 
 def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
@@ -354,12 +385,6 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
     except ConvergenceError as exc:
         exc.context.update(N=n_atoms, coeffs=coeffs)
         raise
-    # written so that a NaN energy or residual (an overflowed Ritz vector) fails too
-    if not (math.isfinite(energy) and residual <= RESIDUAL_TOL * max(1.0, abs(energy))):
-        raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance (energy {energy:.6g})",
-            context={"N": n_atoms, "residual": residual, "steps": steps},
-        )
     vec = psi[basis.pad_index]
     i0 = int(np.argmax(np.abs(vec)))
     vec = vec * np.sign(vec[i0])
@@ -385,16 +410,6 @@ def _generator_moments(state):
     return means, (second + second.T) / 2.0 - np.outer(means, means)
 
 
-def ed_moments(state, specs):
-    """Means and symmetrized covariances of collective observables.
-
-    ``specs`` is a list of CollectiveOperatorSpec or SpinOperator; returns
-    (means, cov) with cov[i, j] = <{F_i,F_j}>/2 - <F_i><F_j>, projected from
-    the generator moments by ``metrics.spec_moments``.
-    """
-    return spec_moments(*_generator_moments(state), specs)
-
-
 def ed_moment_set(state):
     """Full eight-operator MomentSet of an ED state."""
-    return MomentSet(state.N, *ed_moments(state, GENERATOR_SPECS))
+    return MomentSet(state.N, *_generator_moments(state))

@@ -24,7 +24,7 @@ from .errors import (
     DepletedCondensateError,
     UnstableExpansionError,
 )
-from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
+from .metrics import MomentSet
 
 GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
@@ -339,18 +339,9 @@ def _generator_moments(solution):
     return means, 0.5 * (cov + cov.T)
 
 
-def gaussian_moments(solution, specs):
-    """Means and symmetrized covariances of observables in the Gaussian state.
-
-    ``specs`` is a list of CollectiveOperatorSpec or SpinOperator, projected
-    from the generator moments by ``metrics.spec_moments``.
-    """
-    return spec_moments(*_generator_moments(solution), specs)
-
-
 def gaussian_moment_set(solution):
     """Full eight-operator MomentSet of a Gaussian solution."""
-    return MomentSet(solution.N, *gaussian_moments(solution, GENERATOR_SPECS))
+    return MomentSet(solution.N, *_generator_moments(solution))
 
 
 def solve_gaussian(coeffs, n_atoms):

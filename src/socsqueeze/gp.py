@@ -45,7 +45,7 @@ from .config import (  # noqa: F401  the config types stay importable from gp
     check_solver_settings,
 )
 from .errors import ConfigError, ConvergenceError
-from .metrics import GENERATOR_SPECS, MomentSet, spec_moments
+from .metrics import MomentSet
 
 HBAR = 1.054571817e-34          # J s
 RB87_MASS = 1.44316060e-25      # kg
@@ -345,7 +345,7 @@ class GpResult:
 
 def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DEFAULTS["tol"],
                                 max_steps=SOLVER_DEFAULTS["max_steps"],
-                                check_every=SOLVER_DEFAULTS["check_every"], seed=0, initial=None):
+                                check_every=SOLVER_DEFAULTS["check_every"], seed=0):
     """Minimize the discrete energy on the unit sphere; stop when both the
     squared eigen-residual ||H psi - mu psi||^2, which bounds the energy error
     by about tol over the excitation gap, and the energy decrease of the last
@@ -366,8 +366,7 @@ def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DE
     (see check_solver_settings).
     """
     check_solver_settings(dt, tol, max_steps, check_every)
-    field = problem.initial_field(seed) if initial is None else initial.normalized()
-    flat = field.psi.reshape(3, -1).astype(complex)
+    flat = problem.initial_field(seed).psi.reshape(3, -1).astype(complex)
     flat = flat / np.sqrt(np.sum(np.abs(flat) ** 2) * problem.dv)
     dv = problem.dv
 
@@ -448,20 +447,14 @@ def _generator_moments(field, n_atoms):
     return n_atoms * g1, n_atoms * (second - np.outer(g1, g1))
 
 
-def gp_moments(field, n_atoms, specs):
-    """Product-state collective moments of CollectiveOperatorSpec or SpinOperator
-    observables, projected from the generator moments by ``metrics.spec_moments``.
+def gp_moment_set(field, n_atoms):
+    """Full eight-operator Hartree MomentSet of a spinor field.
 
     These are Hartree moments of an N-fold product of the normalized spinor
     mode; they track mean-field trends but carry no entanglement, so they
     cannot certify squeezing below the product-state limit.
     """
-    return spec_moments(*_generator_moments(field, n_atoms), specs)
-
-
-def gp_moment_set(field, n_atoms):
-    """Full eight-operator Hartree MomentSet of a spinor field."""
-    return MomentSet(int(n_atoms), *gp_moments(field, n_atoms, GENERATOR_SPECS))
+    return MomentSet(int(n_atoms), *_generator_moments(field, n_atoms))
 
 
 def save_field(field, path, meta=None):

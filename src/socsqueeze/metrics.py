@@ -2,9 +2,9 @@
 
 A MomentSet is backend-agnostic: exact diagonalization, the Gaussian
 expansion, and the mean-field GP solver all reduce their states to first and
-second moments of the eight collective generators, project them onto
-observables through ``spec_moments``, and every metric here is a function of
-those moments alone.
+second moments of the eight collective generators, ``MomentSet.project``
+carries them onto any collective observable, and every metric here is a
+function of those moments alone.
 """
 
 import math
@@ -19,12 +19,14 @@ from .algebra import (
     generator_matrix,
     generator_stack,
 )
-from .errors import ConvergenceError, MomentInputError, UnsupportedObservableError
+from .errors import MomentInputError, UnsupportedObservableError
 
 _IDX = {lbl: i for i, lbl in enumerate(GENERATOR_LABELS)}
 
-# the eight generators as observables, in canonical order
-GENERATOR_SPECS = tuple(CollectiveOperatorSpec.for_label(lbl) for lbl in GENERATOR_LABELS)
+# a negative variance within this fraction of the largest second moment is
+# roundoff and is floored at zero where moments are made; a deeper one stays
+# and fails MomentSet.validate
+_ROUNDOFF = 1e-12
 
 # folding tolerance for the theta seam at 0 = pi (minima within it on either
 # side are reported as 0; theta and theta + pi label the same quadrature pair)
@@ -42,76 +44,12 @@ def _index(label):
         raise MomentInputError(f"unknown operator label {label!r}") from None
 
 
-@dataclass
-class MomentSet:
-    """First and symmetrized central second moments of the eight generators.
-
-    ``means[a]`` is <F_a> and ``covariances[a, b]`` is
-    Cov(F_a, F_b) = <{F_a,F_b}>/2 - <F_a><F_b>, both in canonical label order.
-    A NaN entry is missing: partial sets are allowed, and metrics raise
-    MomentInputError when an entry they need is missing.
-    """
-
-    N: int
-    means: np.ndarray
-    covariances: np.ndarray
-
-    def __post_init__(self):
-        self.means = np.array(self.means, dtype=float)
-        self.covariances = np.array(self.covariances, dtype=float)
-        if self.means.shape != (8,) or self.covariances.shape != (8, 8):
-            raise MomentInputError("a moment set needs means[8] and covariances[8, 8]")
-
-    @classmethod
-    def from_arrays(cls, N, mean_vec, cov_mat):
-        return cls(int(N), mean_vec, cov_mat)
-
-    def mean(self, label):
-        v = self.means[_index(label)]
-        if math.isnan(v):
-            raise MomentInputError(f"moment set has no mean for {label!r}")
-        return float(v)
-
-    def cov(self, a, b):
-        v = self.covariances[_index(a), _index(b)]
-        if math.isnan(v):
-            raise MomentInputError(f"moment set has no covariance for ({a!r}, {b!r})")
-        return float(v)
-
-    def cov_of(self, spec_a, spec_b):
-        wa, wb = spec_a.coefficients, spec_b.coefficients
-        ia, ib = np.flatnonzero(wa), np.flatnonzero(wb)
-        block = self.covariances[np.ix_(ia, ib)]
-        if np.isnan(block).any():
-            raise MomentInputError("moment set lacks a covariance these observables need")
-        return float(wa[ia] @ block @ wb[ib])
-
-    def variance_of(self, spec):
-        return self.cov_of(spec, spec)
-
-    def has_full_block(self):
-        return not (np.isnan(self.means).any() or np.isnan(self.covariances).any())
-
-    def to_arrays(self):
-        """Full (means 8-vector, covariance 8x8) or MomentInputError."""
-        if not self.has_full_block():
-            raise MomentInputError("moment set does not cover the full operator basis")
-        return self.means.copy(), self.covariances.copy()
-
-    def validate(self, psd_tol=1e-9, var_floor=-1e-12):
-        """Check symmetry-by-construction PSD and variance-floor invariants."""
-        d = np.diag(self.covariances)
-        low = np.flatnonzero(d < var_floor)
-        if low.size:
-            a = GENERATOR_LABELS[low[0]]
-            raise MomentInputError(f"variance of {a} is {d[low[0]]}, below the floor")
-        if self.has_full_block():
-            c = self.covariances
-            w = np.linalg.eigvalsh(c)
-            scale = max(1.0, float(np.max(np.abs(c))))
-            if w[0] < -psd_tol * scale:
-                raise MomentInputError(f"covariance matrix not PSD: min eigenvalue {w[0]}")
-        return self
+def _floor_roundoff(means, cov):
+    """Floor, in place, the variances on the diagonal of ``cov`` that are
+    negative by roundoff alone; missing (NaN) entries are skipped."""
+    d = np.diag(cov)
+    scale = float(np.fmax.reduce(np.abs(cov + np.outer(means, means)), axis=None, initial=1.0))
+    np.fill_diagonal(cov, np.where(d < -_ROUNDOFF * scale, d, np.maximum(d, 0.0)))
 
 
 def _spec_weights(spec):
@@ -125,25 +63,84 @@ def _spec_weights(spec):
     return spec.coefficients
 
 
-def spec_moments(means, cov, specs):
-    """Means and symmetrized covariances of collective observables.
+@dataclass
+class MomentSet:
+    """First and symmetrized central second moments of the eight generators.
 
-    ``means`` (8,) and ``cov`` (8, 8) are the moments of the eight generators;
-    each spec (a CollectiveOperatorSpec or a SpinOperator) weighs them, so the
-    results are W m and W C W^T with W stacking the weights.  Tiny negative
-    variances from roundoff (within 1e-12 of the largest second moment) are
-    floored at zero; deeper ones raise ConvergenceError.
+    ``means[a]`` is <F_a> and ``covariances[a, b]`` is
+    Cov(F_a, F_b) = <{F_a,F_b}>/2 - <F_a><F_b>, both in canonical label order.
+    A NaN entry is missing: partial sets are allowed, and metrics raise
+    MomentInputError when an entry they need is missing.  Variances negative
+    by roundoff are floored at zero on construction.
     """
-    w = np.array([_spec_weights(s) for s in specs])
-    m = w @ means
-    c = w @ cov @ w.T
-    c = (c + c.T) / 2.0
-    d = np.diag(c).copy()
-    scale = max(1.0, float(np.max(np.abs(c + np.outer(m, m)))))
-    if np.any(d < -1e-12 * scale):
-        raise ConvergenceError("variance fell below the roundoff floor", context={"diag": d})
-    np.fill_diagonal(c, np.maximum(d, 0.0))
-    return m, c
+
+    N: int
+    means: np.ndarray
+    covariances: np.ndarray
+
+    def __post_init__(self):
+        self.means = np.array(self.means, dtype=float)
+        self.covariances = np.array(self.covariances, dtype=float)
+        if self.means.shape != (8,) or self.covariances.shape != (8, 8):
+            raise MomentInputError("a moment set needs means[8] and covariances[8, 8]")
+        _floor_roundoff(self.means, self.covariances)
+
+    def mean(self, label):
+        v = self.means[_index(label)]
+        if math.isnan(v):
+            raise MomentInputError(f"moment set has no mean for {label!r}")
+        return float(v)
+
+    def cov(self, a, b):
+        v = self.covariances[_index(a), _index(b)]
+        if math.isnan(v):
+            raise MomentInputError(f"moment set has no covariance for ({a!r}, {b!r})")
+        return float(v)
+
+    def project(self, specs):
+        """Means W m and symmetrized covariances W C W^T of collective observables.
+
+        Each spec, a CollectiveOperatorSpec or a SpinOperator, is one row of
+        weights W over the generators; other observables raise
+        UnsupportedObservableError.  An entry needs only the moments of
+        generators it weighs, and comes out NaN (missing) when one of those is.
+        Variances negative by roundoff are floored at zero.
+        """
+        w = np.array([_spec_weights(s) for s in specs])
+        needed = (w != 0.0).astype(float)
+        mean_gaps, cov_gaps = np.isnan(self.means), np.isnan(self.covariances)
+        means = w @ np.where(mean_gaps, 0.0, self.means)
+        cov = w @ np.where(cov_gaps, 0.0, self.covariances) @ w.T
+        cov = (cov + cov.T) / 2.0
+        means[needed @ mean_gaps > 0.0] = np.nan
+        cov[needed @ cov_gaps @ needed.T > 0.0] = np.nan
+        _floor_roundoff(means, cov)
+        return means, cov
+
+    def has_full_block(self):
+        return not (np.isnan(self.means).any() or np.isnan(self.covariances).any())
+
+    def to_arrays(self):
+        """Full (means 8-vector, covariance 8x8) or MomentInputError."""
+        if not self.has_full_block():
+            raise MomentInputError("moment set does not cover the full operator basis")
+        return self.means.copy(), self.covariances.copy()
+
+    def validate(self, psd_tol=1e-9):
+        """Check that no variance is negative (roundoff was floored on
+        construction) and that a full covariance block is PSD."""
+        d = np.diag(self.covariances)
+        low = np.flatnonzero(d < 0.0)
+        if low.size:
+            a = GENERATOR_LABELS[low[0]]
+            raise MomentInputError(f"variance of {a} is {d[low[0]]}, below the roundoff floor")
+        if self.has_full_block():
+            c = self.covariances
+            w = np.linalg.eigvalsh(c)
+            scale = max(1.0, float(np.max(np.abs(c))))
+            if w[0] < -psd_tol * scale:
+                raise MomentInputError(f"covariance matrix not PSD: min eigenvalue {w[0]}")
+        return self
 
 
 def xi_x(moments):
@@ -165,7 +162,11 @@ def quadratures(theta):
 def _quadrature_variance(moments, theta):
     plus, _ = quadratures(theta)
     _, minus = quadratures(theta + math.pi / 2.0)
-    return moments.variance_of(plus) + moments.variance_of(minus)
+    _, cov = moments.project([plus, minus])
+    total = float(cov[0, 0] + cov[1, 1])
+    if math.isnan(total):
+        raise MomentInputError("moment set lacks a covariance the quadrature pair needs")
+    return total
 
 
 def _uv_scale(moments):

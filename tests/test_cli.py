@@ -2,6 +2,7 @@
 and the plot-data table transforms."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,10 +279,30 @@ def test_ed_step_cap_exits_3(tmp_path, monkeypatch, capsys):
     assert "ConvergenceError" in json.loads(read_bytes(out / "error.json"))["error"]
 
 
-# ED points where the report cannot be made: at epsilon = -4 Lanczos overflows
-# to a NaN state, and at omega_R = 0, epsilon = 4 the ground space is threefold
-# degenerate so <F_Y> vanishes and xi_uv is undefined.  Each exits 3 with its
-# error recorded, never with a traceback
+def overflow_ed_where_hy_vanishes(monkeypatch):
+    """Make every ED solve at hY = 0 (epsilon = -4) assemble the NaN state of
+    an overflowed Ritz vector, which the solve must reject."""
+    from socsqueeze import fockspace
+
+    solve, ritz_vector = fockspace.ed_ground_state, fockspace._ritz_vector
+
+    def overflowed(apply, v0, s):
+        _, psi, _ = ritz_vector(apply, v0, s)
+        return math.nan, psi * math.nan, math.nan
+
+    def ed_ground_state(coeffs, n_atoms, **kwargs):
+        with monkeypatch.context() as patch:
+            if coeffs.hY == 0.0:
+                patch.setattr(fockspace, "_ritz_vector", overflowed)
+            return solve(coeffs, n_atoms, **kwargs)
+
+    monkeypatch.setattr(fockspace, "ed_ground_state", ed_ground_state)
+
+
+# ED points where the report cannot be made: at epsilon = -4 the solve is made
+# to overflow to a NaN state, and at omega_R = 0, epsilon = 4 the ground space
+# is threefold degenerate so <F_Y> vanishes and xi_uv is undefined.  Each exits
+# 3 with its error recorded, never with a traceback
 ED_FAILURES = [
     ("nan-state", "omega_R = 1.0\nepsilon = -4.0\nN = 10\n", "ConvergenceError"),
     ("degenerate-ground-space", "omega_R = 0.0\nepsilon = 4.0\nN = 200\n",
@@ -291,7 +312,8 @@ ED_FAILURES = [
 
 @pytest.mark.parametrize("params,error", [case[1:] for case in ED_FAILURES],
                          ids=[case[0] for case in ED_FAILURES])
-def test_ed_point_failure_exits_3_with_error_file(tmp_path, capsys, params, error):
+def test_ed_point_failure_exits_3_with_error_file(tmp_path, capsys, monkeypatch, params, error):
+    overflow_ed_where_hy_vanishes(monkeypatch)
     out = tmp_path / "eff"
     cfg = write_config(tmp_path / "run.ini", f"""
 [run]
@@ -308,7 +330,8 @@ delta = 0.0
     assert json.loads(read_bytes(out / "error.json"))["error"].startswith(error + ": ")
 
 
-def test_ed_sweep_keeps_cells_around_a_nan_state(tmp_path, capsys):
+def test_ed_sweep_keeps_cells_around_a_nan_state(tmp_path, capsys, monkeypatch):
+    overflow_ed_where_hy_vanishes(monkeypatch)
     out = tmp_path / "sw"
     cfg = write_config(tmp_path / "run.ini", f"""
 [run]
@@ -703,6 +726,16 @@ def test_package_and_cli_import_without_scipy(tmp_path):
         assert openblas == blas_threads, setup
     body = read_bytes(tmp_path / "sweep" / "sweep.csv").decode().splitlines()[1:]
     assert [ln.split(",")[-1] for ln in body] == ["ok", "ok", "ok"]
+
+
+def test_every_public_name_resolves_to_its_module_object():
+    import importlib
+
+    import socsqueeze
+
+    for name in socsqueeze.__all__:
+        module = importlib.import_module(f"socsqueeze.{socsqueeze._LAZY[name]}")
+        assert getattr(socsqueeze, name) is getattr(module, name), name
 
 
 def test_console_script_entry_point(tmp_path):

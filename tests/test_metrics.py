@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from socsqueeze.algebra import GENERATOR_LABELS, generator_matrix, generator_stack
+from socsqueeze.algebra import GENERATOR_LABELS, generator, generator_matrix, generator_stack
 from socsqueeze.errors import MomentInputError
 from socsqueeze.metrics import (
     MomentSet,
@@ -37,7 +37,7 @@ def product_moments(N, psi):
     sym = np.real(np.einsum("i,aik,bkj,j->ab", psi.conj(), stack, stack, psi))
     sym = 0.5 * (sym + sym.T)
     cov = N * (sym - np.outer(g, g))
-    return MomentSet.from_arrays(N, N * g, cov)
+    return MomentSet(N, N * g, cov)
 
 
 VACUUM = product_moments(100, [0.0, 1.0, 0.0])
@@ -215,10 +215,38 @@ def test_validate_flags_negative_variance():
         m.validate()
 
 
+def test_roundoff_negative_variance_is_floored_on_construction():
+    # -1e-10 is roundoff against second moments of order 1e4 (N = 100 atoms
+    # in m = 0 put <F_Y^2> at 4e4/3); -1e-6 is not and stays for validate
+    means, cov = VACUUM.to_arrays()
+    iz = GENERATOR_LABELS.index("Jz")
+    cov[iz, iz] = -1e-10
+    assert MomentSet(100, means, cov).validate().cov("Jz", "Jz") == 0.0
+    cov[iz, iz] = -1e-6
+    m = MomentSet(100, means, cov)
+    assert m.cov("Jz", "Jz") == -1e-6
+    with pytest.raises(MomentInputError):
+        m.validate()
+
+
+def test_project_needs_only_entries_of_nonzero_weight():
+    m = synthetic_set(100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
+    plus, minus = quadratures(0.3)
+    means, cov = m.project([plus, minus])
+    # the cross entry needs Cov(Jx, Qzx), which the set lacks
+    assert np.isnan(means).all() and np.isnan(cov[0, 1]) and np.isnan(cov[1, 0])
+    assert np.isfinite(np.diag(cov)).all()
+    c, s = math.cos(0.3), math.sin(0.3)
+    assert abs(cov[0, 0] - (c * c * 80.0 + s * s * 130.0 + 2 * c * s * 15.0)) <= 1e-12
+    means, cov = m.project([generator("Y"), generator("Jz")])
+    assert abs(means[0] + 200.0 / math.sqrt(3.0)) <= 1e-12 and np.isnan(means[1])
+    assert np.isnan(cov).all()
+
+
 def test_validate_flags_indefinite_full_block():
     cov = np.zeros((8, 8))
     cov[0, 1] = cov[1, 0] = 5.0
-    m = MomentSet.from_arrays(10, np.zeros(8), cov)
+    m = MomentSet(10, np.zeros(8), cov)
     with pytest.raises(MomentInputError):
         m.validate()
 
@@ -295,12 +323,12 @@ def test_report_schema_and_values():
     assert d["theta_dcz"] == 0.0
 
 
-def test_from_arrays_roundtrip():
+def test_arrays_roundtrip():
     rng = np.random.default_rng(3)
     mean = rng.standard_normal(8)
     a = rng.standard_normal((8, 8))
     cov = a @ a.T
-    m = MomentSet.from_arrays(25, mean, cov)
+    m = MomentSet(25, mean, cov)
     m2, c2 = m.to_arrays()
     assert np.max(np.abs(m2 - mean)) == 0.0
     assert np.max(np.abs(c2 - cov)) == 0.0
