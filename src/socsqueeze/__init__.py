@@ -30,12 +30,9 @@ _LAZY = {
     **dict.fromkeys((
         "DispersionResult",
         "PhaseCell",
-        "PhaseDiagramResult",
         "build_hamiltonian",
         "classify",
         "dispersion",
-        "phase_diagram",
-        "phase_diagram_rows",
     ), "bands"),
     **dict.fromkeys((
         "GridSpec",

@@ -4,7 +4,7 @@ Momentum is measured in recoil units, so the three bare branches are the
 shifted parabolas (k+2)^2 - delta, k^2 - epsilon, (k-2)^2 + delta coupled by
 the Raman term on the (+1,0) and (0,-1) pairs.  The functions here evaluate
 the coupled branches, locate minima of the lowest one, and classify points
-or whole planes of the parameter space by minima count.
+of the parameter space by minima count.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,6 @@ import numpy as np
 from .config import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW
 from .errors import ConfigError, ConvergenceError
 from .params import ModelParams
-
-_AXIS_NAMES = ("omega_R", "delta", "epsilon")
-
 
 # momentum shift of the +1, 0, -1 components: bare branch i is (k + _SHIFT[i])^2
 _SHIFT = (2.0, 0.0, -2.0)
@@ -215,60 +212,3 @@ def classify(params, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW, n_points=DE
         E_min=float(e_sorted[0]),
         k_min=float(minima_k[order][0]),
     )
-
-
-@dataclass(frozen=True)
-class PhaseDiagramResult:
-    """Grid of PhaseCells over two parameter axes."""
-
-    axis1: str
-    axis2: str
-    values1: np.ndarray
-    values2: np.ndarray
-    cells: list  # row-major: cells[i1 * len(values2) + i2]
-
-    def cell(self, i1, i2):
-        return self.cells[i1 * len(self.values2) + i2]
-
-
-def _axis_values(axis):
-    name, (lo, hi), count = axis
-    if name not in _AXIS_NAMES:
-        raise ConfigError(f"unknown sweep axis {name!r}; expected one of {_AXIS_NAMES}")
-    if count < 2:
-        raise ConfigError(f"axis {name!r} needs at least 2 points, got {count}")
-    return name, np.linspace(float(lo), float(hi), int(count))
-
-
-def phase_diagram(axis1, axis2, fixed, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW,
-                  n_points=DEFAULT_POINTS):
-    """Classify every cell of a 2-D parameter grid.
-
-    ``axis1``/``axis2`` are (name, (lo, hi), count) with names among
-    omega_R, delta, epsilon; ``fixed`` supplies the remaining parameters.
-    """
-    name1, vals1 = _axis_values(axis1)
-    name2, vals2 = _axis_values(axis2)
-    if name1 == name2:
-        raise ConfigError(f"phase diagram axes must differ, both are {name1!r}")
-    cells = []
-    for v1 in vals1:
-        for v2 in vals2:
-            p = fixed.replace(**{name1: float(v1), name2: float(v2)})
-            cells.append(classify(p, tol_deg=tol_deg, window=window, n_points=n_points))
-    return PhaseDiagramResult(axis1=name1, axis2=name2, values1=vals1, values2=vals2,
-                              cells=cells)
-
-
-def phase_diagram_rows(result):
-    """Flatten a PhaseDiagramResult into CSV rows.
-
-    Column order is pinned: axis1, axis2, n_minima, degenerate, E_min, k_min.
-    """
-    rows = []
-    for i1, v1 in enumerate(result.values1):
-        for i2, v2 in enumerate(result.values2):
-            c = result.cell(i1, i2)
-            rows.append((float(v1), float(v2), c.n_minima, int(c.degenerate),
-                         c.E_min, c.k_min))
-    return rows

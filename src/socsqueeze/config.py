@@ -173,11 +173,10 @@ def _get(section, key, cast, default=None, required=False):
         if required:
             raise ConfigError(f"missing required config key {key!r}")
         return default
-    raw = section[key]
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        return cast(section[key])  # a lone '%' fails interpolation: configparser.Error
+    except (TypeError, ValueError, configparser.Error) as exc:
+        raise ConfigError(f"bad value for {key!r}: {section.get(key, raw=True)!r}") from exc
 
 
 def _floats(raw):
@@ -260,6 +259,8 @@ class RunConfig:
                 raise ConfigError("phase-diagram needs [phase-diagram] axis1/axis2")
             if self.axis1.name == self.axis2.name:
                 raise ConfigError(f"phase-diagram axes must differ, both are {self.axis1.name!r}")
+        if not all(math.isfinite(k) for k in self.window):
+            raise ConfigError(f"the momentum window must be finite, got {self.window!r}")
         if not (math.isfinite(self.tol_deg) and self.tol_deg > 0.0):
             raise ConfigError(f"tol_deg must be positive and finite, got {self.tol_deg!r}")
         if self.command == "sweep" and self.sweep is None:
@@ -289,7 +290,10 @@ def load_config(path, overrides=None):
     """Parse an INI file into a RunConfig, applying env and flag overrides."""
     overrides = overrides or {}
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
 

@@ -9,7 +9,6 @@ of occupations.  The Hamiltonian is real symmetric and its ground state comes
 from one real Lanczos solve at every N, on numpy alone.
 """
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 from .algebra import GENERATOR_LABELS, generator_matrix
 from .config import DEFAULT_N_CAP
 from .errors import ConfigError, ConvergenceError
+from .gaussian import _classical_minimum
 from .metrics import MomentSet
 from .params import EffectiveCoefficients
 
@@ -32,8 +32,6 @@ RITZ_TOL = 1e-12
 BREAKDOWN_TOL = 1e-8
 MAX_LANCZOS_STEPS = 3000
 CHECK_EVERY = 16
-
-MODES = (1, 0, -1)
 
 
 class _Hop(NamedTuple):
@@ -50,7 +48,7 @@ class _Hop(NamedTuple):
 
 
 class FockBasis:
-    """Index bookkeeping and mode-transfer operators for one atom number.
+    """Index bookkeeping and collective operators for one atom number.
 
     Besides the lexicographic index, every state |n_plus, n_minus> has the
     padded position n_plus * (N+1) + n_minus on the (N+1) x (N+1) occupation
@@ -107,17 +105,6 @@ class FockBasis:
         return {(0, 1): (p0, False), (1, 0): (p0, True),
                 (2, 1): (m0, False), (1, 2): (m0, True),
                 (0, 2): (pm, False), (2, 0): (pm, True)}
-
-    def transfer(self, m, n):
-        """a_m^dag a_n over the symmetric subspace; m, n in {+1, 0, -1}."""
-        if m not in MODES or n not in MODES:
-            raise ConfigError(f"invalid mode pair {(m, n)!r}")
-        return self._transfers[MODES.index(m)][MODES.index(n)]
-
-    @cached_property
-    def _transfers(self):
-        units = np.eye(3)
-        return [[self.collective(np.outer(ei, ej)) for ej in units] for ei in units]
 
     def collective(self, matrix3):
         """Second-quantized collective operator sum_mn G[m,n] a_m^dag a_n.
@@ -364,11 +351,49 @@ def _lanczos_ground_state(apply, v0):
     return energy, psi, residual, steps
 
 
+def _start_vector(coeffs, h):
+    """Unit Lanczos start on the padded grid (see ed_ground_state).
+
+    The coherent state of unit z = (beta+, s, beta-) has the amplitudes
+    sqrt(N! / (n+! n0! n-!)) beta+^n+ s^n0 beta-^n-, built in log space from
+    one cumulative log-factorial table with n log|z| = 0 where n = 0.  Their
+    squares sum to |z|^(2N) = 1, so no amplitude exceeds 1.
+    """
+    basis = h.basis
+    if coeffs.hx == 0.0:
+        v = (h.diag <= h.diag.min() + 1e-10 * basis.N) + 0.0
+    else:
+        z = _classical_minimum(coeffs, basis.N)[0][:, :, None]
+        numbers = np.stack([basis.n_plus, basis.n_zero, basis.n_minus])
+        log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, basis.N + 1)))))
+        log_norm = 0.5 * (log_factorial[basis.N] - log_factorial[numbers].sum(axis=0))
+        with np.errstate(divide="ignore"):
+            log_z = np.log(np.abs(z))
+        powers = np.multiply(numbers, log_z, out=np.zeros(z.shape[:2] + numbers.shape[1:]),
+                             where=numbers > 0)
+        odd = (numbers * (z < 0.0)).sum(axis=1) % 2
+        v = (np.where(odd, -1.0, 1.0) * np.exp(log_norm + powers.sum(axis=1))).sum(axis=0)
+    return basis.pad(v / math.sqrt(float(np.einsum("i,i->", v, v))))
+
+
 def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
     """Ground state of the collective Hamiltonian in the symmetric subspace.
 
-    One real Lanczos solve from the uniform start vector, at every N.  The
-    returned amplitude vector is real, in lexicographic basis order and
+    One real Lanczos solve at every N, from the coherent state of the
+    classical minimum, of which the ground state is a small squeezed
+    deformation; where minima tie within 1e-10 per atom (the rule that marks
+    a mean field degenerate), from the normalized sum of their coherent
+    states.  The start cannot miss: for omega_R != 0 every off-diagonal
+    element of H is -|hx| times a positive number in the gauge (-sign hx)^n0
+    and Fx connects the basis, so by Perron-Frobenius the ground state is
+    nondegenerate with that sign pattern.  A minimum has s > 0 and beta+,
+    beta- of the sign of -hx, so its coherent state has the same pattern and
+    a strictly positive overlap with the ground state.  At omega_R = 0, H is
+    diagonal and the start is the normalized sum of its Fock states within
+    1e-10 per atom of the least energy, an exact eigenvector (for q < 0 a
+    classical minimum on an edge of the simplex can miss them).
+
+    The returned amplitude vector is real, in lexicographic basis order and
     sign-gauged: the first component of maximal magnitude is made positive,
     so degenerate or nearly degenerate ground spaces still resolve to a
     reproducible representative.
@@ -379,9 +404,9 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
         raise ConfigError(f"N={n_atoms} exceeds the configured cap {n_cap}")
     basis = fock_basis(n_atoms)
     h = build_effective_hamiltonian(coeffs, n_atoms)
-    v0 = basis.pad(np.full(basis.dim, 1.0 / math.sqrt(basis.dim)))
     try:
-        energy, psi, residual, steps = _lanczos_ground_state(h.apply_padded, v0)
+        energy, psi, residual, steps = _lanczos_ground_state(h.apply_padded,
+                                                             _start_vector(coeffs, h))
     except ConvergenceError as exc:
         exc.context.update(N=n_atoms, coeffs=coeffs)
         raise
@@ -396,13 +421,20 @@ def _generator_moments(state):
     """Means (8,) and symmetrized covariances (8, 8) of the eight generators.
 
     Every entry comes from one real Gram matrix of psi and the nine
-    a_m^dag a_n psi; each generator is a fixed combination of those nine.
+    a_m^dag a_n psi (rows in mode order (+1, 0, -1), as G ravels): the three
+    number rows scale psi and the six hop rows shift it.  Each generator is a
+    fixed combination of those nine.
     """
     basis = state.basis
-    stack = np.empty((10, basis.padded_size))
+    stack = np.zeros((10, basis.padded_size))
     stack[0] = psi = basis.pad(state.amplitudes)
-    for row, (m, n) in enumerate(itertools.product(MODES, MODES), start=1):
-        basis.transfer(m, n).apply_padded(psi, out=stack[row])
+    for i, number in enumerate((basis.n_plus, basis.n_zero, basis.n_minus)):
+        stack[1 + 4 * i] = basis.pad(number * state.amplitudes)
+    for (i, j), (hop, transposed) in basis._hops.items():
+        if transposed:
+            np.multiply(hop.padded, psi[hop.shift:], out=stack[1 + 3 * i + j, :-hop.shift])
+        else:
+            np.multiply(hop.padded, psi[:-hop.shift], out=stack[1 + 3 * i + j, hop.shift:])
     gram = stack @ stack.T
     g = np.array([generator_matrix(lbl).ravel() for lbl in GENERATOR_LABELS])
     means = (g @ gram[0, 1:]).real

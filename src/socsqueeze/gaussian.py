@@ -172,8 +172,8 @@ def _degenerate_mix(e0, e1, mu):
     return np.cos(t) * e0 + np.sin(t) * e1
 
 
-def hp_mean_field(coeffs, n_atoms):
-    """Minimize the classical energy over the two side-mode amplitudes.
+def _classical_minimum(coeffs, n_atoms):
+    """Global minimum of the per-atom classical energy, without any check.
 
     The per-atom energy -qN j^2 + z^dag L z, with j = z^dag Jz z and
     L = hz Jz + hx Jx + hY Y, is minimized by the lowest eigenvector of
@@ -183,20 +183,15 @@ def hp_mean_field(coeffs, n_atoms):
     is real, so the amplitudes are real, with x+ and x- of the sign of
     -omega once the central amplitude s is taken >= 0.  The candidates are
     the upward zero crossings of mu - <Jz>_0(mu) on [-1, 1], found by a
-    201-point scan and closed by bisection; the lowest in energy wins.
-    Where lambda_0 is degenerate at a crossing (only at omega = 0) the
-    minimizer is the mix of the pair with <Jz> = mu, and its relative phase
-    is free.  A free phase, or distinct candidates tied in energy within
-    1e-10 (symmetry-broken pairs), mark the result degenerate.
+    201-point scan and closed by bisection.  Where lambda_0 is degenerate at
+    a crossing (only at omega = 0) the minimizer is the mix of the pair with
+    <Jz> = mu, and its relative phase is free.
 
-    Raises DepletedCondensateError when the global minimum leaves less than
-    MIN_CENTRAL_OCCUPATION in the central mode: the Holstein-Primakoff
-    expansion does not hold there.  Raises ConvergenceError unless the
-    winner has gradient norm <= GRAD_TOL_ACCEPT and a positive-semidefinite
-    4x4 Hessian.
+    Returns (z, energy, free_phase): the unit amplitudes (beta+, s, beta-)
+    of every candidate within 1e-10 of the lowest per-atom energy, one per
+    row with the lowest first; that energy; and whether the lowest has a
+    free phase.
     """
-    args = (coeffs, n_atoms)
-    context = {"coeffs": coeffs, "N": n_atoms}
     base = np.einsum("k,kij->ij", [coeffs.hz, coeffs.hx, coeffs.hY], _ENERGY_GENERATORS.real)
     slope = 2.0 * coeffs.q * n_atoms
     mu = _crossings(base, slope)
@@ -207,9 +202,29 @@ def hp_mean_field(coeffs, n_atoms):
         z[i] = _degenerate_mix(vecs[i, :, 0], vecs[i, :, 1], mu[i])
     z *= np.where(z[:, 1] < 0.0, -1.0, 1.0)[:, None]
     zero = np.zeros_like(mu)
-    energies = classical_energy(np.array([z[:, 0], zero, z[:, 2], zero]), *args)
-    best = int(np.argmin(energies))
-    v_best = np.array([z[best, 0], 0.0, z[best, 2], 0.0])
+    energies = classical_energy(np.array([z[:, 0], zero, z[:, 2], zero]), coeffs, n_atoms)
+    order = np.argsort(energies, kind="stable")
+    tied = order[energies[order] - energies[order[0]] <= 1e-10]
+    return z[tied], float(energies[tied[0]]), bool(free_phase[tied[0]])
+
+
+def hp_mean_field(coeffs, n_atoms):
+    """Minimize the classical energy over the two side-mode amplitudes.
+
+    The minimum is that of ``_classical_minimum``.  A free phase, or
+    distinct candidates tied in energy within 1e-10 (symmetry-broken pairs),
+    mark the result degenerate.
+
+    Raises DepletedCondensateError when the global minimum leaves less than
+    MIN_CENTRAL_OCCUPATION in the central mode: the Holstein-Primakoff
+    expansion does not hold there.  Raises ConvergenceError unless the
+    winner has gradient norm <= GRAD_TOL_ACCEPT and a positive-semidefinite
+    4x4 Hessian.
+    """
+    args = (coeffs, n_atoms)
+    context = {"coeffs": coeffs, "N": n_atoms}
+    z, energy, free_phase = _classical_minimum(*args)
+    v_best = np.array([z[0, 0], 0.0, z[0, 2], 0.0])
     rho_p, rho_m = v_best[0] ** 2, v_best[2] ** 2
     if 1.0 - rho_p - rho_m < MIN_CENTRAL_OCCUPATION:
         _raise_depleted(rho_p, rho_m, context, "the global minimum depletes the central mode")
@@ -222,13 +237,12 @@ def hp_mean_field(coeffs, n_atoms):
             f"lowest Hessian eigenvalue {hess_min:.3e}",
             context=context,
         )
-    tied = np.count_nonzero(energies - energies[best] <= 1e-10)
     return MeanFieldResult(
         beta_p=complex(v_best[0], v_best[1]),
         beta_m=complex(v_best[2], v_best[3]),
-        energy_per_atom=float(energies[best]),
+        energy_per_atom=energy,
         grad_norm=gn,
-        degenerate=bool(free_phase[best] or tied > 1),
+        degenerate=free_phase or len(z) > 1,
     )
 
 

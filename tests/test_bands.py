@@ -12,9 +12,9 @@ from socsqueeze.bands import (
     classify,
     dispersion,
     lowest_branch,
-    phase_diagram,
-    phase_diagram_rows,
 )
+from socsqueeze.cli import main
+from socsqueeze.config import AxisSpec, RunConfig
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.params import ModelParams
 
@@ -111,28 +111,41 @@ def test_detuning_mirror_symmetry():
         assert abs(a.k_min + b.k_min) <= 1e-6
 
 
-def test_phase_diagram_grid_and_rows():
-    fixed = ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0)
-    result = phase_diagram(("omega_R", (0.5, 4.0), 3), ("delta", (-2.0, 2.0), 5), fixed)
-    assert len(result.cells) == 15
-    rows = phase_diagram_rows(result)
+def test_phase_diagram_grid_and_rows(tmp_path):
+    out = tmp_path / "pd"
+    cfg = tmp_path / "pd.ini"
+    cfg.write_text("[run]\ncommand = phase-diagram\n[params]\nepsilon = 6.0\n"
+                   "[phase-diagram]\naxis1 = omega_R\nmin1 = 0.5\nmax1 = 4.0\ncount1 = 3\n"
+                   "axis2 = delta\nmin2 = -2.0\nmax2 = 2.0\ncount2 = 5\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "phase_diagram.csv").read_text().splitlines()
+    assert lines[0] == "omega_R,delta,n_minima,degenerate,E_min,k_min"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(rows) == 15
     assert rows[0][0] == 0.5 and rows[0][1] == -2.0
     assert rows[-1][0] == 4.0 and rows[-1][1] == 2.0
     for row in rows:
         assert row[2] in (1, 2, 3)
+        cell = classify(ModelParams(omega_R=row[0], delta=row[1], epsilon=6.0))
+        assert (row[2], row[3], row[4], row[5]) == (
+            cell.n_minima, int(cell.degenerate), cell.E_min, cell.k_min)
+
+
+def _phase_config(axis1, axis2):
+    return RunConfig(command="phase-diagram", backend="ed", out="unused", seed=0, jobs=1,
+                     params=ModelParams(omega_R=1.0, delta=0.0, epsilon=0.0),
+                     axis1=axis1, axis2=axis2)
 
 
 def test_phase_diagram_rejects_unknown_axis():
-    fixed = ModelParams(omega_R=1.0, delta=0.0, epsilon=0.0)
     with pytest.raises(ConfigError):
-        phase_diagram(("gamma", (0.0, 1.0), 4), ("delta", (0.0, 1.0), 4), fixed)
+        _phase_config(AxisSpec("gamma", (0.0, 1 / 3, 2 / 3, 1.0)),
+                      AxisSpec("delta", (0.0, 1 / 3, 2 / 3, 1.0)))
 
 
 def test_phase_diagram_rejects_single_point_axis():
-    fixed = ModelParams(omega_R=1.0, delta=0.0, epsilon=0.0)
     with pytest.raises(ConfigError):
-        phase_diagram(("omega_R", (0.0, 1.0), 1), ("delta", (0.0, 1.0), 4), fixed)
+        _phase_config(AxisSpec("omega_R", (0.0,)), AxisSpec("delta", (0.0, 1 / 3, 2 / 3, 1.0)))
 
 
 def test_window_edges_never_reported_as_minima():

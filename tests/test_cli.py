@@ -270,8 +270,9 @@ def test_ed_step_cap_exits_3(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(fockspace, "MAX_LANCZOS_STEPS", 2)
     out = tmp_path / "eff"
-    cfg = write_config(tmp_path / "run.ini", SWEEP_INI.replace("command = sweep",
-                                                               "command = eff-squeeze"))
+    # at omega_R = 0 the start is an exact eigenvector and the solve ends at step 1
+    ini = SWEEP_INI.replace("command = sweep", "command = eff-squeeze")
+    cfg = write_config(tmp_path / "run.ini", ini.replace("[params]\n", "[params]\nomega_R = 2.0\n"))
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert "did not converge" in capsys.readouterr().err
     assert not (out / "report.json").exists()
@@ -512,6 +513,12 @@ MALFORMED = [
     ("sweep-negative-seed", "sweep", "seed = -3\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("jobs-zero", "sweep", "jobs = 0\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("reversed-window", "dispersion", "[dispersion]\nk_min = 2.0\nk_max = -2.0\n"),
+    ("infinite-k-min", "dispersion", "[dispersion]\nk_min = -inf\n"),
+    ("infinite-k-max", "dispersion", "[dispersion]\nk_max = inf\n"),
+    ("phase-infinite-k-min", "phase-diagram", PHASE_SECTION + "k_min = -inf\n"),
+    ("duplicate-key", "sweep", "[params]\nN = 40\nN = 41\n[sweep]\naxis = delta\nvalues = 1 2\n"),
+    ("duplicate-section", "sweep", "[sweep]\naxis = delta\nvalues = 1 2\n[sweep]\naxis = delta\n"),
+    ("lone-percent", "sweep", "[sweep]\naxis = delta\nvalues = 1 2%\n"),
     ("phase-same-axes", "phase-diagram", PHASE_SECTION.replace("axis2 = delta", "axis2 = omega_R")),
     ("tol-deg-nan", "phase-diagram", PHASE_SECTION + "tol_deg = nan\n"),
     ("tol-deg-inf", "phase-diagram", PHASE_SECTION + "tol_deg = inf\n"),
@@ -537,6 +544,14 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, 
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.ini",
                        f"[run]\ncommand = {command}\nout = {out}\n{body}")
+    assert main(["run", "--config", cfg]) == 2
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_without_section_header_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", f"command = sweep\nout = {out}\n" + SWEEP_INI)
     assert main(["run", "--config", cfg]) == 2
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 analytic moments, and the spec projection of the Gaussian and GP moment sets
 alike."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -14,13 +15,19 @@ from socsqueeze.fockspace import (
     RESIDUAL_TOL,
     build_effective_hamiltonian,
     ed_ground_state,
+    SymmetricFockState,
     ed_moment_set,
     fock_basis,
 )
-from socsqueeze.gaussian import gaussian_moment_set, solve_gaussian
+from socsqueeze.gaussian import (
+    MIN_CENTRAL_OCCUPATION,
+    _classical_minimum,
+    gaussian_moment_set,
+    solve_gaussian,
+)
 from socsqueeze.gp import GridSpec, SpinorField, gp_moment_set
 from socsqueeze.metrics import xi_x
-from socsqueeze.params import ModelParams, effective_coefficients
+from socsqueeze.params import EffectiveCoefficients, ModelParams, effective_coefficients
 
 
 def two_particle_oracle_energy(coeffs):
@@ -102,8 +109,9 @@ def test_basis_dimension_and_lexicographic_order():
 
 def test_transfer_matrices_satisfy_bosonic_algebra():
     basis = fock_basis(4)
-    tp0 = basis.transfer(1, 0).toarray()
-    t0p = basis.transfer(0, 1).toarray()
+    e_plus, e_zero = np.eye(3)[0], np.eye(3)[1]
+    tp0 = basis.collective(np.outer(e_plus, e_zero)).toarray()
+    t0p = basis.collective(np.outer(e_zero, e_plus)).toarray()
     # [a0^dag a+, a+^dag a0] = n0 - n+ on the symmetric subspace
     comm = t0p @ tp0 - tp0 @ t0p
     expected = np.diag(basis.n_zero - basis.n_plus).astype(float)
@@ -156,9 +164,9 @@ def test_uncoupled_ground_state_is_single_fock_state():
 
 @pytest.mark.parametrize("n", [1, 2, 40])
 def test_diagonal_hamiltonian_krylov_breakdown(n):
-    # at Omega_R = 0, H is diagonal and the Krylov space of the uniform start
-    # vector closes (beta = 0) after as many steps as H has distinct diagonal
-    # values; N = 1 and 2 reach that point, N = 40 converges before it
+    # at Omega_R = 0, H is diagonal and the start vector is its ground space,
+    # so the Krylov space closes (beta = 0) at the first step, within the
+    # bound of as many steps as H has distinct diagonal values
     coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.5, epsilon=6.0, N=n))
     diag = np.diag(build_effective_hamiltonian(coeffs, n).toarray())
     state = ed_ground_state(coeffs, n)
@@ -218,6 +226,99 @@ def test_lanczos_matches_dense_oracle_at_small_n(n):
         state = ed_ground_state(coeffs, n)
         exact = np.linalg.eigvalsh(build_effective_hamiltonian(coeffs, n).toarray())[0]
         assert abs(state.energy - exact) <= 1e-12 * max(1.0, abs(exact)), (omega_r, delta, eps)
+
+
+def test_start_does_not_return_an_excited_state_at_n1():
+    # the uniform start vector is an exact excited eigenvector here, so a solve
+    # from it stopped at step 1 with E = -2.667 against the dense -8.667
+    coeffs = effective_coefficients(ModelParams(omega_R=4.0, delta=0.0, epsilon=6.0, N=1))
+    state = ed_ground_state(coeffs, 1)
+    exact = np.linalg.eigvalsh(build_effective_hamiltonian(coeffs, 1).toarray())[0]
+    assert abs(state.energy - exact) <= 1e-12 * max(1.0, abs(exact))
+    assert abs(exact + 26.0 / 3.0) <= 1e-12
+
+
+def oracle_points(n):
+    """Coefficient sets of the dense-oracle sweep at atom number n: omega_R = 0,
+    depleted and mirror-degenerate (tied) classical minima, delta != 0, and
+    the same drives and fields with q < 0."""
+    points = [effective_coefficients(ModelParams(omega_R=om, delta=d, epsilon=eps, N=n))
+              for om, d, eps in itertools.product((0.0, 0.5, 2.0, 4.0), (0.0, 0.7),
+                                                  (-6.0, -4.0, 0.0, 4.0, 6.0))]
+    for om, d, eps in itertools.product((0.0, 1.0), (0.0, 0.7), (-6.0, -2.0, 6.0)):
+        c = effective_coefficients(ModelParams(omega_R=om, delta=d, epsilon=eps, N=n))
+        points.append(EffectiveCoefficients(q=-c.q, hx=c.hx, hz=c.hz, hY=c.hY))
+    return points
+
+
+@functools.lru_cache(maxsize=None)
+def dense_ground_space(coeffs, n):
+    """Lowest eigenvalue, its eigenvectors (columns, within 1e-9 relative) and
+    the gap to the next distinct eigenvalue, by dense eigh."""
+    w, v = np.linalg.eigh(build_effective_hamiltonian(coeffs, n).toarray())
+    ground = w - w[0] <= 1e-9 * max(1.0, abs(w[0]))
+    gap = w[~ground][0] - w[0] if not ground.all() else np.inf
+    return w[0], v[:, ground], gap
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_ed_matches_dense_oracle_over_start_sweep(n):
+    kinds = set()
+    for coeffs in oracle_points(n):
+        z, _, _ = _classical_minimum(coeffs, n)
+        kinds.update(kind for kind, hit in (
+            ("omega_R = 0", coeffs.hx == 0.0), ("q < 0", coeffs.q < 0.0),
+            ("tied, omega_R != 0", len(z) > 1 and coeffs.hx != 0.0),
+            ("depleted", z[0, 1] ** 2 < MIN_CENTRAL_OCCUPATION)) if hit)
+        state = ed_ground_state(coeffs, n)
+        exact, ground, gap = dense_ground_space(coeffs, n)
+        assert abs(state.energy - exact) <= 1e-12 * max(1.0, abs(exact)), coeffs
+        assert state.residual <= RESIDUAL_TOL * max(1.0, abs(state.energy))
+        if ground.shape[1] == 1 and gap > 1e-3:
+            got = ed_moment_set(state)
+            dense = ed_moment_set(SymmetricFockState(n, ground[:, 0], exact, 0.0, 0))
+            assert np.max(np.abs(got.means - dense.means)) <= 1e-9 * n**2, coeffs
+            assert np.max(np.abs(got.covariances - dense.covariances)) <= 1e-9 * n**2, coeffs
+    assert kinds == {"omega_R = 0", "q < 0", "tied, omega_R != 0", "depleted"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_start_overlaps_dense_ground_state(n):
+    basis = fock_basis(n)
+    for coeffs in oracle_points(n):
+        h = build_effective_hamiltonian(coeffs, n)
+        v0 = fockspace._start_vector(coeffs, h)[basis.pad_index]
+        _, ground, _ = dense_ground_space(coeffs, n)
+        overlap = np.linalg.norm(ground.T @ v0)
+        if coeffs.hx == 0.0:
+            # H is diagonal and the start lies in its ground space
+            assert abs(overlap - 1.0) <= 1e-12, coeffs
+            continue
+        assert overlap > 0.0, coeffs
+        # Perron-Frobenius: in the gauge (-sign hx)^n0 every component of the
+        # start is positive, and so is the ground state; a mirror pair's
+        # tunnelling splitting can fall below the dense ground-space tolerance,
+        # and then only the projection above is gauge-free
+        gauge = (-np.sign(coeffs.hx)) ** basis.n_zero
+        start = gauge * v0 * np.sign(gauge @ v0)
+        assert np.all(start > 0.0), coeffs
+        if ground.shape[1] == 1:
+            psi = gauge * ground[:, 0]
+            assert start @ (psi * np.sign(psi.sum())) > 0.0, coeffs
+
+
+def test_threefold_tied_vertices_give_symmetric_representative():
+    # at omega_R = 0, epsilon = 4 (hY = qN / sqrt(3)) the three single-mode
+    # Fock states tie; the start is their normalized sum, which is exact
+    n = 200
+    coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=4.0, N=n))
+    assert len(_classical_minimum(coeffs, n)[0]) == 3
+    state = ed_ground_state(coeffs, n)
+    basis = state.basis
+    vertices = [basis.index(0, 0), basis.index(n, 0), basis.index(0, n)]
+    assert np.max(np.abs(state.amplitudes[vertices] - 1.0 / np.sqrt(3.0))) <= 1e-12
+    assert np.sum(state.amplitudes**2) - np.sum(state.amplitudes[vertices] ** 2) <= 1e-24
+    assert state.iterations == 1
 
 
 def test_cached_operator_moments_match_freshly_built_operators():
