@@ -44,16 +44,14 @@ class SpinOperator:
 
     def __post_init__(self):
         if self.label not in GENERATOR_LABELS:
-            raise ValueError(f"unknown operator label {self.label!r}")
+            raise ValueError(
+                f"unknown operator label {self.label!r}; expected one of {GENERATOR_LABELS}"
+            )
 
 
 def generator(label):
     """Return the SpinOperator for one of the eight basis labels."""
-    if label not in _MATRICES:
-        raise ValueError(
-            f"unknown operator label {label!r}; expected one of {GENERATOR_LABELS}"
-        )
-    return SpinOperator(label, _MATRICES[label])
+    return SpinOperator(label, _MATRICES.get(label))
 
 
 def generators():

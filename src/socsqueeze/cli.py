@@ -8,8 +8,8 @@ they complete.
 
 Every squeezing report comes from one cell function, run once per sweep
 value or once at the point of ``eff-squeeze`` and ``gp-ground``.  A failed
-cell records its error, so the other cells and the manifest are kept; every
-configuration error is raised by ``load_config`` before any cell runs.
+report or phase-diagram cell records its error, and the other cells and the
+manifest are kept; ``load_config`` raises every configuration error first.
 
 A process fixes its BLAS thread count before numpy loads and imports the
 band and GP layers, the squeezing backends and the process pool only in the
@@ -75,11 +75,7 @@ def _report_for_point(cfg, params, seed):
         from .gp import build_problem, gp_moment_set, imaginary_time_ground_state
 
         problem = build_problem(params, cfg.trap, cfg.interaction, cfg.grid)
-        s = cfg.solver
-        ground = imaginary_time_ground_state(
-            problem, dt=s["dt"], tol=s["tol"], max_steps=s["max_steps"],
-            check_every=s["check_every"], seed=seed,
-        )
+        ground = imaginary_time_ground_state(problem, seed=seed, **cfg.solver)
         n_atoms = cfg.interaction.N if cfg.interaction is not None else params.N
         moments = gp_moment_set(ground.field, n_atoms)
         extras = {"backend": "gp", "moment_method": "hartree_product",
@@ -89,6 +85,13 @@ def _report_for_point(cfg, params, seed):
     return build_report(moments, extras=extras), ground
 
 
+def _failure(exc):
+    """The payload of a failed cell: the error and the reason it maps to."""
+    reason = ("report undefined at this state" if isinstance(exc, MomentInputError)
+              else "solver did not converge")
+    return {"error": f"{type(exc).__name__}: {exc}", "reason": reason}
+
+
 def _sweep_cell(task):
     """One report cell: (index, the report dict | the error and its reason).
     Only gp-ground keeps the GP ground state, so no field crosses the pool."""
@@ -96,9 +99,7 @@ def _sweep_cell(task):
     try:
         report, ground = _report_for_point(cfg, params, seed=cfg.seed + index)
     except (ConfigError, ConvergenceError, MomentInputError) as exc:
-        reason = ("report undefined at this state" if isinstance(exc, MomentInputError)
-                  else "solver did not converge")
-        return index, {"error": f"{type(exc).__name__}: {exc}", "reason": reason}
+        return index, _failure(exc)
     payload = {"report": report.to_dict()}
     if cfg.command == "gp-ground":
         payload["ground_state"] = ground
@@ -110,11 +111,15 @@ def _print_failure(where, payload):
 
 
 def _classify_cell(task):
+    """One phase-diagram cell: (index, its table row | the error and its reason)."""
     from .bands import classify
 
     cfg, index, v1, v2 = task
     params = cfg.params.replace(**{cfg.axis1.name: v1, cfg.axis2.name: v2})
-    cell = classify(params, tol_deg=cfg.tol_deg, window=cfg.window, n_points=cfg.n_points)
+    try:
+        cell = classify(params, tol_deg=cfg.tol_deg, window=cfg.window, n_points=cfg.n_points)
+    except (ConfigError, ConvergenceError) as exc:
+        return index, _failure(exc)
     return index, (v1, v2, cell.n_minima, int(cell.degenerate), cell.E_min, cell.k_min)
 
 
@@ -148,6 +153,15 @@ def _write_manifest(cfg):
     write_json(os.path.join(cfg.out, "manifest.json"), manifest)
 
 
+def _write_table(cfg, name, header, rows, errors):
+    """Write a cell table, and errors.json by cell index if any failed; the exit code."""
+    write_csv(os.path.join(cfg.out, name), header, rows)
+    if errors:
+        write_json(os.path.join(cfg.out, "errors.json"), errors)
+        return 3
+    return 0
+
+
 def _run_dispersion(cfg):
     from .bands import dispersion
 
@@ -166,18 +180,20 @@ def _run_dispersion(cfg):
 
 
 def _run_phase_diagram(cfg):
-    tasks = []
-    index = 0
-    for v1 in cfg.axis1.values:
-        for v2 in cfg.axis2.values:
-            tasks.append((cfg, index, float(v1), float(v2)))
-            index += 1
-    rows = _map_ordered(_classify_cell, tasks, cfg.jobs)
+    cells = [(float(v1), float(v2)) for v1 in cfg.axis1.values for v2 in cfg.axis2.values]
+    tasks = [(cfg, i) + cell for i, cell in enumerate(cells)]
+    payloads = _map_ordered(_classify_cell, tasks, cfg.jobs)
     ensure_dir(cfg.out)
     _write_manifest(cfg)
+    rows, errors = [], {}
+    for i, (cell, payload) in enumerate(zip(cells, payloads)):
+        if isinstance(payload, dict):
+            errors[str(i)] = payload["error"]
+            _print_failure(f"phase-diagram cell {i}", payload)
+            payload = cell + (0, 0, float("nan"), float("nan"))
+        rows.append(payload)
     header = (cfg.axis1.name, cfg.axis2.name, "n_minima", "degenerate", "E_min", "k_min")
-    write_csv(os.path.join(cfg.out, "phase_diagram.csv"), header, rows)
-    return 0
+    return _write_table(cfg, "phase_diagram.csv", header, rows, errors)
 
 
 def _run_point(cfg):
@@ -218,11 +234,7 @@ def _run_sweep(cfg):
         write_json(os.path.join(cfg.out, f"report_{i:03d}.json"), rep)
         rows.append((float(value),) + tuple(float(rep[c]) for c in REPORT_COLUMNS) + ("ok",))
     header = (cfg.sweep.name,) + REPORT_COLUMNS + ("status",)
-    write_csv(os.path.join(cfg.out, "sweep.csv"), header, rows)
-    if errors:
-        write_json(os.path.join(cfg.out, "errors.json"), errors)
-        return 3
-    return 0
+    return _write_table(cfg, "sweep.csv", header, rows, errors)
 
 
 _RUNNERS = {

@@ -259,8 +259,10 @@ class RunConfig:
                 raise ConfigError("phase-diagram needs [phase-diagram] axis1/axis2")
             if self.axis1.name == self.axis2.name:
                 raise ConfigError(f"phase-diagram axes must differ, both are {self.axis1.name!r}")
-        if not all(math.isfinite(k) for k in self.window):
-            raise ConfigError(f"the momentum window must be finite, got {self.window!r}")
+        lo, hi = self.window
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and self.n_points >= 3):
+            raise ConfigError(f"the momentum window must be finite and increasing, with "
+                              f"n_points >= 3, got {self.window!r} / n_points={self.n_points}")
         if not (math.isfinite(self.tol_deg) and self.tol_deg > 0.0):
             raise ConfigError(f"tol_deg must be positive and finite, got {self.tol_deg!r}")
         if self.command == "sweep" and self.sweep is None:
@@ -326,12 +328,13 @@ def load_config(path, overrides=None):
         N=_get(psec, "N", int, 100),
     )
 
+    # the band window and grid: [phase-diagram] overrides [dispersion]
     window, n_points, tol_deg = DEFAULT_WINDOW, DEFAULT_POINTS, DEFAULT_TOL_DEG
-    if parser.has_section("dispersion"):
-        dsec = parser["dispersion"]
-        window = (_get(dsec, "k_min", float, DEFAULT_WINDOW[0]),
-                  _get(dsec, "k_max", float, DEFAULT_WINDOW[1]))
-        n_points = _get(dsec, "n_points", int, DEFAULT_POINTS)
+    for name in ("dispersion", "phase-diagram"):
+        if parser.has_section(name):
+            bsec = parser[name]
+            window = (_get(bsec, "k_min", float, window[0]), _get(bsec, "k_max", float, window[1]))
+            n_points = _get(bsec, "n_points", int, n_points)
 
     sweep = axis1 = axis2 = None
     if parser.has_section("sweep"):
@@ -341,9 +344,6 @@ def load_config(path, overrides=None):
         axis1 = _axis_from_section(gsec, "1")
         axis2 = _axis_from_section(gsec, "2")
         tol_deg = _get(gsec, "tol_deg", float, DEFAULT_TOL_DEG)
-        window = (_get(gsec, "k_min", float, window[0]),
-                  _get(gsec, "k_max", float, window[1]))
-        n_points = _get(gsec, "n_points", int, n_points)
 
     trap = None
     if parser.has_section("trap"):

@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,19 +31,6 @@ RITZ_TOL = 1e-12
 BREAKDOWN_TOL = 1e-8
 MAX_LANCZOS_STEPS = 3000
 CHECK_EVERY = 16
-
-
-class _Hop(NamedTuple):
-    """One mode-changing monomial: amplitudes ``amp`` from basis states ``src``
-    to ``dst`` (lexicographic indices), and the same amplitudes on the padded
-    grid, where the hop is the constant index shift ``shift`` (``padded[i]``
-    is the amplitude out of padded position i)."""
-
-    dst: np.ndarray
-    src: np.ndarray
-    amp: np.ndarray
-    shift: int
-    padded: np.ndarray
 
 
 class FockBasis:
@@ -81,30 +67,29 @@ class FockBasis:
         return out
 
     def _hop(self, delta_p, delta_m, amplitude):
-        """The mode-changing monomial with the given occupation shifts."""
+        """(shift, padded) of the mode-changing monomial with the given
+        occupation shifts: on the padded grid it is the constant index shift
+        ``shift``, and ``padded[i]`` is its amplitude out of position i."""
         ok = (
             (self.n_plus + delta_p >= 0)
             & (self.n_minus + delta_m >= 0)
             & (self.n_plus + delta_p + self.n_minus + delta_m <= self.N)
         )
-        src = np.nonzero(ok)[0]
-        dst = self.index(self.n_plus[src] + delta_p, self.n_minus[src] + delta_m)
-        amp = amplitude(self.n_plus[src], self.n_minus[src], self.n_zero[src])
         shift = delta_p * (self.N + 1) + delta_m
         padded = np.zeros(self.padded_size - shift)
-        padded[self.pad_index[src]] = amp
-        return _Hop(dst, src, amp, shift, padded)
+        padded[self.pad_index[ok]] = amplitude(self.n_plus[ok], self.n_minus[ok], self.n_zero[ok])
+        return shift, padded
 
     @cached_property
     def _hops(self):
-        """(hop, transposed) of each off-diagonal a_m^dag a_n, keyed by the
-        (row, column) of G in mode order (+1, 0, -1)."""
+        """(shift, padded, transposed) of each off-diagonal a_m^dag a_n, keyed
+        by the (row, column) of G in mode order (+1, 0, -1)."""
         p0 = self._hop(1, 0, lambda p, m, z: np.sqrt((p + 1.0) * z))
         m0 = self._hop(0, 1, lambda p, m, z: np.sqrt((m + 1.0) * z))
         pm = self._hop(1, -1, lambda p, m, z: np.sqrt((p + 1.0) * m))
-        return {(0, 1): (p0, False), (1, 0): (p0, True),
-                (2, 1): (m0, False), (1, 2): (m0, True),
-                (0, 2): (pm, False), (2, 0): (pm, True)}
+        return {(0, 1): (*p0, False), (1, 0): (*p0, True),
+                (2, 1): (*m0, False), (1, 2): (*m0, True),
+                (0, 2): (*pm, False), (2, 0): (*pm, True)}
 
     def collective(self, matrix3):
         """Second-quantized collective operator sum_mn G[m,n] a_m^dag a_n.
@@ -116,27 +101,27 @@ class FockBasis:
             matrix3 = matrix3.real
         numbers = (self.n_plus, self.n_zero, self.n_minus)
         diag = sum(matrix3[i, i] * numbers[i] for i in range(3))
-        hops = tuple((matrix3[key], hop, transposed)
-                     for key, (hop, transposed) in self._hops.items() if matrix3[key] != 0.0)
-        return FockOperator(self, diag, hops)
+        shifts = tuple((shift, matrix3[key] * padded, transposed)
+                       for key, (shift, padded, transposed) in self._hops.items()
+                       if matrix3[key] != 0.0)
+        return FockOperator(self, diag, shifts)
 
 
 class FockOperator:
     """Linear operator on the symmetric basis: a diagonal plus weighted hops.
 
     ``op @ x`` takes a vector, or a matrix with one vector per column, in
-    lexicographic basis order.  ``hops`` holds (coefficient, hop, transposed)
-    triples; a transposed hop moves the atom back.
+    lexicographic basis order.  ``shifts`` holds (shift, weight, transposed)
+    triples on the padded grid: a hop adds weight[i] x[i] to y[i + shift],
+    and a transposed one, moving the atom back, weight[i] x[i + shift] to y[i].
     """
 
-    def __init__(self, basis, diag, hops):
+    def __init__(self, basis, diag, shifts):
         self.basis = basis
         self.diag = diag
-        self.hops = hops
-        self.dtype = np.result_type(diag, *(c for c, _, _ in hops))
+        self.shifts = shifts
+        self.dtype = np.result_type(diag, *(weight for _, weight, _ in shifts))
         self._padded_diag = basis.pad(diag)
-        self._shifts = tuple((hop.shift, c * hop.padded, transposed)
-                             for c, hop, transposed in hops)
 
     def apply_padded(self, x, out=None):
         """Product with a vector (or matrix) laid out on the padded grid,
@@ -145,7 +130,7 @@ class FockOperator:
         y = np.multiply(self._padded_diag.reshape(column), x, out=out,
                         dtype=np.result_type(self.dtype, x.dtype))
         scratch = np.empty_like(y)
-        for shift, weight, transposed in self._shifts:
+        for shift, weight, transposed in self.shifts:
             part = scratch[shift:]
             src, dst = (x[shift:], y[:-shift]) if transposed else (x[:-shift], y[shift:])
             dst += np.multiply(weight.reshape(column), src, out=part)
@@ -156,22 +141,22 @@ class FockOperator:
         return self.apply_padded(self.basis.pad(x))[self.basis.pad_index]
 
     def toarray(self):
-        """Dense matrix in lexicographic basis order."""
+        """Dense matrix in lexicographic basis order, built from the padded
+        weights that the products apply."""
+        lex = np.zeros(self.basis.padded_size, dtype=int)
+        lex[self.basis.pad_index] = np.arange(self.basis.dim)
         out = np.diag(self.diag).astype(self.dtype)
-        for c, hop, transposed in self.hops:
-            rows, cols = (hop.src, hop.dst) if transposed else (hop.dst, hop.src)
-            out[rows, cols] += c * hop.amp
+        for shift, weight, transposed in self.shifts:
+            i = np.flatnonzero(weight)
+            rows, cols = (i, i + shift) if transposed else (i + shift, i)
+            out[lex[rows], lex[cols]] += weight[i]
         return out
 
 
 @lru_cache(maxsize=8)
-def _basis(n_atoms):
-    return FockBasis(n_atoms)
-
-
 def fock_basis(n_atoms):
     """Shared FockBasis instance for an atom number (cached)."""
-    return _basis(int(n_atoms))
+    return FockBasis(n_atoms)
 
 
 @dataclass(frozen=True)
@@ -200,7 +185,7 @@ def build_effective_hamiltonian(coeffs, n_atoms):
     fy_diag = (basis.n_plus + basis.n_minus - 2.0 * basis.n_zero) / np.sqrt(3.0)
     diag = -coeffs.q * fz_diag**2 + coeffs.hz * fz_diag + coeffs.hY * fy_diag
     fx = basis.collective(coeffs.hx * generator_matrix("Jx"))
-    return FockOperator(basis, fx.diag + diag, fx.hops)
+    return FockOperator(basis, fx.diag + diag, fx.shifts)
 
 
 def _recurrence(apply, v0):
@@ -376,7 +361,7 @@ def _start_vector(coeffs, h):
     return basis.pad(v / math.sqrt(float(np.einsum("i,i->", v, v))))
 
 
-def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
+def ed_ground_state(coeffs, n_atoms):
     """Ground state of the collective Hamiltonian in the symmetric subspace.
 
     One real Lanczos solve at every N, from the coherent state of the
@@ -400,8 +385,8 @@ def ed_ground_state(coeffs, n_atoms, n_cap=DEFAULT_N_CAP):
     """
     if not isinstance(coeffs, EffectiveCoefficients):
         raise ConfigError("coeffs must be EffectiveCoefficients")
-    if n_atoms > n_cap:
-        raise ConfigError(f"N={n_atoms} exceeds the configured cap {n_cap}")
+    if n_atoms > DEFAULT_N_CAP:
+        raise ConfigError(f"N={n_atoms} exceeds the ED cap {DEFAULT_N_CAP}")
     basis = fock_basis(n_atoms)
     h = build_effective_hamiltonian(coeffs, n_atoms)
     try:
@@ -430,11 +415,11 @@ def _generator_moments(state):
     stack[0] = psi = basis.pad(state.amplitudes)
     for i, number in enumerate((basis.n_plus, basis.n_zero, basis.n_minus)):
         stack[1 + 4 * i] = basis.pad(number * state.amplitudes)
-    for (i, j), (hop, transposed) in basis._hops.items():
+    for (i, j), (shift, padded, transposed) in basis._hops.items():
         if transposed:
-            np.multiply(hop.padded, psi[hop.shift:], out=stack[1 + 3 * i + j, :-hop.shift])
+            np.multiply(padded, psi[shift:], out=stack[1 + 3 * i + j, :-shift])
         else:
-            np.multiply(hop.padded, psi[:-hop.shift], out=stack[1 + 3 * i + j, hop.shift:])
+            np.multiply(padded, psi[:-shift], out=stack[1 + 3 * i + j, shift:])
     gram = stack @ stack.T
     g = np.array([generator_matrix(lbl).ravel() for lbl in GENERATOR_LABELS])
     means = (g @ gram[0, 1:]).real

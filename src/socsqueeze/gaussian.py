@@ -266,7 +266,6 @@ class GaussianSolution:
     covariance: np.ndarray       # 4x4 over (x+, p+, x-, p-)
     frequencies: np.ndarray      # the two normal-mode frequencies, descending
     energy_per_atom: float
-    zero_point_energy: float     # O(1) correction to N * energy_per_atom
 
 
 def hp_quadratic(coeffs, n_atoms, mean_field):
@@ -310,7 +309,6 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
     sigma = 0.5 * w_inv @ abs_t @ w_inv
     sigma = 0.5 * (sigma + sigma.T)
     energy = float(classical_energy(v, coeffs, n_atoms))
-    zero_point = float(0.5 * np.trace(m @ sigma) - 0.25 * np.trace(m))
     return GaussianSolution(
         N=int(n_atoms),
         beta_p=complex(v[0], v[1]),
@@ -318,7 +316,6 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
         covariance=sigma,
         frequencies=freqs[[3, 1]],
         energy_per_atom=energy,
-        zero_point_energy=zero_point,
     )
 
 

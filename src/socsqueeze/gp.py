@@ -113,10 +113,10 @@ class SpinorField:
         flat = self.psi.reshape(3, -1)
         return (flat @ flat.conj().T) * self.dv
 
-    def check_norm(self, tol=1e-10):
+    def check_norm(self):
         n = self.norm()
-        if abs(n - 1.0) > tol:
-            raise ConfigError(f"field norm {n} is not 1 within {tol}")
+        if abs(n - 1.0) > 1e-10:
+            raise ConfigError(f"field norm {n} is not 1 within 1e-10")
         return self
 
 
@@ -323,8 +323,6 @@ def _apply_spin_vector(a, flat):
 
 def build_problem(params, trap, interaction, grid):
     """Validate the configuration and assemble a GpProblem."""
-    if not isinstance(grid, GridSpec):
-        grid = GridSpec(*grid)
     return GpProblem(params, trap, interaction, grid)
 
 

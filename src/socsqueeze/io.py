@@ -12,9 +12,7 @@ from .errors import ConfigError
 
 
 def format_value(v):
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int,)):
+    if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
         return f"{v:.17g}"

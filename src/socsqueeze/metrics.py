@@ -8,7 +8,7 @@ function of those moments alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -126,9 +126,10 @@ class MomentSet:
             raise MomentInputError("moment set does not cover the full operator basis")
         return self.means.copy(), self.covariances.copy()
 
-    def validate(self, psd_tol=1e-9):
+    def validate(self):
         """Check that no variance is negative (roundoff was floored on
-        construction) and that a full covariance block is PSD."""
+        construction) and that a full covariance block is PSD, down to 1e-9
+        times max(1, its largest entry)."""
         d = np.diag(self.covariances)
         low = np.flatnonzero(d < 0.0)
         if low.size:
@@ -138,7 +139,7 @@ class MomentSet:
             c = self.covariances
             w = np.linalg.eigvalsh(c)
             scale = max(1.0, float(np.max(np.abs(c))))
-            if w[0] < -psd_tol * scale:
+            if w[0] < -1e-9 * scale:
                 raise MomentInputError(f"covariance matrix not PSD: min eigenvalue {w[0]}")
         return self
 
@@ -302,18 +303,8 @@ class SqueezingReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = {
-            "N": self.N,
-            "xi_x": self.xi_x,
-            "xi_dcz_min": self.xi_dcz_min,
-            "theta_dcz": self.theta_dcz,
-            "xi_uv_min": self.xi_uv_min,
-            "theta_uv": self.theta_uv,
-            "rho_m1": self.rho_m1,
-            "rho_0": self.rho_0,
-            "rho_p1": self.rho_p1,
-        }
-        d.update(self.extras)
+        d = asdict(self)
+        d.update(d.pop("extras"))
         return d
 
 

@@ -4,6 +4,7 @@ Energies are in recoil units (recoil energy = 1) and momenta in units of the
 Raman recoil momentum; the atom number N sets the collective spin length.
 """
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,9 +33,8 @@ class ModelParams:
             raise ConfigError(f"N must be a positive integer, got {n!r}")
 
     def replace(self, **kw):
-        d = dict(omega_R=self.omega_R, delta=self.delta, epsilon=self.epsilon, N=self.N)
-        d.update(kw)
-        return ModelParams(**d)
+        """A copy with the given fields changed, validated as a new instance is."""
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,48 @@ count2 = 6
     assert all(t == tables[0] for t in tables[1:])
 
 
+def test_phase_diagram_failed_cells_keep_siblings(tmp_path, capsys):
+    # the window [1, 3] holds the k = 2 well of epsilon = -6, but the single
+    # minimum of epsilon = 6 sits near k = 0, outside it
+    ini = """
+[run]
+command = phase-diagram
+
+[params]
+omega_R = 2.0
+
+[phase-diagram]
+axis1 = epsilon
+values1 = -6 6
+axis2 = delta
+values2 = 0 3
+k_min = 1.0
+k_max = 3.0
+n_points = 201
+"""
+    cfg = write_config(tmp_path / "run.ini", ini)
+    outs = [tmp_path / "j1", tmp_path / "j2"]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 3
+        err = capsys.readouterr().err
+        assert "phase-diagram cell 2 failed, solver did not converge" in err
+        assert "phase-diagram cell 1 failed" not in err
+    for name in ("phase_diagram.csv", "errors.json"):
+        assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+    manifests = [json.loads(read_bytes(out / "manifest.json")) for out in outs]
+    for manifest in manifests:
+        del manifest["jobs"], manifest["out"]
+    assert manifests[0] == manifests[1]
+    lines = read_bytes(outs[0] / "phase_diagram.csv").decode().splitlines()
+    assert lines[0] == "epsilon,delta,n_minima,degenerate,E_min,k_min"
+    assert [ln.split(",")[2] for ln in lines[1:3]] == ["1", "1"]
+    assert lines[3:] == ["6,0,0,0,nan,nan", "6,3,0,0,nan,nan"]
+    errors = json.loads(read_bytes(outs[0] / "errors.json"))
+    assert sorted(errors) == ["2", "3"]
+    assert all(e.startswith("ConvergenceError: no interior minima") for e in errors.values())
+    assert main(["plot-data", str(outs[0] / "phase_diagram.csv")]) == 0
+
+
 def test_eff_squeeze_report(tmp_path):
     out = tmp_path / "eff"
     ini = f"""
@@ -516,6 +558,8 @@ MALFORMED = [
     ("infinite-k-min", "dispersion", "[dispersion]\nk_min = -inf\n"),
     ("infinite-k-max", "dispersion", "[dispersion]\nk_max = inf\n"),
     ("phase-infinite-k-min", "phase-diagram", PHASE_SECTION + "k_min = -inf\n"),
+    ("phase-reversed-window", "phase-diagram", PHASE_SECTION + "k_min = 2.0\nk_max = -2.0\n"),
+    ("phase-two-points", "phase-diagram", PHASE_SECTION + "n_points = 2\n"),
     ("duplicate-key", "sweep", "[params]\nN = 40\nN = 41\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("duplicate-section", "sweep", "[sweep]\naxis = delta\nvalues = 1 2\n[sweep]\naxis = delta\n"),
     ("lone-percent", "sweep", "[sweep]\naxis = delta\nvalues = 1 2%\n"),

@@ -10,6 +10,7 @@ import pytest
 
 from socsqueeze import fockspace
 from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator, generator_matrix
+from socsqueeze.config import DEFAULT_N_CAP
 from socsqueeze.errors import ConfigError, ConvergenceError, UnsupportedObservableError
 from socsqueeze.fockspace import (
     RESIDUAL_TOL,
@@ -96,6 +97,20 @@ def test_operators_match_product_space_projection_oracle(n):
                   for lbl in ("Jz", "Jx", "Y"))
     h = proj.T @ (-coeffs.q * fz @ fz + coeffs.hx * fx + coeffs.hz * fz + coeffs.hY * fy) @ proj
     assert np.max(np.abs(build_effective_hamiltonian(coeffs, n).toarray() - h)) <= 1e-12 * n**2
+
+
+def test_dense_oracle_is_the_applied_operator():
+    # toarray() and op @ x both read the padded hop weights; column j of the
+    # dense matrix is the product with the unit vector e_j
+    basis = fock_basis(5)
+    for lbl in GENERATOR_LABELS:
+        op = basis.collective(generator_matrix(lbl))
+        np.testing.assert_array_equal(op.toarray(), op @ np.eye(basis.dim), err_msg=lbl)
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=7))
+    h = build_effective_hamiltonian(coeffs, 7)
+    dense = h.toarray()
+    for j in range(h.basis.dim):
+        np.testing.assert_array_equal(dense[:, j], h @ np.eye(h.basis.dim)[:, j])
 
 
 def test_basis_dimension_and_lexicographic_order():
@@ -238,6 +253,31 @@ def test_start_does_not_return_an_excited_state_at_n1():
     assert abs(exact + 26.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n,omega_r,delta,eps", [(3, 0.5, -2.0, -2.0), (100, 0.5, 1.0, -4.0)])
+def test_ghost_fallback_assembles_a_second_ritz_vector(monkeypatch, n, omega_r, delta, eps):
+    # two of the 16 points of a 1 764-point scan where the first assembled
+    # pair fails the residual test and the pair of the first passing
+    # estimate, before any ghost copy, is assembled instead
+    residuals, ritz_vector = [], fockspace._ritz_vector
+
+    def counted(*args):
+        energy, psi, residual = ritz_vector(*args)
+        residuals.append((energy, residual))
+        return energy, psi, residual
+
+    monkeypatch.setattr(fockspace, "_ritz_vector", counted)
+    coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+    state = ed_ground_state(coeffs, n)
+    assert len(residuals) == 2
+    (first_energy, first), (energy, residual) = residuals
+    assert first > RESIDUAL_TOL * max(1.0, abs(first_energy))
+    assert residual <= RESIDUAL_TOL * max(1.0, abs(energy))
+    assert (state.energy, state.residual) == (energy, residual)
+    if n == 3:
+        exact = np.linalg.eigvalsh(build_effective_hamiltonian(coeffs, n).toarray())[0]
+        assert abs(state.energy - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
 def oracle_points(n):
     """Coefficient sets of the dense-oracle sweep at atom number n: omega_R = 0,
     depleted and mirror-degenerate (tied) classical minima, delta != 0, and
@@ -353,10 +393,16 @@ def test_energy_non_increasing_in_coupling():
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
-def test_atom_cap_enforced():
-    coeffs = effective_coefficients(ModelParams(omega_R=1.0, delta=0.0, epsilon=6.0, N=301))
+def test_atom_cap_enforced(monkeypatch):
+    # the library cap raises before any basis is built
+    def no_basis(n_atoms):
+        raise AssertionError(f"a basis was built for N={n_atoms}")
+
+    monkeypatch.setattr(fockspace, "fock_basis", no_basis)
+    n = DEFAULT_N_CAP + 1
+    coeffs = effective_coefficients(ModelParams(omega_R=1.0, delta=0.0, epsilon=6.0, N=n))
     with pytest.raises(ConfigError):
-        ed_ground_state(coeffs, 301)
+        ed_ground_state(coeffs, n)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, 0, -3])
@@ -367,6 +413,15 @@ def test_model_params_reject_non_integral_atom_numbers(bad):
 
 def test_model_params_accept_integral_float_atom_number():
     assert ModelParams(omega_R=1.0, delta=0.0, epsilon=6.0, N=200.0).N == 200
+
+
+def test_model_params_replace_validates_the_copy():
+    params = ModelParams(omega_R=1.0, delta=0.5, epsilon=6.0, N=40)
+    assert params.replace(delta=2.0) == ModelParams(omega_R=1.0, delta=2.0, epsilon=6.0, N=40)
+    with pytest.raises(ConfigError):
+        params.replace(omega_R=float("nan"))
+    with pytest.raises(ConfigError):
+        params.replace(N=2.5)
 
 
 def _ed_backend():

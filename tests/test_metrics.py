@@ -321,6 +321,12 @@ def test_report_schema_and_values():
     assert abs(d["xi_x"] - 1.0) <= 1e-12
     assert abs(d["rho_0"] - 1.0) <= 1e-12
     assert d["theta_dcz"] == 0.0
+    assert d == {
+        "N": report.N, "xi_x": report.xi_x, "xi_dcz_min": report.xi_dcz_min,
+        "theta_dcz": report.theta_dcz, "xi_uv_min": report.xi_uv_min,
+        "theta_uv": report.theta_uv, "rho_m1": report.rho_m1, "rho_0": report.rho_0,
+        "rho_p1": report.rho_p1, "omega_R": 0.0,
+    }
 
 
 def test_arrays_roundtrip():
