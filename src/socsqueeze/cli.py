@@ -86,14 +86,12 @@ def _report_for_point(cfg, params, seed):
 
 
 def _failure(exc):
-    """The payload of a failed cell: the error and the reason it maps to."""
-    reason = ("report undefined at this state" if isinstance(exc, MomentInputError)
-              else "solver did not converge")
-    return {"error": f"{type(exc).__name__}: {exc}", "reason": reason}
+    """The payload of a failed cell: the error's type and message."""
+    return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def _sweep_cell(task):
-    """One report cell: (index, the report dict | the error and its reason).
+    """One report cell: (index, the report dict | the error).
     Only gp-ground keeps the GP ground state, so no field crosses the pool."""
     cfg, index, params = task
     try:
@@ -107,11 +105,11 @@ def _sweep_cell(task):
 
 
 def _print_failure(where, payload):
-    print(f"{where} failed, {payload['reason']}: {payload['error']}", file=sys.stderr)
+    print(f"{where} failed: {payload['error']}", file=sys.stderr)
 
 
 def _classify_cell(task):
-    """One phase-diagram cell: (index, its table row | the error and its reason)."""
+    """One phase-diagram cell: (index, its table row | the error)."""
     from .bands import classify
 
     cfg, index, v1, v2 = task
@@ -202,7 +200,7 @@ def _run_point(cfg):
     ensure_dir(cfg.out)
     _write_manifest(cfg)
     if "error" in payload:
-        write_json(os.path.join(cfg.out, "error.json"), {"error": payload["error"]})
+        write_json(os.path.join(cfg.out, "error.json"), payload)
         _print_failure(cfg.command, payload)
         return 3
     write_json(os.path.join(cfg.out, "report.json"), payload["report"])

@@ -372,13 +372,9 @@ def load_config(path, overrides=None):
             extent=_get(gsec, "extent", _floats, required=True),
         )
 
-    solver = dict(SOLVER_DEFAULTS)
-    if parser.has_section("solver"):
-        ssec = parser["solver"]
-        solver["dt"] = _get(ssec, "dt", float, solver["dt"])
-        solver["tol"] = _get(ssec, "tol", float, solver["tol"])
-        solver["max_steps"] = _get(ssec, "max_steps", int, solver["max_steps"])
-        solver["check_every"] = _get(ssec, "check_every", int, solver["check_every"])
+    ssec = parser["solver"] if parser.has_section("solver") else None
+    solver = {key: _get(ssec, key, type(default), default)
+              for key, default in SOLVER_DEFAULTS.items()}
 
     return RunConfig(
         command=command, backend=backend, out=out, seed=seed, jobs=jobs,

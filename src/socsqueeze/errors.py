@@ -27,7 +27,7 @@ class UnstableExpansionError(RuntimeError):
 
 
 class MomentInputError(ValueError):
-    """A moment set lacks entries required by the requested metric."""
+    """A moment set is malformed or non-finite, or a metric is undefined on it."""
 
 
 class UnsupportedObservableError(ValueError):

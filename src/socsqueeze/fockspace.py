@@ -402,8 +402,9 @@ def ed_ground_state(coeffs, n_atoms):
                               residual=residual, iterations=steps)
 
 
-def _generator_moments(state):
-    """Means (8,) and symmetrized covariances (8, 8) of the eight generators.
+def ed_moment_set(state):
+    """Full eight-operator MomentSet of an ED state: means (8,) and
+    symmetrized covariances (8, 8) of the eight generators.
 
     Every entry comes from one real Gram matrix of psi and the nine
     a_m^dag a_n psi (rows in mode order (+1, 0, -1), as G ravels): the three
@@ -424,9 +425,4 @@ def _generator_moments(state):
     g = np.array([generator_matrix(lbl).ravel() for lbl in GENERATOR_LABELS])
     means = (g @ gram[0, 1:]).real
     second = (g.conj() @ gram[1:, 1:] @ g.T).real  # Hermitian ops: Re gives the symmetrized part
-    return means, (second + second.T) / 2.0 - np.outer(means, means)
-
-
-def ed_moment_set(state):
-    """Full eight-operator MomentSet of an ED state."""
-    return MomentSet(state.N, *_generator_moments(state))
+    return MomentSet(state.N, means, (second + second.T) / 2.0 - np.outer(means, means))

@@ -227,7 +227,13 @@ def hp_mean_field(coeffs, n_atoms):
     v_best = np.array([z[0, 0], 0.0, z[0, 2], 0.0])
     rho_p, rho_m = v_best[0] ** 2, v_best[2] ** 2
     if 1.0 - rho_p - rho_m < MIN_CENTRAL_OCCUPATION:
-        _raise_depleted(rho_p, rho_m, context, "the global minimum depletes the central mode")
+        rho_0 = 1.0 - rho_p - rho_m
+        raise DepletedCondensateError(
+            f"the global minimum depletes the central mode: rho_0 = {rho_0:.4f} < "
+            f"{MIN_CENTRAL_OCCUPATION}, |beta+|^2 = {rho_p:.4f}, |beta-|^2 = {rho_m:.4f}; "
+            "the Holstein-Primakoff expansion does not hold",
+            context={**context, "rho_0": rho_0, "rho_p": rho_p, "rho_m": rho_m},
+        )
     g, h = _energy_derivatives(v_best, *args)
     gn = float(np.linalg.norm(g))
     hess_min = float(np.linalg.eigvalsh(h)[0])
@@ -243,16 +249,6 @@ def hp_mean_field(coeffs, n_atoms):
         energy_per_atom=energy,
         grad_norm=gn,
         degenerate=free_phase or len(z) > 1,
-    )
-
-
-def _raise_depleted(rho_p, rho_m, context, reason):
-    rho_0 = 1.0 - rho_p - rho_m
-    raise DepletedCondensateError(
-        f"{reason}: rho_0 = {rho_0:.4f} < {MIN_CENTRAL_OCCUPATION}, "
-        f"|beta+|^2 = {rho_p:.4f}, |beta-|^2 = {rho_m:.4f}; "
-        "the Holstein-Primakoff expansion does not hold",
-        context={**context, "rho_0": rho_0, "rho_p": rho_p, "rho_m": rho_m},
     )
 
 
@@ -319,8 +315,9 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
     )
 
 
-def _generator_moments(solution):
-    """Means (8,) and symmetrized covariances (8, 8) of the eight generators.
+def gaussian_moment_set(solution):
+    """Full eight-operator MomentSet of a Gaussian solution: means (8,) and
+    symmetrized covariances (8, 8) of the eight generators.
 
     Each generator is expanded to second order in the fluctuations around the
     mean field by its classical symbol: constant c, linear coefficients
@@ -347,12 +344,7 @@ def _generator_moments(solution):
     cov = (0.5 * grad @ sigma @ grad.T
            + 0.5 * np.einsum("iab,jba->ij", f_sigma, f_sigma)
            + 0.125 * np.einsum("iab,jba->ij", f_omega, f_omega))
-    return means, 0.5 * (cov + cov.T)
-
-
-def gaussian_moment_set(solution):
-    """Full eight-operator MomentSet of a Gaussian solution."""
-    return MomentSet(solution.N, *_generator_moments(solution))
+    return MomentSet(solution.N, means, 0.5 * (cov + cov.T))
 
 
 def solve_gaussian(coeffs, n_atoms):

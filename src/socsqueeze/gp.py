@@ -21,11 +21,9 @@ Quasi-1D/2D: interactions are reduced by the Gaussian ground-state overlap
 of each transverse axis, sqrt(w_t / 4 pi) per axis with w_t the transverse
 frequency ratio; the reduction requires a trap.
 
-The configuration types ``TrapConfig``, ``InteractionConfig`` and
-``GridSpec``, the solver defaults ``SOLVER_DEFAULTS`` and the checks
-``check_solver_settings`` and ``check_gp_setup`` belong to
-``socsqueeze.config``; this module imports them, so
-``socsqueeze.gp.TrapConfig`` and the like still resolve.
+The setup rules (``check_gp_setup``, ``check_solver_settings``) and the
+solver defaults ``SOLVER_DEFAULTS`` belong to ``socsqueeze.config``; the
+Hartree moments of a field (``gp_moment_set``) are one full ``MomentSet``.
 """
 
 import json
@@ -36,14 +34,7 @@ import numpy as np
 
 from .algebra import SQRT2, generator_stack
 from .bands import build_hamiltonian
-from .config import (  # noqa: F401  the config types stay importable from gp
-    SOLVER_DEFAULTS,
-    GridSpec,
-    InteractionConfig,
-    TrapConfig,
-    check_gp_setup,
-    check_solver_settings,
-)
+from .config import SOLVER_DEFAULTS, check_gp_setup, check_solver_settings
 from .errors import ConfigError, ConvergenceError
 from .metrics import MomentSet
 
@@ -434,25 +425,21 @@ def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DE
                     residual=math.sqrt(res2))
 
 
-def _generator_moments(field, n_atoms):
-    """Product-state moments of the eight generators: means N<g>, covariances
-    N(<gh>_sym - <g><h>), from the one-body density matrix."""
+def gp_moment_set(field, n_atoms):
+    """Full eight-operator Hartree MomentSet of a spinor field.
+
+    These are Hartree moments of an N-fold product of the normalized spinor
+    mode, from its one-body density matrix: means N<g> and covariances
+    N(<gh>_sym - <g><h>).  They track mean-field trends but carry no
+    entanglement, so they cannot certify squeezing below the product-state
+    limit.
+    """
     rho = field.density_matrix()
     stack = generator_stack()
     g1 = np.einsum("aij,ji->a", stack, rho).real
     second = np.einsum("aik,bkj,ji->ab", stack, stack, rho).real
     second = (second + second.T) / 2.0
-    return n_atoms * g1, n_atoms * (second - np.outer(g1, g1))
-
-
-def gp_moment_set(field, n_atoms):
-    """Full eight-operator Hartree MomentSet of a spinor field.
-
-    These are Hartree moments of an N-fold product of the normalized spinor
-    mode; they track mean-field trends but carry no entanglement, so they
-    cannot certify squeezing below the product-state limit.
-    """
-    return MomentSet(int(n_atoms), *_generator_moments(field, n_atoms))
+    return MomentSet(int(n_atoms), n_atoms * g1, n_atoms * (second - np.outer(g1, g1)))
 
 
 def save_field(field, path, meta=None):

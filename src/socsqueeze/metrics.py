@@ -1,10 +1,11 @@
 """Collective-spin moment sets and squeezing metrics.
 
 A MomentSet is backend-agnostic: exact diagonalization, the Gaussian
-expansion, and the mean-field GP solver all reduce their states to first and
-second moments of the eight collective generators, ``MomentSet.project``
-carries them onto any collective observable, and every metric here is a
-function of those moments alone.
+expansion, and the mean-field GP solver all reduce their states to the full,
+finite block of first and second moments of the eight collective generators,
+``MomentSet.project`` carries them onto any collective observable, and every
+metric here is a function of those moments alone.  The two squeezing
+parameters at any angle are one 2x2 quadratic form of the covariances.
 """
 
 import math
@@ -46,9 +47,9 @@ def _index(label):
 
 def _floor_roundoff(means, cov):
     """Floor, in place, the variances on the diagonal of ``cov`` that are
-    negative by roundoff alone; missing (NaN) entries are skipped."""
+    negative by roundoff alone."""
     d = np.diag(cov)
-    scale = float(np.fmax.reduce(np.abs(cov + np.outer(means, means)), axis=None, initial=1.0))
+    scale = max(1.0, float(np.max(np.abs(cov + np.outer(means, means)))))
     np.fill_diagonal(cov, np.where(d < -_ROUNDOFF * scale, d, np.maximum(d, 0.0)))
 
 
@@ -69,9 +70,9 @@ class MomentSet:
 
     ``means[a]`` is <F_a> and ``covariances[a, b]`` is
     Cov(F_a, F_b) = <{F_a,F_b}>/2 - <F_a><F_b>, both in canonical label order.
-    A NaN entry is missing: partial sets are allowed, and metrics raise
-    MomentInputError when an entry they need is missing.  Variances negative
-    by roundoff are floored at zero on construction.
+    A set is always the full, finite block: construction raises
+    MomentInputError on a wrong shape or a NaN or infinite entry.  Variances
+    negative by roundoff are floored at zero on construction.
     """
 
     N: int
@@ -83,64 +84,49 @@ class MomentSet:
         self.covariances = np.array(self.covariances, dtype=float)
         if self.means.shape != (8,) or self.covariances.shape != (8, 8):
             raise MomentInputError("a moment set needs means[8] and covariances[8, 8]")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.covariances).all()):
+            raise MomentInputError("a moment set needs finite means and covariances")
         _floor_roundoff(self.means, self.covariances)
 
     def mean(self, label):
-        v = self.means[_index(label)]
-        if math.isnan(v):
-            raise MomentInputError(f"moment set has no mean for {label!r}")
-        return float(v)
+        return float(self.means[_index(label)])
 
     def cov(self, a, b):
-        v = self.covariances[_index(a), _index(b)]
-        if math.isnan(v):
-            raise MomentInputError(f"moment set has no covariance for ({a!r}, {b!r})")
-        return float(v)
+        return float(self.covariances[_index(a), _index(b)])
 
     def project(self, specs):
         """Means W m and symmetrized covariances W C W^T of collective observables.
 
         Each spec, a CollectiveOperatorSpec or a SpinOperator, is one row of
         weights W over the generators; other observables raise
-        UnsupportedObservableError.  An entry needs only the moments of
-        generators it weighs, and comes out NaN (missing) when one of those is.
-        Variances negative by roundoff are floored at zero.
+        UnsupportedObservableError.  Variances negative by roundoff are
+        floored at zero.
         """
         w = np.array([_spec_weights(s) for s in specs])
-        needed = (w != 0.0).astype(float)
-        mean_gaps, cov_gaps = np.isnan(self.means), np.isnan(self.covariances)
-        means = w @ np.where(mean_gaps, 0.0, self.means)
-        cov = w @ np.where(cov_gaps, 0.0, self.covariances) @ w.T
+        means = w @ self.means
+        cov = w @ self.covariances @ w.T
         cov = (cov + cov.T) / 2.0
-        means[needed @ mean_gaps > 0.0] = np.nan
-        cov[needed @ cov_gaps @ needed.T > 0.0] = np.nan
         _floor_roundoff(means, cov)
         return means, cov
 
-    def has_full_block(self):
-        return not (np.isnan(self.means).any() or np.isnan(self.covariances).any())
-
     def to_arrays(self):
-        """Full (means 8-vector, covariance 8x8) or MomentInputError."""
-        if not self.has_full_block():
-            raise MomentInputError("moment set does not cover the full operator basis")
+        """Copies of (means 8-vector, covariance 8x8)."""
         return self.means.copy(), self.covariances.copy()
 
     def validate(self):
         """Check that no variance is negative (roundoff was floored on
-        construction) and that a full covariance block is PSD, down to 1e-9
+        construction) and that the covariance block is PSD, down to 1e-9
         times max(1, its largest entry)."""
         d = np.diag(self.covariances)
         low = np.flatnonzero(d < 0.0)
         if low.size:
             a = GENERATOR_LABELS[low[0]]
             raise MomentInputError(f"variance of {a} is {d[low[0]]}, below the roundoff floor")
-        if self.has_full_block():
-            c = self.covariances
-            w = np.linalg.eigvalsh(c)
-            scale = max(1.0, float(np.max(np.abs(c))))
-            if w[0] < -1e-9 * scale:
-                raise MomentInputError(f"covariance matrix not PSD: min eigenvalue {w[0]}")
+        c = self.covariances
+        w = np.linalg.eigvalsh(c)
+        scale = max(1.0, float(np.max(np.abs(c))))
+        if w[0] < -1e-9 * scale:
+            raise MomentInputError(f"covariance matrix not PSD: min eigenvalue {w[0]}")
         return self
 
 
@@ -160,14 +146,21 @@ def quadratures(theta):
     return plus, minus
 
 
-def _quadrature_variance(moments, theta):
-    plus, _ = quadratures(theta)
-    _, minus = quadratures(theta + math.pi / 2.0)
-    _, cov = moments.project([plus, minus])
-    total = float(cov[0, 0] + cov[1, 1])
-    if math.isnan(total):
-        raise MomentInputError("moment set lacks a covariance the quadrature pair needs")
-    return total
+def _quadrature_matrix(moments):
+    """Entries (a, b, off) of the 2x2 quadrature matrix
+    M = [[V(Jx)+V(Jy), C(Jx,Qyz)-C(Qzx,Jy)], [., V(Qyz)+V(Qzx)]]: the
+    variance of the plus quadrature at t plus that of the minus quadrature at
+    t + pi/2 is (cos t, sin t) M (cos t, sin t)^T."""
+    c = moments.cov
+    a = c("Jx", "Jx") + c("Jy", "Jy")
+    b = c("Qyz", "Qyz") + c("Qzx", "Qzx")
+    off = c("Jx", "Qyz") - c("Qzx", "Jy")
+    return a, b, off
+
+
+def _quadrature_form(a, b, off, theta):
+    co, si = math.cos(theta), math.sin(theta)
+    return co * co * a + si * si * b + 2.0 * co * si * off
 
 
 def _uv_scale(moments):
@@ -182,7 +175,7 @@ def _uv_scale(moments):
 
 def xi_dcz(moments, theta):
     """Two-quadrature squeezing parameter at angle theta (shot-noise normalized)."""
-    return _quadrature_variance(moments, theta) / (2.0 * moments.N)
+    return _quadrature_form(*_quadrature_matrix(moments), theta) / (2.0 * moments.N)
 
 
 def xi_uv(moments, theta):
@@ -191,7 +184,7 @@ def xi_uv(moments, theta):
     Uses |<F_Y>| as the denominator scale; raises when that mean is too close
     to zero for the ratio to be meaningful.
     """
-    return _quadrature_variance(moments, theta) / _uv_scale(moments)
+    return _quadrature_form(*_quadrature_matrix(moments), theta) / _uv_scale(moments)
 
 
 _NORMS = {"dcz": lambda m: 2.0 * m.N, "uv": _uv_scale}
@@ -201,33 +194,27 @@ def _quadrature_minimum(moments):
     """(theta*, lambda_min) of the quadrature-pair variance over theta.
 
     The numerator of xi_dcz and xi_uv at angle t is (cos t, sin t) M
-    (cos t, sin t)^T with
-    M = [[V(Jx)+V(Jy), C(Jx,Qyz)-C(Qzx,Jy)], [., V(Qyz)+V(Qzx)]],
-    so its minimum over t is the smaller eigenvalue of M and theta* is the
-    angle of that eigenvector, taken modulo pi.  When the two eigenvalues tie
-    every angle is a minimum and theta* = 0; an angle within _THETA_SEAM of
-    the seam 0 = pi is reported as 0.  The returned value is the form at the
-    reported angle.
+    (cos t, sin t)^T (see ``_quadrature_matrix``), so its minimum over t is
+    the smaller eigenvalue of M and theta* is the angle of that eigenvector,
+    taken modulo pi.  When the two eigenvalues tie every angle is a minimum
+    and theta* = 0; an angle within _THETA_SEAM of the seam 0 = pi is
+    reported as 0.  The returned value is the form at the reported angle.
     """
-    c = moments.cov
-    a = c("Jx", "Jx") + c("Jy", "Jy")
-    b = c("Qyz", "Qyz") + c("Qzx", "Qzx")
-    off = c("Jx", "Qyz") - c("Qzx", "Jy")
+    a, b, off = _quadrature_matrix(moments)
     if math.hypot((a - b) / 2.0, off) <= _THETA_TIE * max(1.0, abs(a + b) / 2.0):
         theta = 0.0
     else:
         theta = (0.5 * math.atan2(-off, (b - a) / 2.0)) % math.pi
         if min(theta, math.pi - theta) < _THETA_SEAM:
             theta = 0.0
-    co, si = math.cos(theta), math.sin(theta)
-    return theta, co * co * a + si * si * b + 2.0 * co * si * off
+    return theta, _quadrature_form(a, b, off, theta)
 
 
 def optimize_theta(moments, metric="dcz"):
     """Minimize a squeezing metric over the quadrature angle on [0, pi).
 
     Closed form: the minimum is the smaller eigenvalue of the 2x2 quadrature
-    matrix M (see ``_quadrature_minimum``) over 2N for 'dcz' and over
+    matrix M (see ``_quadrature_matrix``) over 2N for 'dcz' and over
     sqrt(3)|<F_Y>| for 'uv', so both metrics share theta*.  A tie resolves
     to 0, and an angle within 1e-7 of the seam 0 = pi is reported as 0.
 
@@ -264,8 +251,7 @@ def rf_rotate(moments, angle):
     """Transform a full moment set by a collective rotation about Jy.
 
     Models the detection pulse that maps the squeezed quadrature onto a
-    population-measurable axis.  Requires means and the complete covariance
-    block; raises MomentInputError otherwise.
+    population-measurable axis.
     """
     mean_vec, cov_mat = moments.to_arrays()
     c = rotation_coefficients(angle)

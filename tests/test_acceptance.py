@@ -15,16 +15,10 @@ import numpy as np
 from socsqueeze.algebra import generator_matrix, generator_stack, verify_algebra
 from socsqueeze.bands import branch_energies, classify, dispersion
 from socsqueeze.cli import main
+from socsqueeze.config import GridSpec, InteractionConfig, TrapConfig
 from socsqueeze.fockspace import ed_ground_state, ed_moment_set
 from socsqueeze.gaussian import gaussian_moment_set, solve_gaussian
-from socsqueeze.gp import (
-    GridSpec,
-    InteractionConfig,
-    TrapConfig,
-    build_problem,
-    field_populations,
-    imaginary_time_ground_state,
-)
+from socsqueeze.gp import build_problem, field_populations, imaginary_time_ground_state
 from socsqueeze.metrics import optimize_theta, populations, xi_x
 from socsqueeze.params import ModelParams, effective_coefficients
 

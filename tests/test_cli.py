@@ -264,7 +264,8 @@ n_points = 201
     for out, jobs in zip(outs, ("1", "2")):
         assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 3
         err = capsys.readouterr().err
-        assert "phase-diagram cell 2 failed, solver did not converge" in err
+        assert ("phase-diagram cell 2 failed: ConvergenceError: no interior minima found; "
+                "widen the momentum window") in err
         assert "phase-diagram cell 1 failed" not in err
     for name in ("phase_diagram.csv", "errors.json"):
         assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
@@ -316,7 +317,8 @@ def test_ed_step_cap_exits_3(tmp_path, monkeypatch, capsys):
     ini = SWEEP_INI.replace("command = sweep", "command = eff-squeeze")
     cfg = write_config(tmp_path / "run.ini", ini.replace("[params]\n", "[params]\nomega_R = 2.0\n"))
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
-    assert "did not converge" in capsys.readouterr().err
+    assert ("eff-squeeze failed: ConvergenceError: Lanczos did not converge in 2 steps"
+            in capsys.readouterr().err)
     assert not (out / "report.json").exists()
     assert json.loads(read_bytes(out / "manifest.json"))["command"] == "eff-squeeze"
     assert "ConvergenceError" in json.loads(read_bytes(out / "error.json"))["error"]
@@ -391,7 +393,8 @@ axis = epsilon
 values = 6 -4 -2
 """)
     assert main(["run", "--config", cfg]) == 3
-    assert "sweep cell 1 failed, solver did not converge" in capsys.readouterr().err
+    assert ("sweep cell 1 failed: ConvergenceError: eigenpair residual nan exceeds tolerance"
+            in capsys.readouterr().err)
     status = [ln.split(",")[-1] for ln in read_bytes(out / "sweep.csv").decode().splitlines()]
     assert status == ["status", "ok", "failed", "ok"]
     assert list(json.loads(read_bytes(out / "errors.json"))) == ["1"]
@@ -563,6 +566,7 @@ MALFORMED = [
     ("duplicate-key", "sweep", "[params]\nN = 40\nN = 41\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("duplicate-section", "sweep", "[sweep]\naxis = delta\nvalues = 1 2\n[sweep]\naxis = delta\n"),
     ("lone-percent", "sweep", "[sweep]\naxis = delta\nvalues = 1 2%\n"),
+    ("solver-fractional-max-steps", "gp-ground", GP_SECTIONS + "[solver]\nmax_steps = 2.5\n"),
     ("phase-same-axes", "phase-diagram", PHASE_SECTION.replace("axis2 = delta", "axis2 = omega_R")),
     ("tol-deg-nan", "phase-diagram", PHASE_SECTION + "tol_deg = nan\n"),
     ("tol-deg-inf", "phase-diagram", PHASE_SECTION + "tol_deg = inf\n"),
@@ -658,7 +662,8 @@ max_steps = 5
     cfg = write_config(tmp_path / "run.ini", ini)
     assert main(["run", "--config", cfg]) == 3
     # every nonzero exit reports its detail on stderr, not just in files
-    assert "did not converge" in capsys.readouterr().err
+    assert ("gp-ground failed: ConvergenceError: no convergence within 5 steps"
+            in capsys.readouterr().err)
     error = json.loads(read_bytes(out / "error.json"))
     assert "ConvergenceError" in error["error"]
     assert (out / "manifest.json").exists()

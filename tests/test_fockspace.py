@@ -10,7 +10,7 @@ import pytest
 
 from socsqueeze import fockspace
 from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator, generator_matrix
-from socsqueeze.config import DEFAULT_N_CAP
+from socsqueeze.config import DEFAULT_N_CAP, GridSpec
 from socsqueeze.errors import ConfigError, ConvergenceError, UnsupportedObservableError
 from socsqueeze.fockspace import (
     RESIDUAL_TOL,
@@ -26,7 +26,7 @@ from socsqueeze.gaussian import (
     gaussian_moment_set,
     solve_gaussian,
 )
-from socsqueeze.gp import GridSpec, SpinorField, gp_moment_set
+from socsqueeze.gp import SpinorField, gp_moment_set
 from socsqueeze.metrics import xi_x
 from socsqueeze.params import EffectiveCoefficients, ModelParams, effective_coefficients
 

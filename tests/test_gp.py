@@ -10,17 +10,19 @@ import pytest
 
 from socsqueeze.algebra import generator_matrix
 from socsqueeze.bands import branch_energies
+from socsqueeze.config import (
+    SOLVER_DEFAULTS,
+    GridSpec,
+    InteractionConfig,
+    TrapConfig,
+    check_solver_settings,
+)
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.gp import (
     MAX_BACKTRACKS,
     PRECONDITIONER_SHIFT,
-    SOLVER_DEFAULTS,
-    GridSpec,
-    InteractionConfig,
     SpinorField,
-    TrapConfig,
     build_problem,
-    check_solver_settings,
     field_populations,
     gp_moment_set,
     imaginary_time_ground_state,

@@ -69,8 +69,8 @@ def test_vacuum_covariance_entries():
 
 
 def synthetic_set(N, vxx, vyy, vqq, vzz, cxq, czy):
-    """Six quadrature covariances and <Y>; every other entry is missing (NaN)."""
-    cov = np.full((8, 8), np.nan)
+    """Six quadrature covariances and <Y>; every other entry is zero."""
+    cov = np.zeros((8, 8))
     for (a, b), v in {
         ("Jx", "Jx"): vxx, ("Jy", "Jy"): vyy,
         ("Qyz", "Qyz"): vqq, ("Qzx", "Qzx"): vzz,
@@ -78,7 +78,7 @@ def synthetic_set(N, vxx, vyy, vqq, vzz, cxq, czy):
     }.items():
         i, j = GENERATOR_LABELS.index(a), GENERATOR_LABELS.index(b)
         cov[i, j] = cov[j, i] = v
-    means = np.full(8, np.nan)
+    means = np.zeros(8)
     means[GENERATOR_LABELS.index("Y")] = -2.0 * N / math.sqrt(3.0)
     return MomentSet(N, means, cov)
 
@@ -113,9 +113,21 @@ def _quadrature_oracle(m):
     return t_star, ((A + B) / 2.0 - math.hypot((A - B) / 2.0, C)) / (2.0 * m.N)
 
 
+def _pair_weights(angles):
+    """Weight rows (angle, pair, generator) of the plus quadrature at t and the
+    minus quadrature at t + pi/2, the pair whose variances xi_dcz sums."""
+    return np.array([[quadratures(t)[0].coefficients,
+                      quadratures(t + math.pi / 2.0)[1].coefficients] for t in angles])
+
+
+def _brute_xi_dcz(m, w):
+    """diag(W C W^T) summed over each pair, over 2N: xi_dcz at every angle of w."""
+    return np.einsum("tpa,ab,tpb->t", w, m.covariances, w) / (2.0 * m.N)
+
+
 def test_closed_form_angle_matches_oracles_on_random_covariances():
     rng = np.random.default_rng(2012)
-    grid = np.arange(720) * (math.pi / 720)
+    grid = _pair_weights(np.arange(720) * (math.pi / 720))
     for _ in range(50):
         a = rng.standard_normal((8, 8))
         m = MomentSet(100, 50.0 * rng.standard_normal(8), 10.0 * a @ a.T)
@@ -124,9 +136,12 @@ def test_closed_form_angle_matches_oracles_on_random_covariances():
         d = abs(theta - t_star)
         assert min(d, math.pi - d) <= 1e-7
         assert abs(value - v_star) <= 1e-12 * max(1.0, v_star)
-        # brute force: the minimum is attained at theta* and no grid angle beats it
-        assert abs(xi_dcz(m, theta) - value) <= 1e-12 * max(1.0, value)
-        assert min(xi_dcz(m, t) for t in grid) >= value - 1e-12 * max(1.0, value)
+        # brute force over the full covariance: the minimum is attained at
+        # theta* and no grid angle beats it
+        tol = 1e-12 * max(1.0, value)
+        assert abs(_brute_xi_dcz(m, _pair_weights([theta]))[0] - value) <= tol
+        assert _brute_xi_dcz(m, grid).min() >= value - tol
+        assert abs(xi_dcz(m, theta) - value) <= tol
         # the uv minimum shares the angle and the numerator
         theta_uv, value_uv = optimize_theta(m, "uv")
         assert theta_uv == theta
@@ -136,25 +151,11 @@ def test_closed_form_angle_matches_oracles_on_random_covariances():
         assert report.xi_dcz_min == value and report.xi_uv_min == value_uv
 
 
-def test_six_entry_set_evaluates_and_each_needed_entry_is_required():
-    args = (100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
-    m = synthetic_set(*args)
+def test_six_entry_set_evaluates():
+    m = synthetic_set(100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
     for metric in ("dcz", "uv"):
         theta, value = optimize_theta(m, metric)
         assert 0.0 <= theta < math.pi and value > 0.0
-    needed = [("Jx", "Jx"), ("Jy", "Jy"), ("Qyz", "Qyz"), ("Qzx", "Qzx"),
-              ("Jx", "Qyz"), ("Qzx", "Jy")]
-    for a, b in needed:
-        m = synthetic_set(*args)
-        i, j = GENERATOR_LABELS.index(a), GENERATOR_LABELS.index(b)
-        m.covariances[i, j] = m.covariances[j, i] = np.nan
-        with pytest.raises(MomentInputError):
-            optimize_theta(m, "dcz")
-    m = synthetic_set(*args)
-    m.means[GENERATOR_LABELS.index("Y")] = np.nan
-    assert optimize_theta(m, "dcz")[1] > 0.0
-    with pytest.raises(MomentInputError):
-        optimize_theta(m, "uv")
 
 
 def test_optimizer_tie_resolves_to_zero():
@@ -193,15 +194,29 @@ def test_unknown_metric_rejected():
         optimize_theta(VACUUM, metric="wineland")
 
 
-def test_missing_entries_raise():
-    m = MomentSet(10, np.full(8, np.nan), np.full((8, 8), np.nan))
+def test_moment_set_is_full_and_finite():
+    means, cov = VACUUM.to_arrays()
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_means = means.copy()
+        bad_means[GENERATOR_LABELS.index("Qxy")] = bad
+        with pytest.raises(MomentInputError):
+            MomentSet(100, bad_means, cov)
+        bad_cov = cov.copy()
+        bad_cov[1, 4] = bad_cov[4, 1] = bad
+        with pytest.raises(MomentInputError):
+            MomentSet(100, means, bad_cov)
     with pytest.raises(MomentInputError):
-        m.mean("Jx")
+        MomentSet(100, means[:7], cov)
     with pytest.raises(MomentInputError):
-        m.cov("Jx", "Qyz")
+        MomentSet(100, means, cov[:, :7])
     with pytest.raises(MomentInputError):
-        m.to_arrays()
-    assert not m.has_full_block()
+        VACUUM.mean("Jw")
+    with pytest.raises(MomentInputError):
+        VACUUM.cov("Jx", "Jw")
+    copies = VACUUM.to_arrays()
+    for a in copies:
+        a += 1.0
+    assert np.array_equal(VACUUM.means, means) and np.array_equal(VACUUM.covariances, cov)
 
 
 def test_covariance_lookup_is_symmetric():
@@ -230,17 +245,17 @@ def test_roundoff_negative_variance_is_floored_on_construction():
 
 
 def test_project_needs_only_entries_of_nonzero_weight():
-    m = synthetic_set(100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
-    plus, minus = quadratures(0.3)
-    means, cov = m.project([plus, minus])
-    # the cross entry needs Cov(Jx, Qzx), which the set lacks
-    assert np.isnan(means).all() and np.isnan(cov[0, 1]) and np.isnan(cov[1, 0])
-    assert np.isfinite(np.diag(cov)).all()
     c, s = math.cos(0.3), math.sin(0.3)
-    assert abs(cov[0, 0] - (c * c * 80.0 + s * s * 130.0 + 2 * c * s * 15.0)) <= 1e-12
-    means, cov = m.project([generator("Y"), generator("Jz")])
-    assert abs(means[0] + 200.0 / math.sqrt(3.0)) <= 1e-12 and np.isnan(means[1])
-    assert np.isnan(cov).all()
+    plus, minus = quadratures(0.3)
+    base = synthetic_set(100, 80.0, 120.0, 130.0, 90.0, 15.0, -10.0)
+    # entries the plus quadrature and <Y> do not weigh, filled with other values
+    filled = MomentSet(100, np.where(base.means == 0.0, 7.0, base.means),
+                       np.where(base.covariances == 0.0, 3.0, base.covariances))
+    for m in (base, filled):
+        _, cov = m.project([plus, minus])
+        assert abs(cov[0, 0] - (c * c * 80.0 + s * s * 130.0 + 2 * c * s * 15.0)) <= 1e-12
+        means, _ = m.project([generator("Y"), generator("Jz")])
+        assert abs(means[0] + 200.0 / math.sqrt(3.0)) <= 1e-12
 
 
 def test_validate_flags_indefinite_full_block():
@@ -300,10 +315,10 @@ def test_quarter_turn_swaps_jz_variance_onto_jx():
 def test_populations_roundtrip():
     # n0=60, n+=25, n-=15 of N=100
     n, n0, npl, nmi = 100, 60.0, 25.0, 15.0
-    means = np.full(8, np.nan)
+    means = np.zeros(8)
     means[GENERATOR_LABELS.index("Jz")] = npl - nmi
     means[GENERATOR_LABELS.index("Y")] = (npl + nmi - 2.0 * n0) / math.sqrt(3.0)
-    m = MomentSet(n, means, np.full((8, 8), np.nan))
+    m = MomentSet(n, means, np.zeros((8, 8)))
     rm, r0, rp = populations(m)
     assert abs(rm - 0.15) <= 1e-12
     assert abs(r0 - 0.60) <= 1e-12
