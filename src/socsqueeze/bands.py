@@ -12,9 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW
-from .errors import ConfigError, ConvergenceError
-from .params import ModelParams
+from .config import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW, check_window
+from .errors import ConvergenceError
 
 # momentum shift of the +1, 0, -1 components: bare branch i is (k + _SHIFT[i])^2
 _SHIFT = (2.0, 0.0, -2.0)
@@ -152,10 +151,8 @@ def _minima(k, params):
 
 
 def _grid(window, n_points):
-    lo, hi = float(window[0]), float(window[1])
-    if not (hi > lo) or n_points < 3:
-        raise ConfigError(f"bad dispersion window {window!r} / n_points={n_points}")
-    return _cached_grid(lo, hi, int(n_points))
+    check_window(window, n_points)
+    return _cached_grid(float(window[0]), float(window[1]), int(n_points))
 
 
 @lru_cache(maxsize=8)
@@ -183,7 +180,6 @@ def dispersion(params, window=DEFAULT_WINDOW, n_points=DEFAULT_POINTS):
 class PhaseCell:
     """Minima count and degeneracy flag at one parameter point."""
 
-    params: ModelParams
     n_minima: int
     degenerate: bool
     E_min: float
@@ -206,7 +202,6 @@ def classify(params, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW, n_points=DE
     e_sorted = minima_E[order]
     degenerate = len(minima_k) > 1 and (e_sorted[1] - e_sorted[0]) < tol_deg
     return PhaseCell(
-        params=params,
         n_minima=len(minima_k),
         degenerate=bool(degenerate),
         E_min=float(e_sorted[0]),

@@ -1,7 +1,7 @@
 """Command-line runner: config-driven computations with reproducible outputs.
 
 Every run writes a manifest (the fully resolved configuration, the numpy
-version and the BLAS thread variables) next to its result tables, and reruns
+version and the BLAS thread variables) before any cell runs, and reruns
 with the same config and seed are byte-identical, including under worker
 parallelism: cells are computed by index and assembled in order, never as
 they complete.
@@ -11,9 +11,9 @@ value or once at the point of ``eff-squeeze`` and ``gp-ground``.  A failed
 report or phase-diagram cell records its error, and the other cells and the
 manifest are kept; ``load_config`` raises every configuration error first.
 
-A process fixes its BLAS thread count before numpy loads and imports the
-band and GP layers, the squeezing backends and the process pool only in the
-runners that use them.
+The CLI fixes the BLAS thread count if it is what loads numpy, and imports
+the band and GP layers, the squeezing backends and the process pool only in
+the runners that use them.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge, the Gaussian expansion point is a depleted condensate or
@@ -29,9 +29,9 @@ import sys
 # is small: the largest, the 10x10 Gram matrix of an ED report at N = 300, is
 # about 20 Mflop.  On a 2-vCPU host a second OpenBLAS thread costs about 70 ms of
 # `import numpy` per process, and its spin-waiting adds CPU time.  OpenBLAS reads
-# the count when numpy loads, so this comes before any import that loads numpy.
+# the count when numpy loads: set it before numpy loads, and not once it has.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-if not any(var in os.environ for var in BLAS_THREAD_VARS):
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
@@ -45,6 +45,8 @@ from .params import effective_coefficients
 
 REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
                   "rho_m1", "rho_0", "rho_p1")
+# the failures a cell records while its siblings are kept
+_CELL_ERRORS = (ConfigError, ConvergenceError, MomentInputError)
 
 
 def _report_for_point(cfg, params, seed):
@@ -96,7 +98,7 @@ def _sweep_cell(task):
     cfg, index, params = task
     try:
         report, ground = _report_for_point(cfg, params, seed=cfg.seed + index)
-    except (ConfigError, ConvergenceError, MomentInputError) as exc:
+    except _CELL_ERRORS as exc:
         return index, _failure(exc)
     payload = {"report": report.to_dict()}
     if cfg.command == "gp-ground":
@@ -116,13 +118,13 @@ def _classify_cell(task):
     params = cfg.params.replace(**{cfg.axis1.name: v1, cfg.axis2.name: v2})
     try:
         cell = classify(params, tol_deg=cfg.tol_deg, window=cfg.window, n_points=cfg.n_points)
-    except (ConfigError, ConvergenceError) as exc:
+    except _CELL_ERRORS as exc:
         return index, _failure(exc)
     return index, (v1, v2, cell.n_minima, int(cell.degenerate), cell.E_min, cell.k_min)
 
 
 def _map_ordered(worker, tasks, jobs):
-    """Run tasks through the same worker inline or in processes; order by index.
+    """Run (index, ...) tasks through one worker inline or in processes; payloads in order.
 
     The pool has at most one worker per task, since it starts all of them at
     once.  It gets the tasks in chunks of about a quarter of each worker's
@@ -137,7 +139,6 @@ def _map_ordered(worker, tasks, jobs):
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, tasks, chunksize=chunksize))
-    results.sort(key=lambda pair: pair[0])
     return [payload for _, payload in results]
 
 
@@ -164,8 +165,6 @@ def _run_dispersion(cfg):
     from .bands import dispersion
 
     disp = dispersion(cfg.params, window=cfg.window, n_points=cfg.n_points)
-    ensure_dir(cfg.out)
-    _write_manifest(cfg)
     rows = [(float(k), float(e[0]), float(e[1]), float(e[2]))
             for k, e in zip(disp.k, disp.energies)]
     write_csv(os.path.join(cfg.out, "dispersion.csv"), ("k", "E1", "E2", "E3"), rows)
@@ -181,8 +180,6 @@ def _run_phase_diagram(cfg):
     cells = [(float(v1), float(v2)) for v1 in cfg.axis1.values for v2 in cfg.axis2.values]
     tasks = [(cfg, i) + cell for i, cell in enumerate(cells)]
     payloads = _map_ordered(_classify_cell, tasks, cfg.jobs)
-    ensure_dir(cfg.out)
-    _write_manifest(cfg)
     rows, errors = [], {}
     for i, (cell, payload) in enumerate(zip(cells, payloads)):
         if isinstance(payload, dict):
@@ -197,8 +194,6 @@ def _run_phase_diagram(cfg):
 def _run_point(cfg):
     """eff-squeeze and gp-ground: one report cell at the configured point."""
     _, payload = _sweep_cell((cfg, 0, cfg.params))
-    ensure_dir(cfg.out)
-    _write_manifest(cfg)
     if "error" in payload:
         write_json(os.path.join(cfg.out, "error.json"), payload)
         _print_failure(cfg.command, payload)
@@ -218,8 +213,6 @@ def _run_sweep(cfg):
     tasks = [(cfg, i, cfg.params.replace(**{cfg.sweep.name: float(v)}))
              for i, v in enumerate(cfg.sweep.values)]
     payloads = _map_ordered(_sweep_cell, tasks, cfg.jobs)
-    ensure_dir(cfg.out)
-    _write_manifest(cfg)
     rows, errors = [], {}
     for i, (value, payload) in enumerate(zip(cfg.sweep.values, payloads)):
         if "error" in payload:
@@ -246,6 +239,8 @@ _RUNNERS = {
 
 def run(cfg):
     """Execute a resolved RunConfig; returns the process exit code."""
+    ensure_dir(cfg.out)
+    _write_manifest(cfg)
     return _RUNNERS[cfg.command](cfg)
 
 

@@ -3,12 +3,12 @@ default resolution.
 
 This module owns every configuration type and default that a run resolves:
 the band window and degeneracy tolerance, the ED atom-number cap, the GP
-trap, interaction, grid and solver settings.  It also owns the rules a GP
-setup must meet (``check_gp_setup``: interactions need a trap, and the box
-spans 3 oscillator lengths), which ``RunConfig`` and ``gp.GpProblem`` both
-apply.  The solver modules import all of these from here, so reading and
-validating a config loads no solver, and a config that loads is one the
-runner can set up.
+trap, interaction, grid and solver settings.  Each setup rule that both
+``RunConfig`` and a library entry point apply is one function here:
+``check_window`` (``bands``), ``check_ed_atoms`` (``fockspace``) and, for
+``gp``, ``check_gp_setup`` (interactions need a trap; the box spans 3
+oscillator lengths) and ``check_solver_settings``.  Reading and validating a
+config loads no solver, and ``load_config`` raises every configuration error.
 
 Precedence for the settings that have knobs elsewhere: command-line flag,
 then SOCSQUEEZE_* environment variable, then the config file, then the
@@ -20,7 +20,7 @@ import configparser
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -55,6 +55,21 @@ SOLVER_DEFAULTS = MappingProxyType({"dt": 0.01, "tol": 1e-10, "max_steps": 40000
                                     "check_every": 50})
 
 
+def check_window(window, n_points):
+    """Raise ConfigError unless the momentum window (lo, hi) is finite and
+    increasing and its grid has at least 3 points."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n_points >= 3):
+        raise ConfigError(f"the momentum window must be finite and increasing, with "
+                          f"n_points >= 3, got {window!r} / n_points={n_points}")
+
+
+def check_ed_atoms(n_atoms):
+    """Raise ConfigError if the ED backend cannot take n_atoms atoms."""
+    if n_atoms > DEFAULT_N_CAP:
+        raise ConfigError(f"N={n_atoms} exceeds the ED cap {DEFAULT_N_CAP}")
+
+
 def check_solver_settings(dt, tol, max_steps, check_every):
     """Raise ConfigError unless dt and tol are positive finite numbers and
     max_steps and check_every are positive integers."""
@@ -81,10 +96,10 @@ class TrapConfig:
     recoil_frequency: float
 
     def __post_init__(self):
-        for name in ("omega_x", "omega_y", "omega_z", "recoil_frequency"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be a positive finite frequency, got {v!r}")
+                raise ConfigError(f"{f.name} must be a positive finite frequency, got {v!r}")
 
     def frequency_ratio(self, axis):
         """Dimensionless trap frequency of an axis (0=x, 1=y, 2=z)."""
@@ -189,7 +204,7 @@ def _ints(raw):
 
 @dataclass
 class AxisSpec:
-    """One swept parameter: its name and the resolved value list."""
+    """One swept parameter: its name and the resolved, finite value list."""
 
     name: str
     values: tuple
@@ -199,6 +214,8 @@ class AxisSpec:
             raise ConfigError(f"unknown sweep axis {self.name!r}; expected one of {SWEEP_AXES}")
         if len(self.values) < 2:
             raise ConfigError(f"axis {self.name!r} needs at least 2 values")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ConfigError(f"axis {self.name!r} values must be finite, got {self.values!r}")
 
 
 def _axis_from_section(section, suffix=""):
@@ -259,19 +276,15 @@ class RunConfig:
                 raise ConfigError("phase-diagram needs [phase-diagram] axis1/axis2")
             if self.axis1.name == self.axis2.name:
                 raise ConfigError(f"phase-diagram axes must differ, both are {self.axis1.name!r}")
-        lo, hi = self.window
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and self.n_points >= 3):
-            raise ConfigError(f"the momentum window must be finite and increasing, with "
-                              f"n_points >= 3, got {self.window!r} / n_points={self.n_points}")
+        check_window(self.window, self.n_points)
         if not (math.isfinite(self.tol_deg) and self.tol_deg > 0.0):
             raise ConfigError(f"tol_deg must be positive and finite, got {self.tol_deg!r}")
         if self.command == "sweep" and self.sweep is None:
             raise ConfigError("sweep needs a [sweep] section")
         if self.command == "eff-squeeze" and self.backend == "gp":
             raise ConfigError("eff-squeeze runs on the ed/gaussian backends; use gp-ground")
-        if (self.backend == "ed" and self.command in ("eff-squeeze", "sweep")
-                and self.params.N > DEFAULT_N_CAP):
-            raise ConfigError(f"N={self.params.N} exceeds the ED cap {DEFAULT_N_CAP}")
+        if self.backend == "ed" and self.command in ("eff-squeeze", "sweep"):
+            check_ed_atoms(self.params.N)
         if self.backend == "gp" and self.command in ("gp-ground", "sweep"):
             if self.grid is None:
                 raise ConfigError("GP runs need a [grid] section")
@@ -348,12 +361,8 @@ def load_config(path, overrides=None):
     trap = None
     if parser.has_section("trap"):
         tsec = parser["trap"]
-        trap = TrapConfig(
-            omega_x=_get(tsec, "omega_x", float, required=True),
-            omega_y=_get(tsec, "omega_y", float, required=True),
-            omega_z=_get(tsec, "omega_z", float, required=True),
-            recoil_frequency=_get(tsec, "recoil_frequency", float, required=True),
-        )
+        trap = TrapConfig(**{f.name: _get(tsec, f.name, float, required=True)
+                             for f in fields(TrapConfig)})
 
     interaction = None
     if parser.has_section("interaction"):

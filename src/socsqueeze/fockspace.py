@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .algebra import GENERATOR_LABELS, generator_matrix
-from .config import DEFAULT_N_CAP
+from .config import check_ed_atoms
 from .errors import ConfigError, ConvergenceError
 from .gaussian import _classical_minimum
 from .metrics import MomentSet
@@ -385,8 +385,7 @@ def ed_ground_state(coeffs, n_atoms):
     """
     if not isinstance(coeffs, EffectiveCoefficients):
         raise ConfigError("coeffs must be EffectiveCoefficients")
-    if n_atoms > DEFAULT_N_CAP:
-        raise ConfigError(f"N={n_atoms} exceeds the ED cap {DEFAULT_N_CAP}")
+    check_ed_atoms(n_atoms)
     basis = fock_basis(n_atoms)
     h = build_effective_hamiltonian(coeffs, n_atoms)
     try:

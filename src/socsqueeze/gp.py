@@ -19,7 +19,7 @@ term is spectral); traps must decay the state well inside the box, which
 
 Quasi-1D/2D: interactions are reduced by the Gaussian ground-state overlap
 of each transverse axis, sqrt(w_t / 4 pi) per axis with w_t the transverse
-frequency ratio; the reduction requires a trap.
+frequency ratio; the reduction requires a trap (``check_gp_setup``).
 
 The setup rules (``check_gp_setup``, ``check_solver_settings``) and the
 solver defaults ``SOLVER_DEFAULTS`` belong to ``socsqueeze.config``; the
@@ -64,15 +64,10 @@ def mean_field_couplings(interaction, trap, dimension):
     The 3-D couplings are (8 pi / 3) N (a0 + 2 a2) and (8 pi / 3) N (a2 - a0)
     with scattering lengths in recoil units; below three dimensions each
     integrated-out transverse axis multiplies them by its Gaussian overlap.
+    ``trap`` may be None only without an interaction (``check_gp_setup``).
     """
     if interaction is None:
         return 0.0, 0.0
-    if trap is None:
-        if dimension < 3:
-            raise ConfigError("reduced-dimension interactions need a trap "
-                              "(transverse confinement sets the reduction)")
-        raise ConfigError("3-D interactions need a trap to fix the recoil frequency; "
-                          "pass a TrapConfig")
     kr = raman_recoil_momentum(trap.recoil_frequency)
     a0 = interaction.a_s0 * BOHR_RADIUS * kr
     a2 = interaction.a_s2 * BOHR_RADIUS * kr
@@ -122,9 +117,7 @@ class GpProblem:
 
     def __init__(self, params, trap, interaction, grid):
         check_gp_setup(trap, interaction, grid)
-        self.params = params
         self.trap = trap
-        self.interaction = interaction
         self.grid = grid
         d = grid.dimension
         self.c0, self.c2 = mean_field_couplings(interaction, trap, d)

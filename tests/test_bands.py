@@ -320,6 +320,10 @@ def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
     assert np.array_equal(first.minima_E, minima_e)
     cell = classify(params)
     assert (cell.k_min, cell.E_min) == (minima_k[np.argmin(minima_e)], minima_e.min())
-    for window, n_points in (((1.0, 1.0), 11), ((-4.0, 4.0), 2)):
+    inf, nan = float("inf"), float("nan")
+    for window, n_points in (((1.0, 1.0), 11), ((-4.0, 4.0), 2), ((-inf, 4.0), 11),
+                             ((-4.0, inf), 11), ((nan, 4.0), 11)):
         with pytest.raises(ConfigError):
             dispersion(params, window=window, n_points=n_points)
+        with pytest.raises(ConfigError):
+            classify(params, window=window, n_points=n_points)

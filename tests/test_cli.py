@@ -550,6 +550,11 @@ MALFORMED = [
     ("sweep-values-nan", "sweep", "[sweep]\naxis = delta\nvalues = nan 1\n"),
     ("phase-values1", "phase-diagram", PHASE_SECTION.replace("values1 = 1 2", "values1 = 1 y")),
     ("phase-values2", "phase-diagram", PHASE_SECTION.replace("values2 = -1 1", "values2 = -1 1x")),
+    ("phase-values1-nan", "phase-diagram",
+     PHASE_SECTION.replace("values1 = 1 2", "values1 = nan 1")),
+    ("phase-values2-inf", "phase-diagram",
+     PHASE_SECTION.replace("values2 = -1 1", "values2 = -1 inf")),
+    ("sweep-range-inf", "sweep", "[sweep]\naxis = delta\nmin = 0\nmax = inf\ncount = 3\n"),
     ("grid-n-points-word", "gp-ground", GP_SECTIONS.replace("n_points = 64", "n_points = 64 x")),
     ("grid-n-points-float", "gp-ground", GP_SECTIONS.replace("n_points = 64", "n_points = 64.5")),
     ("grid-extent-word", "gp-ground", GP_SECTIONS.replace("extent = 24.0", "extent = 1 z")),
@@ -595,6 +600,23 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, 
     assert main(["run", "--config", cfg]) == 2
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_4_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    # load_config has raised every configuration error, so run makes the
+    # output directory before it computes anything
+    import socsqueeze.cli as cli
+
+    def no_cell(task):
+        raise AssertionError("a cell ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "_sweep_cell", no_cell)
+    blocker = tmp_path / "out"
+    blocker.write_text("a file\n")
+    cfg = write_config(tmp_path / "run.ini", SWEEP_INI)
+    assert main(["run", "--config", cfg, "--out", str(blocker)]) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert blocker.read_text() == "a file\n"
 
 
 def test_config_without_section_header_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -741,7 +763,8 @@ def test_package_and_cli_import_without_scipy(tmp_path):
     # no path of the package loads scipy: not at startup, not for a Gaussian
     # solve, not for an ED report, not for an ED sweep in a --jobs 2 pool.
     # Each layer loads on first use, and the CLI fixes the BLAS thread count
-    # before numpy loads unless the environment already sets one
+    # before numpy loads unless the environment already sets one or numpy is
+    # loaded already
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     submodules = tuple(f"socsqueeze.{name[:-3]}"
                        for name in os.listdir(os.path.join(src, "socsqueeze"))
@@ -759,6 +782,8 @@ def test_package_and_cli_import_without_scipy(tmp_path):
         ("import socsqueeze.cli", {}, solvers, "1"),
         ("import socsqueeze.cli", {"OPENBLAS_NUM_THREADS": "3"}, (), "3"),
         ("import socsqueeze.cli", {"OMP_NUM_THREADS": "2"}, (), None),
+        # numpy already loaded: the variable would not be in force, so it stays unset
+        ("import numpy, socsqueeze.cli", {}, (), None),
         ("import socsqueeze.gaussian as g; from socsqueeze.params import "
          "ModelParams, effective_coefficients; "
          "g.solve_gaussian(effective_coefficients(ModelParams(2.0, 0.0, 6.0, 200)), 200)",
@@ -824,3 +849,40 @@ n_points = 101
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+
+
+def test_sweep_cell_holds_over_the_parameter_space(monkeypatch):
+    # a fuzz of the report cell over omega_R 0-8, delta -2-2 and epsilon -8-8 on
+    # both squeezing backends: every cell returns its index and a report or a
+    # recorded error of the types a cell keeps its siblings through, and no
+    # exception escapes (numpy RuntimeWarnings are errors under pytest)
+    from socsqueeze import cli
+    from socsqueeze.config import AxisSpec, RunConfig
+    from socsqueeze.params import ModelParams
+
+    recorded = []
+
+    def failure(exc):
+        recorded.append(exc)
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+    monkeypatch.setattr(cli, "_failure", failure)
+    rng = np.random.default_rng(41)
+    outcomes = {"report": 0, "error": 0}
+    for backend, sizes in (("gaussian", (10, 200, 100000)), ("ed", (2, 7, 30))):
+        for n in sizes:
+            params = ModelParams(omega_R=0.0, delta=0.0, epsilon=0.0, N=n)
+            cfg = RunConfig(command="sweep", backend=backend, out="unused", seed=0, jobs=1,
+                            params=params, sweep=AxisSpec("delta", (0.0, 1.0)))
+            for index in range(34):
+                point = params.replace(omega_R=rng.uniform(0.0, 8.0),
+                                       delta=rng.uniform(-2.0, 2.0),
+                                       epsilon=rng.uniform(-8.0, 8.0))
+                got_index, payload = cli._sweep_cell((cfg, index, point))
+                assert got_index == index
+                (key,) = payload
+                outcomes[key] += 1
+    assert sum(outcomes.values()) == 204
+    assert len(recorded) == outcomes["error"]
+    assert all(isinstance(exc, cli._CELL_ERRORS) for exc in recorded)
+    assert outcomes["report"] > 0 and outcomes["error"] > 0

@@ -4,6 +4,8 @@ search against a multi-start BFGS oracle and against the earlier 2-D
 grid-and-Newton search, and the generator moments against a hand-derived,
 per-generator oracle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -262,9 +264,57 @@ def test_no_convergence_error_carries_context():
         hp_quadratic(coeffs, 100, mf)
 
 
+def _oracle_state(v):
+    """Oracle: the coordinates of v = (x+, y+, x-, y-), |beta+|^2, |beta-|^2 and
+    s in plain floats, with s^2 = 1 - |u|^2 floored at 1e-14 as the package does."""
+    xp, yp, xm, ym = (float(c) for c in v)
+    rp, rm = xp * xp + yp * yp, xm * xm + ym * ym
+    return (xp, yp, xm, ym), rp, rm, math.sqrt(max(1.0 - rp - rm, 1e-14))
+
+
+def _oracle_energy(v, coeffs, n_atoms):
+    """Oracle: the per-atom classical energy written out by hand,
+    E = -qN j^2 + hz j + hx sqrt2 s (x+ + x-) + hY (|b+|^2 + |b-|^2 - 2 s^2) / sqrt3
+    with j = |b+|^2 - |b-|^2."""
+    (xp, _, xm, _), rp, rm, s = _oracle_state(v)
+    j = rp - rm
+    return (-coeffs.q * n_atoms * j * j + coeffs.hz * j
+            + coeffs.hx * math.sqrt(2.0) * s * (xp + xm)
+            + coeffs.hY * (rp + rm - 2.0 * s * s) / math.sqrt(3.0))
+
+
+def _oracle_gradient(v, coeffs, n_atoms):
+    """Oracle: dE/du of ``_oracle_energy`` by hand, with dj/du = 2 (x+, y+, -x-, -y-),
+    ds/du = -u / s and d(|b+|^2 + |b-|^2 - 2 s^2)/du = 6 u."""
+    (xp, yp, xm, ym), rp, rm, s = _oracle_state(v)
+    jz = 2.0 * (coeffs.hz - 2.0 * coeffs.q * n_atoms * (rp - rm))
+    drive = coeffs.hx * math.sqrt(2.0)
+    radial = 2.0 * math.sqrt(3.0) * coeffs.hY - drive * (xp + xm) / s
+    return np.array([(jz + radial) * xp + drive * s, (jz + radial) * yp,
+                     (radial - jz) * xm + drive * s, (radial - jz) * ym])
+
+
+def test_oracle_energy_and_gradient_match_the_package():
+    # the BFGS oracle's hand-written energy and gradient against the package's
+    # symbol-based ones, at random points inside the disk, q of either sign
+    rng = np.random.default_rng(33)
+    for i in range(200):
+        n = int(rng.choice([10, 200, 100000]))
+        coeffs = EffectiveCoefficients(q=(-1.0) ** i * rng.uniform(0.5, 10.0) / n,
+                                       hx=rng.uniform(-3.0, 3.0), hz=rng.uniform(-2.0, 2.0),
+                                       hY=rng.uniform(-1.0, 6.0))
+        v = rng.normal(size=4)
+        v *= rng.uniform(0.0, 0.999) / np.linalg.norm(v)
+        e_ref, g_ref = classical_energy(v, coeffs, n), classical_gradient(v, coeffs, n)
+        assert abs(_oracle_energy(v, coeffs, n) - e_ref) <= 1e-13 * max(1.0, abs(e_ref))
+        g = _oracle_gradient(v, coeffs, n)
+        assert np.max(np.abs(g - g_ref)) <= 1e-13 * max(1.0, np.max(np.abs(g_ref)))
+
+
 def _bfgs_mean_field(coeffs, n_atoms):
     """Oracle: 25 BFGS starts from the per-mode seeds {0, +-0.05, +-0.05i},
-    each polished by a root solve, with the same acceptance as the package."""
+    each polished by a root solve, with the same acceptance as the package.
+    Energy and gradient are the oracle's own plain-float ones."""
     seeds = (0.0, 0.05, -0.05, 0.05j, -0.05j)
     args = (coeffs, n_atoms)
     accepted = []
@@ -272,17 +322,17 @@ def _bfgs_mean_field(coeffs, n_atoms):
         for sm in seeds:
             v0 = np.array([sp.real, sp.imag, sm.real, sm.imag])
             res = scipy.optimize.minimize(
-                classical_energy, v0, args=args, jac=classical_gradient,
+                _oracle_energy, v0, args=args, jac=_oracle_gradient,
                 method="BFGS", options={"gtol": 1e-11, "maxiter": 500},
             )
-            sol = scipy.optimize.root(classical_gradient, res.x, args=args,
+            sol = scipy.optimize.root(_oracle_gradient, res.x, args=args,
                                       jac=classical_hessian, method="hybr", tol=1e-13)
             v = sol.x if sol.success else res.x
-            if np.linalg.norm(classical_gradient(v, *args)) > GRAD_TOL_ACCEPT or v @ v >= 1.0:
+            if np.linalg.norm(_oracle_gradient(v, *args)) > GRAD_TOL_ACCEPT or v @ v >= 1.0:
                 continue
             if np.linalg.eigvalsh(classical_hessian(v, *args))[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
                 continue
-            accepted.append((float(classical_energy(v, *args)), v))
+            accepted.append((_oracle_energy(v, *args), v))
     accepted.sort(key=lambda t: t[0])
     return accepted[0]
 

@@ -15,6 +15,7 @@ from socsqueeze.config import (
     GridSpec,
     InteractionConfig,
     TrapConfig,
+    check_gp_setup,
     check_solver_settings,
 )
 from socsqueeze.errors import ConfigError, ConvergenceError
@@ -82,10 +83,14 @@ def test_box_must_cover_three_oscillator_lengths():
 
 
 def test_reduced_interactions_need_a_trap():
-    with pytest.raises(ConfigError):
-        mean_field_couplings(RB, None, 1)
-    with pytest.raises(ConfigError):
-        mean_field_couplings(RB, None, 3)
+    # the rule lives in check_gp_setup, which build_problem applies before it
+    # computes any coupling; a free problem has none
+    params = ModelParams(omega_R=0.0, delta=0.0, epsilon=0.0, N=100.0)
+    for grid in (GridSpec((64,), (16.0,)), GridSpec((8, 8, 8), (16.0, 16.0, 16.0))):
+        with pytest.raises(ConfigError, match="need a trap"):
+            check_gp_setup(None, RB, grid)
+        with pytest.raises(ConfigError, match="need a trap"):
+            build_problem(params, None, RB, grid)
     assert mean_field_couplings(None, None, 1) == (0.0, 0.0)
 
 
