@@ -10,6 +10,8 @@ Every squeezing report comes from one cell function, run once per sweep
 value or once at the point of ``eff-squeeze`` and ``gp-ground``.  A failed
 report or phase-diagram cell records its error, and the other cells and the
 manifest are kept; ``load_config`` raises every configuration error first.
+``--backend``, ``--out``, ``--seed`` and ``--jobs`` beat the same keys of the
+config's [run] section; every other run setting is a config key only.
 
 The CLI fixes the BLAS thread count if it is what loads numpy, and imports
 the band and GP layers, the squeezing backends and the process pool only in
@@ -37,7 +39,7 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THRE
 import numpy as np
 
 from . import __version__
-from .config import ENV_PREFIX, load_config
+from .config import load_config
 from .errors import ConfigError, ConvergenceError, MomentInputError
 from .io import ensure_dir, write_csv, write_json
 from .metrics import build_report
@@ -302,12 +304,10 @@ def main(argv=None):
 
     runp = sub.add_parser("run", help="execute a config-driven computation")
     runp.add_argument("--config", required=True, help="INI run configuration")
-    runp.add_argument("--jobs", type=int, default=None,
-                      help=f"worker processes (or {ENV_PREFIX}JOBS)")
-    runp.add_argument("--out", default=None, help=f"output directory (or {ENV_PREFIX}OUT)")
-    runp.add_argument("--seed", type=int, default=None, help=f"RNG seed (or {ENV_PREFIX}SEED)")
-    runp.add_argument("--backend", default=None,
-                      help=f"ed | gaussian | gp (or {ENV_PREFIX}BACKEND)")
+    runp.add_argument("--jobs", type=int, default=None, help="worker processes; beats [run] jobs")
+    runp.add_argument("--out", default=None, help="output directory; beats [run] out")
+    runp.add_argument("--seed", type=int, default=None, help="RNG seed; beats [run] seed")
+    runp.add_argument("--backend", default=None, help="ed | gaussian | gp; beats [run] backend")
 
     plotp = sub.add_parser("plot-data", help="emit plot series from a result table")
     plotp.add_argument("table", help="result CSV produced by a run")

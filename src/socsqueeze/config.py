@@ -8,18 +8,18 @@ trap, interaction, grid and solver settings.  Each setup rule that both
 ``check_window`` (``bands``), ``check_ed_atoms`` (``fockspace``) and, for
 ``gp``, ``check_gp_setup`` (interactions need a trap; the box spans 3
 oscillator lengths) and ``check_solver_settings``.  Reading and validating a
-config loads no solver, and ``load_config`` raises every configuration error.
+config loads no solver, and ``load_config`` raises every configuration error,
+an unknown key included: each read consumes its key, and a key left unread
+is an error.
 
-Precedence for the settings that have knobs elsewhere: command-line flag,
-then SOCSQUEEZE_* environment variable, then the config file, then the
-built-in default.  The resolved configuration (every default made explicit)
-is what lands in the run manifest.
+A flag beats the file's [run] value, which beats the built-in default; the
+band window lives in [dispersion] alone.  The resolved configuration (every
+default made explicit) is what lands in the run manifest.
 """
 
 import configparser
 import math
 import numbers
-import os
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 
@@ -31,14 +31,13 @@ from .params import ModelParams
 COMMANDS = ("dispersion", "phase-diagram", "eff-squeeze", "gp-ground", "sweep")
 BACKENDS = ("ed", "gaussian", "gp")
 SWEEP_AXES = ("omega_R", "delta", "epsilon")
-ENV_PREFIX = "SOCSQUEEZE_"
 
 # Rb-87 scattering lengths (Bohr radii) used when [interaction] omits them
 DEFAULT_A_S0 = 101.8
 DEFAULT_A_S2 = 100.4
 
-# band momentum window, grid points and degeneracy tolerance of [dispersion]
-# and [phase-diagram]
+# band momentum window and grid points of [dispersion], and degeneracy
+# tolerance of [phase-diagram]
 DEFAULT_WINDOW = (-4.0, 4.0)
 DEFAULT_POINTS = 2001
 DEFAULT_TOL_DEG = 1e-6
@@ -184,14 +183,16 @@ def check_gp_setup(trap, interaction, grid):
 
 
 def _get(section, key, cast, default=None, required=False):
+    """A key's value cast by cast; the read consumes the key from its section."""
     if section is None or key not in section:
         if required:
             raise ConfigError(f"missing required config key {key!r}")
         return default
+    raw = section.get(key, raw=True)
     try:
-        return cast(section[key])  # a lone '%' fails interpolation: configparser.Error
+        return cast(section.pop(key))  # a lone '%' fails interpolation: configparser.Error
     except (TypeError, ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad value for {key!r}: {section.get(key, raw=True)!r}") from exc
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
 def _floats(raw):
@@ -302,9 +303,11 @@ class RunConfig:
 
 
 def load_config(path, overrides=None):
-    """Parse an INI file into a RunConfig, applying env and flag overrides."""
+    """Parse an INI file into a RunConfig.  A flag value in overrides (None if
+    unset) beats the file's [run] value, which is read and checked all the same."""
     overrides = overrides or {}
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # [DEFAULT] is an ordinary section here, and nothing reads its keys
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -317,15 +320,8 @@ def load_config(path, overrides=None):
         raise ConfigError("config needs a [run] section")
 
     def setting(key, cast, default):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            try:
-                return cast(env)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad {ENV_PREFIX}{key.upper()} value {env!r}") from exc
-        return _get(run, key, cast, default=default)
+        value = _get(run, key, cast, default=default)
+        return value if overrides.get(key) is None else overrides[key]
 
     command = _get(run, "command", str, required=True)
     backend = setting("backend", str, "ed")
@@ -341,15 +337,14 @@ def load_config(path, overrides=None):
         N=_get(psec, "N", int, 100),
     )
 
-    # the band window and grid: [phase-diagram] overrides [dispersion]
-    window, n_points, tol_deg = DEFAULT_WINDOW, DEFAULT_POINTS, DEFAULT_TOL_DEG
-    for name in ("dispersion", "phase-diagram"):
-        if parser.has_section(name):
-            bsec = parser[name]
-            window = (_get(bsec, "k_min", float, window[0]), _get(bsec, "k_max", float, window[1]))
-            n_points = _get(bsec, "n_points", int, n_points)
+    # the band window and grid of dispersion and phase-diagram runs
+    dsec = parser["dispersion"] if parser.has_section("dispersion") else None
+    window = (_get(dsec, "k_min", float, DEFAULT_WINDOW[0]),
+              _get(dsec, "k_max", float, DEFAULT_WINDOW[1]))
+    n_points = _get(dsec, "n_points", int, DEFAULT_POINTS)
 
     sweep = axis1 = axis2 = None
+    tol_deg = DEFAULT_TOL_DEG
     if parser.has_section("sweep"):
         sweep = _axis_from_section(parser["sweep"])
     if parser.has_section("phase-diagram"):
@@ -384,6 +379,10 @@ def load_config(path, overrides=None):
     ssec = parser["solver"] if parser.has_section("solver") else None
     solver = {key: _get(ssec, key, type(default), default)
               for key, default in SOLVER_DEFAULTS.items()}
+
+    unread = [f"[{name}] {key}" for name in parser.sections() for key in parser[name]]
+    if unread:
+        raise ConfigError(f"unknown config keys, which nothing reads: {', '.join(unread)}")
 
     return RunConfig(
         command=command, backend=backend, out=out, seed=seed, jobs=jobs,

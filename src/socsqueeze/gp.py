@@ -183,14 +183,10 @@ class GpProblem:
         return f.normalized()
 
     def _spatial_fft(self, flat):
-        if self.grid.dimension == 1:
-            return np.fft.fft(flat, axis=1)
         spatial_axes = tuple(range(1, 1 + self.grid.dimension))
         return np.fft.fftn(flat.reshape((3,) + self.shape), axes=spatial_axes).reshape(3, -1)
 
     def _spatial_ifft(self, flat):
-        if self.grid.dimension == 1:
-            return np.fft.ifft(flat, axis=1)
         spatial_axes = tuple(range(1, 1 + self.grid.dimension))
         return np.fft.ifftn(flat.reshape((3,) + self.shape), axes=spatial_axes).reshape(3, -1)
 

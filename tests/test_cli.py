@@ -1,6 +1,7 @@
-"""Runner behaviour: config precedence, deterministic outputs, exit codes,
-and the plot-data table transforms."""
+"""Runner behaviour: config precedence and unread keys, deterministic
+outputs, exit codes, and the plot-data table transforms."""
 
+import glob
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from socsqueeze.cli import emit_plot_data, main
-from socsqueeze.config import load_config
+from socsqueeze.config import COMMANDS, load_config
 from socsqueeze.errors import ConfigError
 
 
@@ -89,18 +90,36 @@ def test_config_errors(tmp_path):
         load_config(write_config(tmp_path / "d.ini", one_value))
 
 
-def test_flag_beats_env_beats_file(tmp_path, monkeypatch):
+def test_flag_beats_file(tmp_path, monkeypatch):
+    # the settings have no environment layer: the variables change nothing
     cfg_path = write_config(tmp_path / "run.ini", SWEEP_INI)
     monkeypatch.setenv("SOCSQUEEZE_SEED", "9")
-    cfg = load_config(cfg_path)
-    assert cfg.seed == 9
-    cfg = load_config(cfg_path, overrides={"seed": 3})
-    assert cfg.seed == 3
     monkeypatch.setenv("SOCSQUEEZE_BACKEND", "gaussian")
-    assert load_config(cfg_path).backend == "gaussian"
-    monkeypatch.setenv("SOCSQUEEZE_SEED", "not-an-int")
-    with pytest.raises(ConfigError):
-        load_config(cfg_path)
+    cfg = load_config(cfg_path)
+    assert (cfg.seed, cfg.backend) == (1, "ed")
+    cfg = load_config(cfg_path, overrides={"seed": 3, "backend": None})
+    assert (cfg.seed, cfg.backend) == (3, "ed")
+
+
+def test_flag_does_not_hide_a_bad_file_value(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini",
+                       SWEEP_INI.replace("seed = 1", f"seed = x\nout = {out}"))
+    assert main(["run", "--config", cfg, "--seed", "3"]) == 2
+    assert not out.exists()
+    assert "bad value for 'seed': 'x'" in capsys.readouterr().err
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini"))
+                         + glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.ini")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[os.path.relpath(path, ROOT) for path in SHIPPED_CONFIGS])
+def test_shipped_config_loads(path):
+    # users and the benchmark run these files: a new config rule must accept them
+    assert load_config(path).command in COMMANDS
 
 
 def test_config_error_exits_2_and_writes_nothing(tmp_path):
@@ -193,6 +212,8 @@ axis2 = epsilon
 min2 = 0.0
 max2 = 8.0
 count2 = 3
+
+[dispersion]
 n_points = 801
 """
     cfg = write_config(tmp_path / "run.ini", ini)
@@ -255,6 +276,8 @@ axis1 = epsilon
 values1 = -6 6
 axis2 = delta
 values2 = 0 3
+
+[dispersion]
 k_min = 1.0
 k_max = 3.0
 n_points = 201
@@ -565,9 +588,10 @@ MALFORMED = [
     ("reversed-window", "dispersion", "[dispersion]\nk_min = 2.0\nk_max = -2.0\n"),
     ("infinite-k-min", "dispersion", "[dispersion]\nk_min = -inf\n"),
     ("infinite-k-max", "dispersion", "[dispersion]\nk_max = inf\n"),
-    ("phase-infinite-k-min", "phase-diagram", PHASE_SECTION + "k_min = -inf\n"),
-    ("phase-reversed-window", "phase-diagram", PHASE_SECTION + "k_min = 2.0\nk_max = -2.0\n"),
-    ("phase-two-points", "phase-diagram", PHASE_SECTION + "n_points = 2\n"),
+    ("phase-infinite-k-min", "phase-diagram", PHASE_SECTION + "[dispersion]\nk_min = -inf\n"),
+    ("phase-reversed-window", "phase-diagram",
+     PHASE_SECTION + "[dispersion]\nk_min = 2.0\nk_max = -2.0\n"),
+    ("phase-two-points", "phase-diagram", PHASE_SECTION + "[dispersion]\nn_points = 2\n"),
     ("duplicate-key", "sweep", "[params]\nN = 40\nN = 41\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("duplicate-section", "sweep", "[sweep]\naxis = delta\nvalues = 1 2\n[sweep]\naxis = delta\n"),
     ("lone-percent", "sweep", "[sweep]\naxis = delta\nvalues = 1 2%\n"),
@@ -588,18 +612,45 @@ MALFORMED = [
     ("gp-sweep-interaction-no-trap", "sweep", "backend = gp\n[sweep]\naxis = delta\n"
      "values = 1 2\n[grid]\nn_points = 64\nextent = 24.0\n[interaction]\nn_atoms = 100\n"),
     ("eff-squeeze-gp", "eff-squeeze", "backend = gp\n" + GP_SECTIONS),
+    ("trap-missing-key", "gp-ground", GP_SECTIONS.replace("omega_y = 150.0\n", "")),
+    ("sweep-count-one", "sweep", "[sweep]\naxis = delta\nmin = 0\nmax = 1\ncount = 1\n"),
+    ("unknown-backend", "eff-squeeze", "backend = quantum\n"),
+    ("phase-without-section", "phase-diagram", ""),
+    ("sweep-without-section", "sweep", ""),
+    # a key that nothing reads: a typo, a misspelled section, the window keys of
+    # [phase-diagram] (the window's one home is [dispersion]), range keys next
+    # to values, and any [DEFAULT] key
+    ("unread-key", "dispersion", "[params]\nomega = 2.0\n"),
+    ("unread-section", "dispersion", "[param]\ndelta = 1.0\n"),
+    ("unread-phase-window", "phase-diagram", PHASE_SECTION + "k_min = -3\n"),
+    ("unread-range-beside-values", "sweep", "[sweep]\naxis = delta\nvalues = 1 2\nmin = 0\n"),
+    ("unread-default-section", "dispersion", "[DEFAULT]\ndelta = 1.0\n"),
 ]
+# the stderr of the rows above whose rule no other row reaches
+MALFORMED_MESSAGES = {
+    "trap-missing-key": "missing required config key 'omega_y'",
+    "sweep-count-one": "axis count must be >= 2, got 1",
+    "unknown-backend": "unknown backend 'quantum'",
+    "phase-without-section": "phase-diagram needs [phase-diagram] axis1/axis2",
+    "sweep-without-section": "sweep needs a [sweep] section",
+    "unread-key": "nothing reads: [params] omega",
+    "unread-section": "nothing reads: [param] delta",
+    "unread-phase-window": "nothing reads: [phase-diagram] k_min",
+    "unread-range-beside-values": "nothing reads: [sweep] min",
+    "unread-default-section": "nothing reads: [DEFAULT] delta",
+}
 
 
-@pytest.mark.parametrize("command,body", [case[1:] for case in MALFORMED],
-                         ids=[case[0] for case in MALFORMED])
-def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, body):
+@pytest.mark.parametrize("case,command,body", MALFORMED, ids=[case[0] for case in MALFORMED])
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, case, command, body):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.ini",
                        f"[run]\ncommand = {command}\nout = {out}\n{body}")
     assert main(["run", "--config", cfg]) == 2
     assert not out.exists()
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert MALFORMED_MESSAGES.get(case, "") in err
 
 
 def test_unwritable_out_exits_4_before_any_cell_runs(tmp_path, monkeypatch, capsys):
