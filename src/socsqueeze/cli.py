@@ -14,8 +14,9 @@ manifest are kept; ``load_config`` raises every configuration error first.
 config's [run] section; every other run setting is a config key only.
 
 The CLI fixes the BLAS thread count if it is what loads numpy, and imports
-the band and GP layers, the squeezing backends and the process pool only in
-the runners that use them.
+the band and GP layers, the squeezing backends, the report metrics and the
+process pool only in the runners that use them.  A phase-diagram run
+classifies its cells in blocks, one pool task per block.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge, the Gaussian expansion point is a depleted condensate or
@@ -42,17 +43,21 @@ from . import __version__
 from .config import load_config
 from .errors import ConfigError, ConvergenceError, MomentInputError
 from .io import ensure_dir, write_csv, write_json
-from .metrics import build_report
 from .params import effective_coefficients
 
 REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
                   "rho_m1", "rho_0", "rho_p1")
 # the failures a cell records while its siblings are kept
 _CELL_ERRORS = (ConfigError, ConvergenceError, MomentInputError)
+# grid points of one block of phase-diagram cells: the arrays of its seed scan
+# stay in cache, and the block still amortizes numpy's per-call cost
+_BLOCK_GRID_POINTS = 32768
 
 
 def _report_for_point(cfg, params, seed):
     """(squeezing report, GP ground state or None) on the configured backend."""
+    from .metrics import build_report
+
     ground = None
     if cfg.backend == "ed":
         from .fockspace import ed_ground_state, ed_moment_set
@@ -113,16 +118,18 @@ def _print_failure(where, payload):
 
 
 def _classify_cell(task):
-    """One phase-diagram cell: (index, its table row | the error)."""
-    from .bands import classify
+    """One block of phase-diagram cells, the first at first_index:
+    (first_index, [the table row | the error of each cell])."""
+    from .bands import classify_points
 
-    cfg, index, v1, v2 = task
-    params = cfg.params.replace(**{cfg.axis1.name: v1, cfg.axis2.name: v2})
-    try:
-        cell = classify(params, tol_deg=cfg.tol_deg, window=cfg.window, n_points=cfg.n_points)
-    except _CELL_ERRORS as exc:
-        return index, _failure(exc)
-    return index, (v1, v2, cell.n_minima, int(cell.degenerate), cell.E_min, cell.k_min)
+    cfg, first_index, cells = task
+    points = [cfg.params.replace(**{cfg.axis1.name: v1, cfg.axis2.name: v2}) for v1, v2 in cells]
+    found = classify_points(points, tol_deg=cfg.tol_deg, window=cfg.window,
+                            n_points=cfg.n_points)
+    return first_index, [
+        _failure(cell) if isinstance(cell, ConvergenceError)
+        else (v1, v2, cell.n_minima, int(cell.degenerate), cell.E_min, cell.k_min)
+        for (v1, v2), cell in zip(cells, found)]
 
 
 def _map_ordered(worker, tasks, jobs):
@@ -179,9 +186,12 @@ def _run_dispersion(cfg):
 
 
 def _run_phase_diagram(cfg):
+    from . import bands  # noqa: F401  loaded before a pool forks, so no worker imports it
+
     cells = [(float(v1), float(v2)) for v1 in cfg.axis1.values for v2 in cfg.axis2.values]
-    tasks = [(cfg, i) + cell for i, cell in enumerate(cells)]
-    payloads = _map_ordered(_classify_cell, tasks, cfg.jobs)
+    size = max(1, _BLOCK_GRID_POINTS // cfg.n_points)
+    tasks = [(cfg, i, cells[i:i + size]) for i in range(0, len(cells), size)]
+    payloads = [p for block in _map_ordered(_classify_cell, tasks, cfg.jobs) for p in block]
     rows, errors = [], {}
     for i, (cell, payload) in enumerate(zip(cells, payloads)):
         if isinstance(payload, dict):

@@ -182,17 +182,19 @@ def check_gp_setup(trap, interaction, grid):
             )
 
 
-def _get(section, key, cast, default=None, required=False):
-    """A key's value cast by cast; the read consumes the key from its section."""
-    if section is None or key not in section:
+def _get(parser, name, key, cast, default=None, required=False):
+    """Key ``key`` of section [name] cast by cast, or default if either is
+    absent; the read consumes the key from its section."""
+    if not parser.has_section(name) or key not in parser[name]:
         if required:
-            raise ConfigError(f"missing required config key {key!r}")
+            raise ConfigError(f"missing required config key [{name}] {key}")
         return default
+    section = parser[name]
     raw = section.get(key, raw=True)
     try:
         return cast(section.pop(key))  # a lone '%' fails interpolation: configparser.Error
     except (TypeError, ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        raise ConfigError(f"bad value for [{name}] {key}: {raw!r}") from exc
 
 
 def _floats(raw):
@@ -219,18 +221,18 @@ class AxisSpec:
             raise ConfigError(f"axis {self.name!r} values must be finite, got {self.values!r}")
 
 
-def _axis_from_section(section, suffix=""):
-    name = _get(section, f"axis{suffix}", str, required=True)
-    values = _get(section, f"values{suffix}", _floats)
+def _axis_from_section(parser, name, suffix=""):
+    axis = _get(parser, name, f"axis{suffix}", str, required=True)
+    values = _get(parser, name, f"values{suffix}", _floats)
     if values is None:
-        lo = _get(section, f"min{suffix}", float, required=True)
-        hi = _get(section, f"max{suffix}", float, required=True)
-        count = _get(section, f"count{suffix}", int, required=True)
+        lo = _get(parser, name, f"min{suffix}", float, required=True)
+        hi = _get(parser, name, f"max{suffix}", float, required=True)
+        count = _get(parser, name, f"count{suffix}", int, required=True)
         if count < 2:
             raise ConfigError(f"axis count must be >= 2, got {count}")
         step = (hi - lo) / (count - 1)
         values = tuple(lo + step * i for i in range(count))
-    return AxisSpec(name=name, values=values)
+    return AxisSpec(name=axis, values=values)
 
 
 def _manifest_entries(items):
@@ -315,69 +317,60 @@ def load_config(path, overrides=None):
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
 
-    run = parser["run"] if parser.has_section("run") else None
-    if run is None:
+    if not parser.has_section("run"):
         raise ConfigError("config needs a [run] section")
 
     def setting(key, cast, default):
-        value = _get(run, key, cast, default=default)
+        value = _get(parser, "run", key, cast, default=default)
         return value if overrides.get(key) is None else overrides[key]
 
-    command = _get(run, "command", str, required=True)
+    command = _get(parser, "run", "command", str, required=True)
     backend = setting("backend", str, "ed")
     out = setting("out", str, "results")
     seed = setting("seed", int, 0)
     jobs = setting("jobs", int, 1)
 
-    psec = parser["params"] if parser.has_section("params") else None
     params = ModelParams(
-        omega_R=_get(psec, "omega_R", float, 0.0),
-        delta=_get(psec, "delta", float, 0.0),
-        epsilon=_get(psec, "epsilon", float, 0.0),
-        N=_get(psec, "N", int, 100),
+        omega_R=_get(parser, "params", "omega_R", float, 0.0),
+        delta=_get(parser, "params", "delta", float, 0.0),
+        epsilon=_get(parser, "params", "epsilon", float, 0.0),
+        N=_get(parser, "params", "N", int, 100),
     )
 
     # the band window and grid of dispersion and phase-diagram runs
-    dsec = parser["dispersion"] if parser.has_section("dispersion") else None
-    window = (_get(dsec, "k_min", float, DEFAULT_WINDOW[0]),
-              _get(dsec, "k_max", float, DEFAULT_WINDOW[1]))
-    n_points = _get(dsec, "n_points", int, DEFAULT_POINTS)
+    window = (_get(parser, "dispersion", "k_min", float, DEFAULT_WINDOW[0]),
+              _get(parser, "dispersion", "k_max", float, DEFAULT_WINDOW[1]))
+    n_points = _get(parser, "dispersion", "n_points", int, DEFAULT_POINTS)
 
     sweep = axis1 = axis2 = None
-    tol_deg = DEFAULT_TOL_DEG
     if parser.has_section("sweep"):
-        sweep = _axis_from_section(parser["sweep"])
+        sweep = _axis_from_section(parser, "sweep")
     if parser.has_section("phase-diagram"):
-        gsec = parser["phase-diagram"]
-        axis1 = _axis_from_section(gsec, "1")
-        axis2 = _axis_from_section(gsec, "2")
-        tol_deg = _get(gsec, "tol_deg", float, DEFAULT_TOL_DEG)
+        axis1 = _axis_from_section(parser, "phase-diagram", "1")
+        axis2 = _axis_from_section(parser, "phase-diagram", "2")
+    tol_deg = _get(parser, "phase-diagram", "tol_deg", float, DEFAULT_TOL_DEG)
 
     trap = None
     if parser.has_section("trap"):
-        tsec = parser["trap"]
-        trap = TrapConfig(**{f.name: _get(tsec, f.name, float, required=True)
+        trap = TrapConfig(**{f.name: _get(parser, "trap", f.name, float, required=True)
                              for f in fields(TrapConfig)})
 
     interaction = None
     if parser.has_section("interaction"):
-        isec = parser["interaction"]
         interaction = InteractionConfig(
-            a_s0=_get(isec, "a_s0", float, DEFAULT_A_S0),
-            a_s2=_get(isec, "a_s2", float, DEFAULT_A_S2),
-            N=_get(isec, "n_atoms", float, float(params.N)),
+            a_s0=_get(parser, "interaction", "a_s0", float, DEFAULT_A_S0),
+            a_s2=_get(parser, "interaction", "a_s2", float, DEFAULT_A_S2),
+            N=_get(parser, "interaction", "n_atoms", float, float(params.N)),
         )
 
     grid = None
     if parser.has_section("grid"):
-        gsec = parser["grid"]
         grid = GridSpec(
-            n_points=_get(gsec, "n_points", _ints, required=True),
-            extent=_get(gsec, "extent", _floats, required=True),
+            n_points=_get(parser, "grid", "n_points", _ints, required=True),
+            extent=_get(parser, "grid", "extent", _floats, required=True),
         )
 
-    ssec = parser["solver"] if parser.has_section("solver") else None
-    solver = {key: _get(ssec, key, type(default), default)
+    solver = {key: _get(parser, "solver", key, type(default), default)
               for key, default in SOLVER_DEFAULTS.items()}
 
     unread = [f"[{name}] {key}" for name in parser.sections() for key in parser[name]]

@@ -5,11 +5,14 @@ import pytest
 
 from socsqueeze import bands
 from socsqueeze.bands import (
+    _entries,
     _grid_minima_seeds,
     _lowest_root,
     _minima,
+    _stack,
     build_hamiltonian,
     classify,
+    classify_points,
     dispersion,
     lowest_branch,
 )
@@ -219,13 +222,16 @@ def oracle_minima(params, window=(-4.0, 4.0), n_points=2001):
 
 
 def test_grid_seeds_match_loop_oracle():
-    # small integers give many plateaus, edge runs and ties
+    # small integers give many plateaus, edge runs and ties; 2000 rows scanned
+    # at once, so no run may carry over from one row into the next
     rng = np.random.default_rng(3)
     k = np.linspace(-1.0, 1.0, 41)
-    for _ in range(2000):
-        e = rng.integers(0, 4, size=41).astype(float)
-        expected = k[0] + np.array(oracle_grid_minima_seeds(e)) * (k[1] - k[0])
-        assert np.array_equal(_grid_minima_seeds(k, e), expected), e
+    e = rng.integers(0, 4, size=(2000, 41)).astype(float)
+    rows, seeds = _grid_minima_seeds(k, e)
+    for i, row in enumerate(e):
+        expected = k[0] + np.array(oracle_grid_minima_seeds(row)) * (k[1] - k[0])
+        assert np.array_equal(seeds[rows == i], expected), row
+        assert np.array_equal(_grid_minima_seeds(k, row[None])[1], expected), row
 
 
 def oracle_points():
@@ -264,14 +270,44 @@ def test_refined_minima_are_stationary(oracle_cases):
     h = 1e-5
     k = np.linspace(-4.0, 4.0, 2001)
     for p, _ in oracle_cases:
-        for km in _minima(k, p)[0]:
+        for km in _minima(k, _stack([p]))[1]:
             el, er = lowest_branch(np.array([km - h, km + h]), p)
             assert abs(er - el) / (2.0 * h) <= 1e-8, (p, km)
 
 
+def _outcome(cell):
+    """A PhaseCell as a tuple, or a ConvergenceError as its type and message."""
+    if isinstance(cell, ConvergenceError):
+        return type(cell), str(cell)
+    return cell.n_minima, cell.degenerate, cell.E_min, cell.k_min
+
+
+def test_classify_points_matches_classify_bit_for_bit(oracle_cases):
+    # blocks of 16 from several offsets put each point at other places in a
+    # block and next to other points; its result must not change in any bit.
+    # The window [1, 3] leaves some points without a minimum inside blocks
+    points = [p for p, _ in oracle_cases]
+    for window, n_points in (((-4.0, 4.0), 2001), ((1.0, 3.0), 201)):
+        single = []
+        for p in points:
+            try:
+                single.append(_outcome(classify(p, window=window, n_points=n_points)))
+            except ConvergenceError as exc:
+                single.append(_outcome(exc))
+        failed = sum(s[0] is ConvergenceError for s in single)
+        assert (failed > 0) == (window == (1.0, 3.0))
+        for offset in (0, 5, 13):
+            bounds = [0] + list(range(offset, len(points), 16)) + [len(points)]
+            batched = [_outcome(cell) for lo, hi in zip(bounds[:-1], bounds[1:])
+                       for cell in classify_points(points[lo:hi], window=window,
+                                                   n_points=n_points)]
+            assert batched == single, (window, offset)
+
+
 def test_newton_refinement_takes_few_steps(monkeypatch):
     # one build_hamiltonian call per Newton step; a converged seed must not
-    # fall back to bisecting its bracket down to the step tolerance
+    # fall back to bisecting its bracket down to the step tolerance, alone or
+    # in one loop with the seeds of every other point
     steps = []
     build = bands.build_hamiltonian
 
@@ -280,11 +316,16 @@ def test_newton_refinement_takes_few_steps(monkeypatch):
         return build(k, params)
 
     k = np.linspace(-4.0, 4.0, 2001)
-    seeds = [(p, _grid_minima_seeds(k, _lowest_root(build(k, p)))) for p in oracle_points()]
+    points = oracle_points()
+    seeds = [_grid_minima_seeds(k, _lowest_root(*_entries(k, p))[None])[1] for p in points]
     monkeypatch.setattr(bands, "build_hamiltonian", counting)
-    for p, k0 in seeds:
+    for p, k0 in zip(points, seeds):
         steps.append(0)
         bands._refine_minima(k0, k[1] - k[0], p)
+    stack = _stack(points)
+    per_seed = bands._Points(*(np.repeat(field, [len(s) for s in seeds]) for field in stack))
+    steps.append(0)
+    bands._refine_minima(np.concatenate(seeds), k[1] - k[0], per_seed)
     assert max(steps) <= 6
 
 
@@ -296,13 +337,12 @@ def test_closed_form_lowest_root_matches_eigvalsh(oracle_cases):
     eps = np.finfo(float).eps
     k = np.linspace(-4.0, 4.0, 2001)
     for p, _ in oracle_cases:
-        h = build_hamiltonian(k, p)
-        ev = np.linalg.eigvalsh(h)
+        ev = np.linalg.eigvalsh(build_hamiltonian(k, p))
         scale = np.max(np.abs(ev), axis=1)
         gap = ev[:, 1] - ev[:, 0]
         with np.errstate(divide="ignore"):
             bound = np.minimum(32.0 * eps * scale**2 / gap, np.sqrt(eps) * scale)
-        assert np.all(np.abs(_lowest_root(h) - ev[:, 0]) <= bound), p
+        assert np.all(np.abs(_lowest_root(*_entries(k, p)) - ev[:, 0]) <= bound), p
 
 
 def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
@@ -315,7 +355,7 @@ def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
         first.k[0] = 0.0
     assert np.array_equal(first.k, fresh)
     assert np.array_equal(first.energies, bands.branch_energies(fresh, params))
-    minima_k, minima_e = _minima(fresh, params)
+    _, minima_k, minima_e = _minima(fresh, _stack([params]))
     assert np.array_equal(first.minima_k, minima_k)
     assert np.array_equal(first.minima_E, minima_e)
     cell = classify(params)

@@ -11,9 +11,12 @@ import sys
 import numpy as np
 import pytest
 
+import socsqueeze.cli as cli
+from socsqueeze.bands import classify
 from socsqueeze.cli import emit_plot_data, main
 from socsqueeze.config import COMMANDS, load_config
 from socsqueeze.errors import ConfigError
+from socsqueeze.params import ModelParams
 
 
 def write_config(path, text):
@@ -107,7 +110,7 @@ def test_flag_does_not_hide_a_bad_file_value(tmp_path, capsys):
                        SWEEP_INI.replace("seed = 1", f"seed = x\nout = {out}"))
     assert main(["run", "--config", cfg, "--seed", "3"]) == 2
     assert not out.exists()
-    assert "bad value for 'seed': 'x'" in capsys.readouterr().err
+    assert "bad value for [run] seed: 'x'" in capsys.readouterr().err
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -233,7 +236,8 @@ n_points = 801
 
 
 def test_phase_diagram_bytes_do_not_depend_on_jobs(tmp_path):
-    # 4 x 6 = 24 cells reach a --jobs 2 pool as chunks of 3
+    # 6 x 8 = 48 cells on the default 2001-point grid make three blocks of 16,
+    # which a --jobs 2 pool hands out one at a time
     ini = """
 [run]
 command = phase-diagram
@@ -245,20 +249,70 @@ epsilon = 6.0
 axis1 = omega_R
 min1 = 0.25
 max1 = 5.0
-count1 = 4
+count1 = 6
 axis2 = delta
 min2 = -4.75
 max2 = 4.75
-count2 = 6
+count2 = 8
 """
     cfg = write_config(tmp_path / "run.ini", ini)
+    assert max(1, cli._BLOCK_GRID_POINTS // 2001) == 16
     tables = []
     for name, jobs in (("j1a", "1"), ("j2a", "2"), ("j1b", "1"), ("j2b", "2")):
         out = tmp_path / name
         assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
         tables.append(read_bytes(out / "phase_diagram.csv"))
-    assert len(tables[0].decode().splitlines()) == 25
+    assert len(tables[0].decode().splitlines()) == 49
     assert all(t == tables[0] for t in tables[1:])
+
+
+def test_phase_diagram_failed_cell_keeps_its_block(tmp_path, monkeypatch, capsys):
+    # blocks of 5 cells: cell 4 fails at the end of block 0 and cells 5-7 open
+    # block 1; with epsilon = 6 the single minimum near k = 0 lies outside the
+    # window [1, 3], which holds the k = 2 well of epsilon = -6 and -4
+    monkeypatch.setattr(cli, "_BLOCK_GRID_POINTS", 5 * 201)
+    ini = """
+[run]
+command = phase-diagram
+
+[params]
+omega_R = 2.0
+
+[phase-diagram]
+axis1 = epsilon
+values1 = -6 6 -4
+axis2 = delta
+values2 = 0 1 2 3
+
+[dispersion]
+k_min = 1.0
+k_max = 3.0
+n_points = 201
+"""
+    cfg = write_config(tmp_path / "run.ini", ini)
+    outs = [tmp_path / "j1", tmp_path / "j2"]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 3
+        err = capsys.readouterr().err
+        for i in range(4, 8):
+            assert (f"phase-diagram cell {i} failed: ConvergenceError: no interior minima "
+                    "found; widen the momentum window") in err
+        assert err.count("failed") == 4
+    for name in ("phase_diagram.csv", "errors.json"):
+        assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+    assert sorted(json.loads(read_bytes(outs[0] / "errors.json")), key=int) == [
+        "4", "5", "6", "7"]
+    rows = [ln.split(",") for ln in read_bytes(outs[0] / "phase_diagram.csv").decode()
+            .splitlines()[1:]]
+    assert len(rows) == 12
+    for i, row in enumerate(rows):
+        if 4 <= i < 8:
+            assert row[2:] == ["0", "0", "nan", "nan"]
+            continue
+        cell = classify(ModelParams(omega_R=2.0, delta=float(row[1]), epsilon=float(row[0])),
+                        window=(1.0, 3.0), n_points=201)
+        assert (int(row[2]), int(row[3]), float(row[4]), float(row[5])) == (
+            cell.n_minima, int(cell.degenerate), cell.E_min, cell.k_min)
 
 
 def test_phase_diagram_failed_cells_keep_siblings(tmp_path, capsys):
@@ -626,9 +680,11 @@ MALFORMED = [
     ("unread-range-beside-values", "sweep", "[sweep]\naxis = delta\nvalues = 1 2\nmin = 0\n"),
     ("unread-default-section", "dispersion", "[DEFAULT]\ndelta = 1.0\n"),
 ]
-# the stderr of the rows above whose rule no other row reaches
+# the stderr of the rows above whose rule no other row reaches, and of a
+# bad value of a key that two sections share
 MALFORMED_MESSAGES = {
-    "trap-missing-key": "missing required config key 'omega_y'",
+    "trap-missing-key": "missing required config key [trap] omega_y",
+    "grid-n-points-word": "bad value for [grid] n_points: '64 x'",
     "sweep-count-one": "axis count must be >= 2, got 1",
     "unknown-backend": "unknown backend 'quantum'",
     "phase-without-section": "phase-diagram needs [phase-diagram] axis1/axis2",
@@ -656,8 +712,6 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, case, com
 def test_unwritable_out_exits_4_before_any_cell_runs(tmp_path, monkeypatch, capsys):
     # load_config has raised every configuration error, so run makes the
     # output directory before it computes anything
-    import socsqueeze.cli as cli
-
     def no_cell(task):
         raise AssertionError("a cell ran before the output directory was made")
 
@@ -825,7 +879,8 @@ def test_package_and_cli_import_without_scipy(tmp_path):
                                                                "command = eff-squeeze"))
     run = "from socsqueeze.cli import main; assert main({!r}) == 0"
     solvers = ("socsqueeze.bands", "socsqueeze.gp", "socsqueeze.fockspace",
-               "socsqueeze.gaussian", "concurrent.futures.process")
+               "socsqueeze.gaussian", "socsqueeze.metrics", "socsqueeze.algebra",
+               "concurrent.futures.process")
     # (setup, thread variables set before it, modules it must not load besides
     # scipy, OPENBLAS_NUM_THREADS after it)
     setups = (
