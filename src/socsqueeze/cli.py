@@ -14,9 +14,11 @@ manifest are kept; ``load_config`` raises every configuration error first.
 config's [run] section; every other run setting is a config key only.
 
 The CLI fixes the BLAS thread count if it is what loads numpy, and imports
-the band and GP layers, the squeezing backends, the report metrics and the
-process pool only in the runners that use them.  A phase-diagram run
-classifies its cells in blocks, one pool task per block.
+the band and GP layers, the squeezing backends and the report metrics only in
+the runners that use them.  A phase-diagram run classifies its cells in
+blocks, one task per block.  With ``--jobs J`` a sweep or phase diagram deals
+its tasks into at most J shares: the process computes one share itself and
+forks one child per other share, so ``J > 1`` needs POSIX ``os.fork``.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge, the Gaussian expansion point is a depleted condensate or
@@ -101,7 +103,7 @@ def _failure(exc):
 
 def _sweep_cell(task):
     """One report cell: (index, the report dict | the error).
-    Only gp-ground keeps the GP ground state, so no field crosses the pool."""
+    Only gp-ground keeps the GP ground state, so no field crosses a pipe."""
     cfg, index, params = task
     try:
         report, ground = _report_for_point(cfg, params, seed=cfg.seed + index)
@@ -135,20 +137,101 @@ def _classify_cell(task):
 def _map_ordered(worker, tasks, jobs):
     """Run (index, ...) tasks through one worker inline or in processes; payloads in order.
 
-    The pool has at most one worker per task, since it starts all of them at
-    once.  It gets the tasks in chunks of about a quarter of each worker's
-    share, so a cheap cell does not pay one pickled round trip of its own.
+    There is at most one process per task.  With more than one, the tasks are
+    dealt round-robin into shares: this process computes the first share, and
+    each other share is one forked child.  The payloads are put back in order
+    by the index each task returns.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1:
         results = [worker(t) for t in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, tasks, chunksize=chunksize))
+        shares = [tasks[w::workers] for w in range(workers)]
+        results = sorted(_run_shares(worker, shares), key=lambda result: result[0])
     return [payload for _, payload in results]
+
+
+def _run_shares(worker, shares):
+    """The results of every share: the first computed here, each other one by a
+    forked child that inherits its tasks and sends back one pickled list.
+
+    A child's exception is raised here.  Every child is reaped before this
+    returns or raises; if this process fails first, the children still
+    running are killed.
+    """
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _share_in_child(worker, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [worker(t) for t in shares[0]]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            pipe.close()
+            results += _child_results(pid, data, os.waitstatus_to_exitcode(status))
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _share_in_child(worker, share, write_fd):
+    """A forked child's whole life: compute the share, write (results, exception,
+    its traceback) pickled to write_fd, and exit.  Never returns, so a child
+    never goes on running its parent's code."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            data = pickle.dumps(([worker(t) for t in share], None, None))
+        except BaseException as exc:  # sent to the parent, which raises it
+            import traceback
+
+            text = "".join(traceback.format_exception(exc))
+            try:
+                data = pickle.dumps((None, exc, text))
+                pickle.loads(data)
+            except Exception:  # the exception does not survive pickling
+                data = pickle.dumps((None, RuntimeError(text), None))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _child_results(pid, data, exit_code):
+    """A child's results from the bytes of its pipe; raises the exception it sent."""
+    import pickle
+
+    if exit_code != 0 or not data:
+        raise RuntimeError(f"worker process {pid} ended without a result "
+                           f"(exit status {exit_code})")
+    results, exc, text = pickle.loads(data)
+    if exc is None:
+        return results
+    if text is not None:
+        exc.__cause__ = RuntimeError(f"raised in worker process {pid}:\n{text}")
+    raise exc
 
 
 def _write_manifest(cfg):
@@ -186,7 +269,7 @@ def _run_dispersion(cfg):
 
 
 def _run_phase_diagram(cfg):
-    from . import bands  # noqa: F401  loaded before a pool forks, so no worker imports it
+    from . import bands  # noqa: F401  loaded before any child forks, so no child imports it
 
     cells = [(float(v1), float(v2)) for v1 in cfg.axis1.values for v2 in cfg.axis2.values]
     size = max(1, _BLOCK_GRID_POINTS // cfg.n_points)
@@ -314,7 +397,8 @@ def main(argv=None):
 
     runp = sub.add_parser("run", help="execute a config-driven computation")
     runp.add_argument("--config", required=True, help="INI run configuration")
-    runp.add_argument("--jobs", type=int, default=None, help="worker processes; beats [run] jobs")
+    runp.add_argument("--jobs", type=int, default=None,
+                      help="processes, this one included; beats [run] jobs")
     runp.add_argument("--out", default=None, help="output directory; beats [run] out")
     runp.add_argument("--seed", type=int, default=None, help="RNG seed; beats [run] seed")
     runp.add_argument("--backend", default=None, help="ed | gaussian | gp; beats [run] backend")
@@ -335,9 +419,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

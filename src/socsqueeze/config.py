@@ -272,6 +272,10 @@ class RunConfig:
             self.backend = "gp"  # whatever the setting names
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        import os
+
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise ConfigError(f"jobs = {self.jobs} needs os.fork, which this platform lacks")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.command == "phase-diagram":

@@ -1,12 +1,15 @@
 """Runner behaviour: config precedence and unread keys, deterministic
 outputs, exit codes, and the plot-data table transforms."""
 
+import contextlib
 import glob
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -236,8 +239,9 @@ n_points = 801
 
 
 def test_phase_diagram_bytes_do_not_depend_on_jobs(tmp_path):
-    # 6 x 8 = 48 cells on the default 2001-point grid make three blocks of 16,
-    # which a --jobs 2 pool hands out one at a time
+    # 6 x 8 = 48 cells on the default 2001-point grid make three blocks of 16;
+    # at --jobs 2 this process classifies blocks 0 and 2 and one forked child
+    # block 1
     ini = """
 [run]
 command = phase-diagram
@@ -564,8 +568,9 @@ recoil_frequency = 3678.0
         load_config(write_config(tmp_path / "r.ini", ini))
 
 
-def test_bad_gp_settings_exit_2_and_write_nothing(tmp_path):
-    # run as a child with a timeout: check_every <= 0 once looped forever
+def test_bad_gp_settings_exit_2_and_write_nothing(tmp_path, capsys):
+    # check_every <= 0 once looped forever: its first case runs as a child with
+    # a timeout, the others in process
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     cases = [("solver", "check_every = 0"), ("solver", "check_every = -2"),
@@ -593,10 +598,15 @@ extent = 24.0
 {line}
 """
         cfg = write_config(tmp_path / f"r{i}.ini", ini)
-        proc = subprocess.run([sys.executable, "-m", "socsqueeze.cli", "run", "--config", cfg],
-                              capture_output=True, text=True, env=env, timeout=30)
-        assert proc.returncode == 2, (line, proc.stderr)
-        assert "configuration error" in proc.stderr
+        if i == 0:
+            proc = subprocess.run([sys.executable, "-m", "socsqueeze.cli", "run", "--config", cfg],
+                                  capture_output=True, text=True, env=env, timeout=30)
+            code, err = proc.returncode, proc.stderr
+        else:
+            code = main(["run", "--config", cfg])
+            err = capsys.readouterr().err
+        assert code == 2, (line, err)
+        assert "configuration error" in err
         assert not out.exists(), line
 
 
@@ -732,33 +742,132 @@ def test_config_without_section_header_exits_2_and_writes_nothing(tmp_path, caps
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
-    # records the pool size and runs the tasks inline: no process is started.
-    # cli._map_ordered looks the pool class up in concurrent.futures when it
-    # starts a pool
-    import concurrent.futures
+def test_jobs_fork_at_most_one_child_per_task(tmp_path, monkeypatch):
+    # the parent computes one share of the tasks and forks one child for each
+    # other share, so 3 cells take 2 children however many jobs are asked for
+    real_fork = os.fork
+    forks = []
 
-    sizes = []
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     cfg = write_config(tmp_path / "run.ini", SWEEP_INI)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "5000"]) == 0
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
-    assert sizes == [3, 2]
-    assert read_bytes(tmp_path / "a" / "sweep.csv") == read_bytes(tmp_path / "b" / "sweep.csv")
+    counts, tables = [], []
+    for name, jobs in (("a", "5000"), ("b", "2"), ("c", "1")):
+        before = len(forks)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name), "--jobs", jobs]) == 0
+        counts.append(len(forks) - before)
+        tables.append(read_bytes(tmp_path / name / "sweep.csv"))
+    assert counts == [2, 1, 0]
+    assert tables[0] == tables[1] == tables[2]
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this process if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_children_only(action):
+    """A task worker that returns (index, index) in this process and runs
+    action in a forked child."""
+    parent = os.getpid()
+
+    def worker(task):
+        if os.getpid() != parent:
+            action()
+        return task[0], task[0]
+
+    return worker
+
+
+class TwoArgumentError(Exception):
+    # pickles, but its one-message args cannot rebuild it
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def raise_key_error():
+    raise KeyError("lost in a child")
+
+
+def raise_two_argument_error():
+    raise TwoArgumentError(1, 2)
+
+
+def test_fork_path_results_come_back_in_task_order():
+    tasks = [(i,) for i in range(7)]
+    with time_limit(30):
+        assert cli._map_ordered(in_children_only(lambda: None), tasks, 3) == list(range(7))
+    assert_no_child_left()
+
+
+def test_child_exception_is_raised_in_the_parent():
+    with time_limit(30), pytest.raises(KeyError, match="lost in a child") as info:
+        cli._map_ordered(in_children_only(raise_key_error), [(i,) for i in range(4)], 2)
+    # the child's traceback rides along as the cause
+    assert "raise_key_error" in str(info.value.__cause__)
+    assert_no_child_left()
+
+
+def test_child_exception_that_cannot_be_unpickled_becomes_runtime_error():
+    with time_limit(30), pytest.raises(RuntimeError, match="TwoArgumentError: 1 and 2"):
+        cli._map_ordered(in_children_only(raise_two_argument_error),
+                         [(i,) for i in range(4)], 2)
+    assert_no_child_left()
+
+
+def test_child_that_dies_without_result_names_its_exit_status():
+    with time_limit(30), pytest.raises(RuntimeError, match=r"without a result \(exit status 1\)"):
+        cli._map_ordered(in_children_only(lambda: os._exit(1)), [(i,) for i in range(4)], 2)
+    assert_no_child_left()
+
+
+def test_parent_failure_kills_and_reaps_running_children():
+    parent = os.getpid()
+
+    def worker(task):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise ValueError("the parent's share failed")
+
+    start = time.perf_counter()
+    with time_limit(30), pytest.raises(ValueError, match="the parent's share failed"):
+        cli._map_ordered(worker, [(i,) for i in range(3)], 3)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_jobs_above_1_without_fork_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", SWEEP_INI)
+    assert main(["run", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "os.fork" in err
+    # one process needs no fork
+    assert main(["run", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    assert_no_child_left()
 
 
 def test_gp_nonconvergence_exits_3_with_error_file(tmp_path, capsys):
@@ -866,10 +975,10 @@ def test_sweep_series_extraction(tmp_path):
 
 def test_package_and_cli_import_without_scipy(tmp_path):
     # no path of the package loads scipy: not at startup, not for a Gaussian
-    # solve, not for an ED report, not for an ED sweep in a --jobs 2 pool.
-    # Each layer loads on first use, and the CLI fixes the BLAS thread count
-    # before numpy loads unless the environment already sets one or numpy is
-    # loaded already
+    # solve, not for an ED report, not for an ED sweep at --jobs 2, which
+    # forks its children without loading a process pool.  Each layer loads on
+    # first use, and the CLI fixes the BLAS thread count before numpy loads
+    # unless the environment already sets one or numpy is loaded already
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     submodules = tuple(f"socsqueeze.{name[:-3]}"
                        for name in os.listdir(os.path.join(src, "socsqueeze"))
@@ -879,13 +988,13 @@ def test_package_and_cli_import_without_scipy(tmp_path):
                                                                "command = eff-squeeze"))
     run = "from socsqueeze.cli import main; assert main({!r}) == 0"
     solvers = ("socsqueeze.bands", "socsqueeze.gp", "socsqueeze.fockspace",
-               "socsqueeze.gaussian", "socsqueeze.metrics", "socsqueeze.algebra",
-               "concurrent.futures.process")
+               "socsqueeze.gaussian", "socsqueeze.metrics", "socsqueeze.algebra")
+    pools = ("concurrent.futures", "multiprocessing")
     # (setup, thread variables set before it, modules it must not load besides
     # scipy, OPENBLAS_NUM_THREADS after it)
     setups = (
         ("import socsqueeze", {}, ("numpy",) + submodules, None),
-        ("import socsqueeze.cli", {}, solvers, "1"),
+        ("import socsqueeze.cli", {}, solvers + pools, "1"),
         ("import socsqueeze.cli", {"OPENBLAS_NUM_THREADS": "3"}, (), "3"),
         ("import socsqueeze.cli", {"OMP_NUM_THREADS": "2"}, (), None),
         # numpy already loaded: the variable would not be in force, so it stays unset
@@ -897,9 +1006,9 @@ def test_package_and_cli_import_without_scipy(tmp_path):
         (run.format(["run", "--config", eff, "--out", str(tmp_path / "eff")]),
          {}, ("socsqueeze.gp", "socsqueeze.bands"), "1"),
         (run.format(["run", "--config", cfg, "--out", str(tmp_path / "sweep"),
-                     "--jobs", "2"]), {}, (), "1"),
+                     "--jobs", "2"]), {}, pools, "1"),
     )
-    # the pool's workers are other processes: a scipy that fails on import,
+    # the forked children compute cells too: a scipy that fails on import,
     # first on the path, makes any import of it there fail the sweep
     blocked = tmp_path / "blocked" / "scipy"
     blocked.mkdir(parents=True)
