@@ -60,23 +60,49 @@ def lowest_branch(k, params):
     return branch_energies(k, params)[..., 0]
 
 
-def _lowest_root(d0, d1, d2, w):
-    """Lowest eigenvalue of the band Hamiltonian with entries ``_entries``, in closed form.
+def _lowest_root_grid(k, points):
+    """The lowest branch on grid k at every point of a stack, in closed form.
 
-    Trigonometric solution of the characteristic cubic.  Where the two lowest
-    branches nearly meet it loses accuracy, by about eps * scale^2 / gap and
-    at worst sqrt(eps) * scale, so it only seeds the minima search; every
-    reported energy comes from ``eigvalsh``.
+    ``points`` holds one array of shape (m,) per field; returns shape (m, len(k)).
+    Trigonometric solution of the characteristic cubic in trace-free form
+    (Smith, Commun. ACM 4, 168 (1961)).  With q = tr H / 3, the deviations
+    a, b, c of the diagonal from q sum to zero, so det(H - q) = b u and
+    p^2 = (b^2 + 3 w^2 - u) / 3 with u = a c + w^2, and the lowest root is
+    q - 2 p cos(arccos(r) / 3) with r = -b u / (2 p^3).  The shifts _SHIFT
+    sum to zero and the middle one is zero, so q(k) = q(0) + k^2, b does not
+    depend on k, and a(k) = a(0) + 2 _SHIFT[0] k, c(k) = c(0) + 2 _SHIFT[2] k:
+    u is one quadratic in k per point.  The passes run in place over two
+    buffers of the output's shape.
+    Where the two lowest branches nearly meet the root loses accuracy, by
+    about eps * scale^2 / gap and at worst sqrt(eps) * scale, so it only
+    seeds the minima search; every reported energy comes from ``eigvalsh``.
+    Entries above about 1e154 overflow: the scan is then not finite.
     """
-    q = (d0 + d1 + d2) / 3.0
-    a, b, c = d0 - q, d1 - q, d2 - q
+    d0, d1, d2, w = (field[:, None] for field in _entries(0.0, points))
+    q0 = (d0 + d1 + d2) / 3.0
+    a0, b, c0 = d0 - q0, d1 - q0, d2 - q0
     ww = w * w
-    p = np.sqrt((a * a + b * b + c * c + 2.0 * (ww + ww)) / 6.0)
-    det = a * (b * c - ww) - c * ww
-    # p = 0 only for a multiple of the identity, where det = 0 and the root is q
-    r = np.clip(-det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
+    root = np.add(a0, 2.0 * _SHIFT[0] * k)  # a
+    spare = np.add(c0, 2.0 * _SHIFT[2] * k)  # c
+    root *= spare
+    root += ww  # u
+    np.subtract(b * b + 3.0 * ww, root, out=spare)
+    spare *= 4.0 / 3.0  # 4 p^2
+    # the floor keeps r finite at p = 0, which only a multiple of the identity
+    # has; there u = 0 and the root is q
+    np.maximum(spare, np.finfo(float).tiny, out=spare)
+    root *= -4.0 * b
+    root /= spare
+    np.sqrt(spare, out=spare)  # 2 p
+    root /= spare  # r = -4 b u / (4 p^2 * 2 p)
+    np.clip(root, -1.0, 1.0, out=root)
     # q + 2p cos(arccos(-r) / 3 + 2 pi / 3), with the cosine's argument folded into [0, pi / 3]
-    return q - 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    np.arccos(root, out=root)
+    root /= 3.0
+    np.cos(root, out=root)
+    root *= spare
+    np.add(k * k, q0, out=spare)  # q
+    return np.subtract(spare, root, out=root)
 
 
 @dataclass(frozen=True)
@@ -98,15 +124,24 @@ def _grid_minima_seeds(k, e):
 
     A minimum is a run of equal values (one point for a strict minimum) that
     the grid enters falling and leaves rising, so window edges never count; a
-    plateau seeds its midpoint.  Seeds come row by row, ascending in k.
+    plateau seeds its midpoint.  Seeds come row by row, ascending in k.  Every
+    minimum starts where a falling step meets one that does not fall; only a
+    run that starts there is walked, to its first step that moves.
     """
-    step = np.sign(np.diff(e))
-    moving = step != 0.0
-    row, col = np.nonzero(moving)
-    moves = step[moving]
-    turn = (row[:-1] == row[1:]) & (moves[:-1] < 0.0) & (moves[1:] > 0.0)
-    into, out = col[:-1][turn], col[1:][turn]
-    return row[:-1][turn], k[0] + 0.5 * (into + 1 + out) * (k[1] - k[0])
+    m, n = e.shape
+    # the steps of each row, closed by a NaN step: it moves and does not rise
+    step = np.empty((m, n))
+    np.subtract(e[:, 1:], e[:, :-1], out=step[:, :-1])
+    step[:, -1] = np.nan
+    row, into = np.nonzero((step[:, :-1] < 0.0) & (step[:, 1:] >= 0.0))
+    out = into + 1
+    flat = step[row, out] == 0.0
+    if flat.any():
+        moving = np.flatnonzero(step != 0.0)
+        start = row[flat] * n + out[flat]
+        out[flat] = moving[np.searchsorted(moving, start)] - row[flat] * n
+    rises = step[row, out] > 0.0
+    return row[rises], k[0] + 0.5 * (into[rises] + 1 + out[rises]) * (k[1] - k[0])
 
 
 def _refine_minima(k0, dk, params):
@@ -155,10 +190,11 @@ def _minima(k, points):
     """Refined interior minima of the lowest branch at a stack of points, seeded on grid k.
 
     ``points`` holds one array of shape (m,) per field (``_stack``).  Returns
-    (point, k_min, E_min), one entry per minimum: its point index, ascending,
-    then its momentum, ascending within a point, and its energy.  Seeds come
-    from the closed-form lowest root on the grid, for every point at once,
-    and are refined in one Newton loop; energies come from ``eigvalsh``.
+    (point, k_min, E_min, overflow): one entry per minimum of its point index,
+    ascending, then its momentum, ascending within a point, and its energy;
+    and per point, whether it has no seed because its scan overflowed.  Seeds
+    come from the closed-form lowest root on the grid, for every point at
+    once, and are refined in one Newton loop; energies come from ``eigvalsh``.
     Every refined point is a minimum: the bracketed Newton closes only where
     the slope turns from - to +, and a kink in the lowest of smooth branches
     always bends down, so it cannot fake one.
@@ -177,11 +213,16 @@ def _minima(k, points):
     delta = 0 points and 182 over 50 000 random points on that grid, and
     1.45 steps apart over 40 000 random points on grids of 5-59 points.
     """
-    column = _Points(*(field[:, None] for field in points))
-    point, seeds = _grid_minima_seeds(k, _lowest_root(*_entries(k, column)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan = _lowest_root_grid(k, points)
+    point, seeds = _grid_minima_seeds(k, scan)
+    # only points without seeds are checked, so the common path pays nothing
+    unseeded = np.flatnonzero(np.bincount(point, minlength=len(scan)) == 0)
+    overflow = np.zeros(len(scan), dtype=bool)
+    overflow[unseeded] = ~np.isfinite(scan[unseeded]).all(axis=1)
     per_seed = _Points(*(field[point] for field in points))
     kc = _refine_minima(seeds, k[1] - k[0], per_seed)
-    return point, kc, lowest_branch(kc, per_seed)
+    return point, kc, lowest_branch(kc, per_seed), overflow
 
 
 def _grid(window, n_points):
@@ -202,10 +243,13 @@ def dispersion(params, window=DEFAULT_WINDOW, n_points=DEFAULT_POINTS):
 
     Interior grid minima (three-point condition, plateau ties resolved to the
     midpoint) are refined by bracketed Newton iteration; window edges are
-    never reported as minima.
+    never reported as minima.  Raises ConvergenceError if the closed-form
+    scan overflows float64 and so finds no minimum.
     """
     k = _grid(window, n_points)
-    _, minima_k, minima_E = _minima(k, _stack([params]))
+    _, minima_k, minima_E, overflow = _minima(k, _stack([params]))
+    if overflow[0]:
+        raise _overflow_error(params, window)
     return DispersionResult(k=k, energies=branch_energies(k, params),
                             minima_k=minima_k, minima_E=minima_E)
 
@@ -225,7 +269,8 @@ def classify(params, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW, n_points=DE
 
     ``degenerate`` means at least two minima lie within ``tol_deg`` of the
     global minimum energy.  E_min/k_min refer to the global minimum.  Raises
-    ConvergenceError if the window holds no interior minimum.
+    ConvergenceError if the window holds no interior minimum, or if the
+    closed-form scan overflows float64 and so finds none.
     """
     (cell,) = classify_points([params], tol_deg=tol_deg, window=window, n_points=n_points)
     if isinstance(cell, ConvergenceError):
@@ -243,10 +288,16 @@ def classify_points(points, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW,
     len(points) x n_points, so callers batch a few tens of thousands of grid
     points at a time.
     """
-    point, minima_k, minima_E = _minima(_grid(window, n_points), _stack(points))
+    point, minima_k, minima_E, overflow = _minima(_grid(window, n_points), _stack(points))
     bounds = np.searchsorted(point, np.arange(len(points) + 1))
-    return [_phase_cell(params, minima_k[lo:hi], minima_E[lo:hi], tol_deg, window)
-            for params, lo, hi in zip(points, bounds[:-1], bounds[1:])]
+    return [_overflow_error(params, window) if over
+            else _phase_cell(params, minima_k[lo:hi], minima_E[lo:hi], tol_deg, window)
+            for params, lo, hi, over in zip(points, bounds[:-1], bounds[1:], overflow)]
+
+
+def _overflow_error(params, window):
+    return ConvergenceError("the band scan overflows float64; the Hamiltonian entries are "
+                            "too large", context={"params": params, "window": window})
 
 
 def _phase_cell(params, minima_k, minima_E, tol_deg, window):

@@ -21,8 +21,9 @@ its tasks into at most J shares: the process computes one share itself and
 forks one child per other share, so ``J > 1`` needs POSIX ``os.fork``.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
-failed to converge, the Gaussian expansion point is a depleted condensate or
-a report is undefined at the state (partial results kept), 4 I/O failure.
+failed to converge, the band scan overflowed float64, the Gaussian expansion
+point is a depleted condensate or a report is undefined at the state
+(partial results kept), 4 I/O failure.
 """
 
 import argparse
@@ -253,10 +254,20 @@ def _write_table(cfg, name, header, rows, errors):
     return 0
 
 
+def _point_failed(cfg, payload):
+    """A one-point run's failure: error.json beside the manifest, and exit 3."""
+    write_json(os.path.join(cfg.out, "error.json"), payload)
+    _print_failure(cfg.command, payload)
+    return 3
+
+
 def _run_dispersion(cfg):
     from .bands import dispersion
 
-    disp = dispersion(cfg.params, window=cfg.window, n_points=cfg.n_points)
+    try:
+        disp = dispersion(cfg.params, window=cfg.window, n_points=cfg.n_points)
+    except ConvergenceError as exc:
+        return _point_failed(cfg, _failure(exc))
     rows = [(float(k), float(e[0]), float(e[1]), float(e[2]))
             for k, e in zip(disp.k, disp.energies)]
     write_csv(os.path.join(cfg.out, "dispersion.csv"), ("k", "E1", "E2", "E3"), rows)
@@ -290,9 +301,7 @@ def _run_point(cfg):
     """eff-squeeze and gp-ground: one report cell at the configured point."""
     _, payload = _sweep_cell((cfg, 0, cfg.params))
     if "error" in payload:
-        write_json(os.path.join(cfg.out, "error.json"), payload)
-        _print_failure(cfg.command, payload)
-        return 3
+        return _point_failed(cfg, payload)
     write_json(os.path.join(cfg.out, "report.json"), payload["report"])
     ground = payload.get("ground_state")
     if ground is not None:

@@ -213,18 +213,6 @@ class GpProblem:
         kinetic = np.einsum("im,mij,jm->", psi_k.conj(), self.h1, psi_k).real
         return float(kinetic) * self.dv / self.size
 
-    def energy(self, field):
-        """Energy per atom of a normalized field (recoil units)."""
-        flat = field.psi.reshape(3, -1)
-        n = np.sum(np.abs(flat) ** 2, axis=0)
-        e = self._kinetic_energy(flat) + float(np.sum(self.v_trap * n) * self.dv)
-        if self.c0 != 0.0:
-            e += 0.5 * self.c0 * float(np.sum(n * n) * self.dv)
-        if self.c2 != 0.0:
-            f_loc = self.local_spin_density(flat)
-            e += 0.5 * self.c2 * float(np.sum(f_loc**2) * self.dv)
-        return e
-
     def _kinetic_apply(self, matrices, flat):
         """Apply per-momentum 3x3 matrices (M, 3, 3) to a flattened field in real space."""
         return self._spatial_ifft(np.einsum("mij,jm->im", matrices, self._spatial_fft(flat)))

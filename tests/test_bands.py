@@ -7,7 +7,7 @@ from socsqueeze import bands
 from socsqueeze.bands import (
     _entries,
     _grid_minima_seeds,
-    _lowest_root,
+    _lowest_root_grid,
     _minima,
     _stack,
     build_hamiltonian,
@@ -16,7 +16,7 @@ from socsqueeze.bands import (
     dispersion,
     lowest_branch,
 )
-from socsqueeze.cli import main
+from socsqueeze.cli import _BLOCK_GRID_POINTS, main
 from socsqueeze.config import AxisSpec, RunConfig
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.params import ModelParams
@@ -221,12 +221,32 @@ def oracle_minima(params, window=(-4.0, 4.0), n_points=2001):
     return merged
 
 
+def plateau_rows(n):
+    """Rows of n values built around flat runs: a long interior run, runs that
+    touch either edge, a run that ends on a falling step, a run left through
+    a NaN step, and a constant row."""
+    ramp = np.arange(n, dtype=float)
+    rows = [np.r_[[3.0, 2.0], np.ones(n - 3), [2.0]],
+            np.r_[np.ones(n - 2), [2.0, 3.0]],
+            np.r_[[3.0, 2.0], np.ones(n - 2)],
+            np.r_[[3.0, 2.0], np.ones(n - 5), [0.0, 2.0, 3.0]],
+            np.r_[[3.0, 2.0], np.ones(n - 5), [0.0, 0.0, 0.0]],
+            np.r_[[3.0, 2.0], np.ones(n - 5), [np.nan, 2.0, 3.0]],
+            np.ones(n), ramp, ramp[::-1], np.abs(ramp - n // 2)]
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        # runs of 1-15 equal values, so many runs are long and some fill the row
+        values = rng.integers(0, 4, size=n).astype(float)
+        rows.append(np.repeat(values, rng.integers(1, 16, size=n))[:n])
+    return np.array(rows)
+
+
 def test_grid_seeds_match_loop_oracle():
-    # small integers give many plateaus, edge runs and ties; 2000 rows scanned
-    # at once, so no run may carry over from one row into the next
+    # small integers give many plateaus, edge runs and ties; over 2000 rows
+    # scanned at once no run may carry over from one row into the next
     rng = np.random.default_rng(3)
     k = np.linspace(-1.0, 1.0, 41)
-    e = rng.integers(0, 4, size=(2000, 41)).astype(float)
+    e = np.vstack([rng.integers(0, 4, size=(2000, 41)).astype(float), plateau_rows(41)])
     rows, seeds = _grid_minima_seeds(k, e)
     for i, row in enumerate(e):
         expected = k[0] + np.array(oracle_grid_minima_seeds(row)) * (k[1] - k[0])
@@ -304,6 +324,42 @@ def test_classify_points_matches_classify_bit_for_bit(oracle_cases):
             assert batched == single, (window, offset)
 
 
+def oracle_lowest_root(d0, d1, d2, w):
+    """The closed-form lowest root the grid scan replaced: the trigonometric
+    solution of the characteristic cubic, from the entries at every k."""
+    q = (d0 + d1 + d2) / 3.0
+    a, b, c = d0 - q, d1 - q, d2 - q
+    ww = w * w
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (ww + ww)) / 6.0)
+    det = a * (b * c - ww) - c * ww
+    r = np.clip(-det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
+    return q - 2.0 * p * np.cos(np.arccos(r) / 3.0)
+
+
+def test_scan_seeds_match_oracle_root():
+    # the seeds must agree exactly, in blocks of the size the classifier runs:
+    # on the default grid at the oracle points and the triple crossing of
+    # (0, 0, -4) at k = 0, and on a 1001-point grid at 20 000 seeded random
+    # points, three of every eight at drive 0, 1e-6 or 1e-3
+    rng = np.random.default_rng(1961)
+    omega = rng.uniform(0.0, 10.0, 20000)
+    for i, drive in enumerate((0.0, 1e-6, 1e-3)):
+        omega[i::8] = drive
+    cases = [(2001, _stack(oracle_points() + [ModelParams(omega_R=0.0, delta=0.0,
+                                                          epsilon=-4.0)])),
+             (1001, bands._Points(omega, rng.uniform(-6.0, 6.0, 20000),
+                                  rng.uniform(-6.0, 12.0, 20000)))]
+    for n_points, stack in cases:
+        k = np.linspace(-4.0, 4.0, n_points)
+        size = _BLOCK_GRID_POINTS // n_points
+        for lo in range(0, len(stack.omega_R), size):
+            block = bands._Points(*(field[lo:lo + size] for field in stack))
+            column = bands._Points(*(field[:, None] for field in block))
+            want = _grid_minima_seeds(k, oracle_lowest_root(*_entries(k, column)))
+            got = _grid_minima_seeds(k, _lowest_root_grid(k, block))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n_points, lo)
+
+
 def test_newton_refinement_takes_few_steps(monkeypatch):
     # one build_hamiltonian call per Newton step; a converged seed must not
     # fall back to bisecting its bracket down to the step tolerance, alone or
@@ -317,7 +373,7 @@ def test_newton_refinement_takes_few_steps(monkeypatch):
 
     k = np.linspace(-4.0, 4.0, 2001)
     points = oracle_points()
-    seeds = [_grid_minima_seeds(k, _lowest_root(*_entries(k, p))[None])[1] for p in points]
+    seeds = [_grid_minima_seeds(k, _lowest_root_grid(k, _stack([p])))[1] for p in points]
     monkeypatch.setattr(bands, "build_hamiltonian", counting)
     for p, k0 in zip(points, seeds):
         steps.append(0)
@@ -342,7 +398,28 @@ def test_closed_form_lowest_root_matches_eigvalsh(oracle_cases):
         gap = ev[:, 1] - ev[:, 0]
         with np.errstate(divide="ignore"):
             bound = np.minimum(32.0 * eps * scale**2 / gap, np.sqrt(eps) * scale)
-        assert np.all(np.abs(_lowest_root(*_entries(k, p)) - ev[:, 0]) <= bound), p
+        assert np.all(np.abs(_lowest_root_grid(k, _stack([p]))[0] - ev[:, 0]) <= bound), p
+
+
+def test_scan_overflow_is_named_in_the_point_place():
+    # entries near 1e155 square past float64: the scan is not finite, and the
+    # point fails with that reason, without a RuntimeWarning (an error under
+    # pytest), while its neighbours in the block keep their results
+    overflow = "the band scan overflows float64"
+    base = ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0)
+    huge = [base.replace(delta=1e300), base.replace(delta=-1e155),
+            base.replace(omega_R=1e300), base.replace(epsilon=1e200)]
+    for p in huge:
+        with pytest.raises(ConvergenceError, match=overflow):
+            classify(p)
+        with pytest.raises(ConvergenceError, match=overflow):
+            dispersion(p)
+    found = classify_points([base] + huge + [base])
+    assert [str(cell).startswith(overflow) for cell in found[1:-1]] == [True] * len(huge)
+    assert found[0] == found[-1] == classify(base)
+    # a finite scan without a minimum keeps the window reason
+    with pytest.raises(ConvergenceError, match="widen the momentum window"):
+        classify(base, window=(1.0, 3.0))
 
 
 def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
@@ -355,7 +432,7 @@ def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
         first.k[0] = 0.0
     assert np.array_equal(first.k, fresh)
     assert np.array_equal(first.energies, bands.branch_energies(fresh, params))
-    _, minima_k, minima_e = _minima(fresh, _stack([params]))
+    _, minima_k, minima_e, _ = _minima(fresh, _stack([params]))
     assert np.array_equal(first.minima_k, minima_k)
     assert np.array_equal(first.minima_E, minima_e)
     cell = classify(params)

@@ -364,6 +364,46 @@ n_points = 201
     assert main(["plot-data", str(outs[0] / "phase_diagram.csv")]) == 0
 
 
+def test_band_scan_overflow_exits_3_and_names_it(tmp_path, capsys):
+    # delta = 1e300 squares past float64 in the band scan: a dispersion run
+    # writes error.json beside the manifest, and a phase diagram fails those
+    # cells and keeps the others, both with exit 3 and without a RuntimeWarning
+    reason = ("ConvergenceError: the band scan overflows float64; the Hamiltonian entries "
+              "are too large")
+    out = tmp_path / "disp"
+    cfg = write_config(tmp_path / "disp.ini", "[run]\ncommand = dispersion\n"
+                                              "[params]\ndelta = 1e300\n")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"dispersion failed: {reason}\n"
+    assert sorted(os.listdir(out)) == ["error.json", "manifest.json"]
+    assert json.loads(read_bytes(out / "error.json")) == {"error": reason}
+
+    out = tmp_path / "pd"
+    cfg = write_config(tmp_path / "pd.ini", """
+[run]
+command = phase-diagram
+
+[params]
+epsilon = 6.0
+
+[phase-diagram]
+axis1 = omega_R
+values1 = 1 2
+axis2 = delta
+values2 = 0 1e300
+""")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "".join(
+        f"phase-diagram cell {i} failed: {reason}\n" for i in (1, 3))
+    assert json.loads(read_bytes(out / "errors.json")) == {"1": reason, "3": reason}
+    rows = read_bytes(out / "phase_diagram.csv").decode().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows[1::2]] == [["0", "0", "nan", "nan"]] * 2
+    for row in rows[::2]:
+        omega_r, delta, n_minima = (float(v) for v in row.split(",")[:3])
+        assert n_minima == classify(ModelParams(omega_R=omega_r, delta=delta,
+                                                epsilon=6.0)).n_minima
+
+
 def test_eff_squeeze_report(tmp_path):
     out = tmp_path / "eff"
     ini = f"""
