@@ -22,8 +22,8 @@ forks one child per other share, so ``J > 1`` needs POSIX ``os.fork``.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge, the band scan overflowed float64, the Gaussian expansion
-point is a depleted condensate or a report is undefined at the state
-(partial results kept), 4 I/O failure.
+point is a depleted condensate or has an unstable mode, or a report is
+undefined at the state (partial results kept), 4 I/O failure.
 """
 
 import argparse
@@ -44,14 +44,14 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .errors import ConfigError, ConvergenceError, MomentInputError
+from .errors import ConfigError, ConvergenceError, MomentInputError, UnstableExpansionError
 from .io import ensure_dir, write_csv, write_json
 from .params import effective_coefficients
 
 REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
                   "rho_m1", "rho_0", "rho_p1")
 # the failures a cell records while its siblings are kept
-_CELL_ERRORS = (ConfigError, ConvergenceError, MomentInputError)
+_CELL_ERRORS = (ConfigError, ConvergenceError, MomentInputError, UnstableExpansionError)
 # grid points of one block of phase-diagram cells: the arrays of its seed scan
 # stay in cache, and the block still amortizes numpy's per-call cost
 _BLOCK_GRID_POINTS = 32768
@@ -93,7 +93,7 @@ def _report_for_point(cfg, params, seed):
         extras = {"backend": "gp", "moment_method": "hartree_product",
                   "gp_energy_per_atom": ground.energy, "gp_steps": ground.n_steps,
                   "gp_last_energy_change": ground.last_change,
-                  "gp_residual": ground.residual}
+                  "gp_residual": ground.residual, "gp_seed_k": problem.seed_k}
     return build_report(moments, extras=extras), ground
 
 

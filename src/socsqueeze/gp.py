@@ -4,7 +4,8 @@ The ground state minimizes the discrete mean-field energy over normalized
 fields.  ``imaginary_time_ground_state`` (named for the relaxation it
 replaces) runs a preconditioned Riemannian conjugate gradient on the unit
 sphere and stops on the eigen-residual ||H psi - mu psi||; every iteration
-lowers the energy.
+lowers the energy.  It starts from the layer below: the lowest dressed band's
+spinor at that band's minimum (``GpProblem.initial_field``).
 
 Dimensionless convention: lengths in inverse recoil momenta, energies in
 recoil energies, so the single-particle part at quasimomentum k along the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SQRT2, generator_stack
-from .bands import build_hamiltonian
+from .bands import build_hamiltonian, classify
 from .config import SOLVER_DEFAULTS, check_gp_setup, check_solver_settings
 from .errors import ConfigError, ConvergenceError
 from .metrics import MomentSet
@@ -43,11 +44,12 @@ RB87_MASS = 1.44316060e-25      # kg
 BOHR_RADIUS = 5.29177210903e-11  # m
 
 # shift alpha of the kinetic preconditioner (h1(k) - min h1 + alpha)^-1, in recoil
-# energies: about one trap quantum of the shipped configs (w = 0.041), the level
-# spacing of the soft modes the preconditioner has to resolve.  Over seeds 0-7 of
-# the detuned criterion-11 case the median iteration count was 178 at 0.05,
-# 288 at 0.1 and 305 at 0.2 (tol 2e-5)
-PRECONDITIONER_SHIFT = 0.05
+# energies, scanned from the band seed (initial_field) on the shipped (tol 1e-7),
+# detuned criterion-11 (tol 2e-5) and trapped-oscillator cases: they took 48/31/9
+# iterations at 0.05, 35/22/8 at 0.1, 26/16/9 at 0.2 and 22/11/9 at 0.5, and over
+# seeds 0-7 of the detuned case the medians were 30, 22, 16 and 11.  At 0.5 the
+# shipped and oscillator runs stop at energies higher than at 0.2, by 2.5e-9 and 6e-11
+PRECONDITIONER_SHIFT = 0.2
 ARMIJO = 1e-4          # fraction of the slope a trial angle must gain
 MAX_BACKTRACKS = 40    # halvings of the trial angle before the line search gives up
 ROUNDOFF = 1e-14       # relative energy change taken as rounding in the Armijo test
@@ -113,7 +115,8 @@ def field_populations(field):
 
 
 class GpProblem:
-    """Discretized problem: grids, trap potential, couplings, spectral kinetics."""
+    """Discretized problem: grids, trap potential, couplings, spectral kinetics,
+    and the band minimum the seed starts from."""
 
     def __init__(self, params, trap, interaction, grid):
         check_gp_setup(trap, interaction, grid)
@@ -140,6 +143,7 @@ class GpProblem:
         w, u = np.linalg.eigh(self.h1)
         self.preconditioner = np.einsum("kij,kj,klj->kil", u,
                                         1.0 / (w - w.min() + PRECONDITIONER_SHIFT), u.conj())
+        self.seed_k, self.seed_spinor = _band_seed(params, float(np.max(np.abs(k_soc))))
 
         if trap is not None:
             pos = np.meshgrid(*self.axes, indexing="ij")
@@ -152,15 +156,26 @@ class GpProblem:
             self.v_trap = np.zeros(self.size)
 
     def initial_field(self, seed=0):
-        """Broken-symmetry Gaussian seed with small reproducible noise.
+        """Seed of the minimizer, from the lowest dressed band, with small
+        reproducible noise.
 
-        The envelope width follows the trap oscillator length (widened toward
-        the interacting cloud radius when the density coupling is repulsive);
-        component weights are asymmetric and a touch of white noise populates
-        every grid momentum so no ground state is missed by symmetry.
+        Where the band has its global minimum at k0 (``seed_k``) on the grid's
+        momenta, the seed is its spinor v0 (``seed_spinor``) plus a seeded
+        complex jitter, times an envelope, times the plane wave e^{i k0 x}
+        along the coupled axis; a ground state near that plane wave then
+        needs no iterations to build its phase winding.  Otherwise (no
+        interior band minimum, or k0 beyond the grid) the spinor is the fixed
+        asymmetric (0.2, 1, 0.15) at k = 0.  The envelope is a Gaussian of the
+        trap oscillator length; where a repulsive density coupling widens the
+        cloud along the coupled axis past it, the band seed takes the
+        Thomas-Fermi profile of radius r_TF = (3 c0 / w^2)^(1/3), and the
+        fallback a Gaussian of width r_TF / 2.  A touch of white noise
+        populates every grid momentum, so no ground state is missed by
+        symmetry.
         """
         rng = np.random.default_rng(seed)
         pos = np.meshgrid(*self.axes, indexing="ij")
+        band = self.seed_k is not None
         envelope = np.ones(self.shape)
         for axis in range(self.grid.dimension):
             if self.trap is not None:
@@ -168,14 +183,18 @@ class GpProblem:
                 if self.c0 > 0.0 and axis == 0:
                     w = self.trap.frequency_ratio(axis)
                     r_tf = (3.0 * self.c0 / (w * w)) ** (1.0 / 3.0)
+                    if band and 0.5 * r_tf > sigma:
+                        envelope = envelope * np.sqrt(np.maximum(1.0 - (pos[0] / r_tf) ** 2, 0.0))
+                        continue
                     sigma = max(sigma, 0.5 * r_tf)
             else:
                 sigma = self.grid.extent[axis] / 4.0
             envelope = envelope * np.exp(-(pos[axis] ** 2) / (2.0 * sigma**2))
-        weights = np.array([0.2, 1.0, 0.15]) + 0.02 * (
-            rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        )
+        spinor = self.seed_spinor if band else np.array([0.2, 1.0, 0.15])
+        weights = spinor + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         psi = weights[:, None] * envelope.reshape(1, -1)
+        if band:
+            psi = psi * np.exp(1j * self.seed_k * pos[0].reshape(1, -1))
         noise = rng.standard_normal((3, self.size)) + 1j * rng.standard_normal((3, self.size))
         psi = psi + 0.005 * noise * np.abs(envelope.reshape(1, -1))
         psi = psi.reshape((3,) + self.shape)
@@ -279,6 +298,20 @@ class GpProblem:
         return float(np.linalg.norm(grad) * math.sqrt(self.dv))
 
 
+def _band_seed(params, k_max):
+    """(k0, v0): the momentum of the lowest dressed band's global minimum (ties
+    go to ``classify``'s pick) and that band's spinor there, or (None, None)
+    where the band has no interior minimum or |k0| exceeds the grid's largest
+    momentum k_max."""
+    try:
+        k0 = classify(params).k_min
+    except ConvergenceError:
+        return None, None
+    if abs(k0) > k_max:
+        return None, None
+    return k0, np.linalg.eigh(build_hamiltonian(k0, params))[1][:, 0]
+
+
 def _apply_spin_vector(a, flat):
     """(a.J) psi for a real spin vector a (3, M) per point, in (+1, 0, -1) order:
     (a_z psi_p1 + a_- psi_0, a_+ psi_p1 + a_- psi_m1, a_+ psi_0 - a_z psi_m1)
@@ -332,8 +365,7 @@ def imaginary_time_ground_state(problem, dt=SOLVER_DEFAULTS["dt"], tol=SOLVER_DE
     (see check_solver_settings).
     """
     check_solver_settings(dt, tol, max_steps, check_every)
-    flat = problem.initial_field(seed).psi.reshape(3, -1).astype(complex)
-    flat = flat / np.sqrt(np.sum(np.abs(flat) ** 2) * problem.dv)
+    flat = problem.initial_field(seed).psi.reshape(3, -1)
     dv = problem.dv
 
     def dot(a, b):

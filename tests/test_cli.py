@@ -522,6 +522,35 @@ values = 6 -4 -2
     assert (out / "report_000.json").exists() and (out / "report_002.json").exists()
 
 
+def test_gaussian_sweep_keeps_cells_around_an_unstable_expansion(tmp_path, capsys, monkeypatch):
+    # an expansion with a non-positive normal mode is a cell failure like a
+    # non-convergence: exit 3 with the error recorded, never a traceback
+    from socsqueeze import gaussian
+    from socsqueeze.errors import UnstableExpansionError
+
+    quadratic, calls = gaussian.hp_quadratic, []
+
+    def unstable_in_cell_1(coeffs, n_atoms, mean_field):
+        calls.append(coeffs)
+        if len(calls) == 2:
+            raise UnstableExpansionError("quadratic form not positive definite", frequency=0.0)
+        return quadratic(coeffs, n_atoms, mean_field)
+
+    monkeypatch.setattr(gaussian, "hp_quadratic", unstable_in_cell_1)
+    out = tmp_path / "sw"
+    ini = SWEEP_INI.replace("backend = ed", "backend = gaussian").replace("N = 40", "N = 200")
+    cfg = write_config(tmp_path / "run.ini", ini.replace("0.5 1.0 2.0", "1.0 2.0"))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep cell 1 failed: UnstableExpansionError" in err
+    assert "Traceback" not in err
+    assert len(calls) == 2
+    errors = json.loads(read_bytes(out / "errors.json"))
+    assert list(errors) == ["1"] and errors["1"].startswith("UnstableExpansionError: ")
+    assert (out / "report_000.json").exists()
+    assert not (out / "report_001.json").exists()
+
+
 def test_gaussian_eff_squeeze_report(tmp_path, capsys):
     out = tmp_path / "gauss"
     ini = f"""
@@ -548,7 +577,7 @@ N = 200
     assert "Holstein-Primakoff expansion does not hold" in capsys.readouterr().err
 
 
-def test_gp_ground_run(tmp_path):
+def test_gp_ground_run(tmp_path, monkeypatch):
     out = tmp_path / "gp"
     ini = f"""
 [run]
@@ -583,6 +612,8 @@ tol = 1e-10
     assert abs(report["rho_0"] - 1.0) <= 1e-6
     assert 0.0 <= report["gp_last_energy_change"] < 1e-10
     assert 0.0 < report["gp_residual"] <= 1e-4
+    # the seed's momentum is the band minimum, here the m = 0 parabola's vertex
+    assert report["gp_seed_k"] == classify(ModelParams(0.0, 0.0, 2.0, 100)).k_min == 0.0
     assert (out / "field.npz").exists()
     trace = read_bytes(out / "energy_trace.csv").decode().splitlines()
     assert trace[0] == "step,energy"
@@ -591,6 +622,16 @@ tol = 1e-10
     assert manifest["backend"] == "gp"
     assert manifest["grid"] == {"n_points": [256], "extent": [32.0]}
     assert manifest["trap"]["recoil_frequency"] == 3678.0
+    # without a band minimum the k = 0 fallback seed runs, reported as null
+    from socsqueeze import gp
+    from socsqueeze.errors import ConvergenceError
+
+    def no_minimum(params):
+        raise ConvergenceError("no interior minima found")
+
+    monkeypatch.setattr(gp, "classify", no_minimum)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "fallback")]) == 0
+    assert json.loads(read_bytes(tmp_path / "fallback" / "report.json"))["gp_seed_k"] is None
 
 
 def test_gp_ground_needs_grid(tmp_path):
@@ -947,7 +988,7 @@ max_steps = 5
 
 
 def test_sweep_failed_cell_keeps_siblings(tmp_path, capsys):
-    # max_steps sits between the two convergence iteration counts (9 and 19),
+    # max_steps sits between the two convergence iteration counts (8 and 10),
     # so the second cell fails while the first completes
     out = tmp_path / "sw"
     ini = f"""
@@ -976,7 +1017,7 @@ extent = 24.0
 
 [solver]
 tol = 1e-10
-max_steps = 14
+max_steps = 9
 """
     cfg = write_config(tmp_path / "run.ini", ini)
     assert main(["run", "--config", cfg]) == 3

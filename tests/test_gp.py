@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from socsqueeze import gp
 from socsqueeze.algebra import generator_matrix
-from socsqueeze.bands import branch_energies
+from socsqueeze.bands import branch_energies, build_hamiltonian, classify
 from socsqueeze.config import (
     SOLVER_DEFAULTS,
     GridSpec,
@@ -328,7 +329,7 @@ def test_detuning_polarizes_toward_plus_one():
 
 
 def test_unconverged_run_raises_with_trace():
-    # this case needs 21 iterations to reach tol 1e-16
+    # this case needs 13 iterations to reach tol 1e-16
     params = ModelParams(omega_R=2.0, delta=0.5, epsilon=1.0, N=100.0)
     prob = build_problem(params, TRAP, None, GridSpec((128,), (24.0,)))
     with pytest.raises(ConvergenceError) as err:
@@ -405,13 +406,81 @@ def test_stalled_line_search_raises():
     assert calls[-1] == calls[0] * 0.5 ** (MAX_BACKTRACKS - 1)
 
 
+DETUNED = ModelParams(omega_R=2.0, delta=2.0, epsilon=0.0, N=100000)
+C11_GRID = GridSpec((1024,), (160.0,))
+
+
 def test_detuned_ground_state_does_not_depend_on_the_seed():
     # the criterion-11 detuned case has a soft mode, so a run that stopped short
     # of the minimum would end at an energy that depends on the seed
-    params = ModelParams(omega_R=2.0, delta=2.0, epsilon=0.0, N=100000)
-    prob = build_problem(params, TRAP, RB, GridSpec((1024,), (160.0,)))
+    prob = build_problem(DETUNED, TRAP, RB, C11_GRID)
     e0, e7 = (imaginary_time_ground_state(prob, dt=0.02, tol=1e-7, seed=s).energy for s in (0, 7))
-    assert abs(e0 - e7) <= 1e-6 * abs(e7)
+    assert abs(e0 - e7) <= 1e-8 * abs(e7)
+
+
+def test_seed_is_the_band_spinor_at_the_band_minimum():
+    # the detuned criterion-11 case has its band minimum at k0 = -1.944: the seed
+    # carries that momentum and the lowest band's spinor there
+    prob = build_problem(DETUNED, TRAP, RB, C11_GRID)
+    k0 = classify(DETUNED).k_min
+    assert prob.seed_k == k0 and abs(k0 + 1.944) <= 1e-3
+    psi_k = np.fft.fft(prob.initial_field(seed=3).psi, axis=1)
+    dx = prob.axes[0][1] - prob.axes[0][0]
+    k = 2.0 * math.pi * np.fft.fftfreq(1024, d=dx)
+    peak = int(np.argmax(np.sum(np.abs(psi_k) ** 2, axis=0)))
+    assert abs(k[peak] - k0) <= 2.0 * math.pi / (1024 * dx)
+    v0 = np.linalg.eigh(build_hamiltonian(k0, DETUNED))[1][:, 0]
+    spinor = psi_k[:, peak] / np.linalg.norm(psi_k[:, peak])
+    assert abs(np.vdot(v0, spinor)) >= 0.99
+
+
+def _default_seed(prob, seed):
+    """The k = 0 seed with fixed weights (0.2, 1, 0.15): a Gaussian envelope of the
+    oscillator length, widened to r_TF / 2 along axis 0 by a repulsive c0."""
+    rng = np.random.default_rng(seed)
+    pos = np.meshgrid(*prob.axes, indexing="ij")
+    envelope = np.ones(prob.shape)
+    for axis in range(prob.grid.dimension):
+        sigma = prob.trap.oscillator_length(axis)
+        if prob.c0 > 0.0 and axis == 0:
+            w = prob.trap.frequency_ratio(axis)
+            sigma = max(sigma, 0.5 * (3.0 * prob.c0 / (w * w)) ** (1.0 / 3.0))
+        envelope = envelope * np.exp(-(pos[axis] ** 2) / (2.0 * sigma**2))
+    weights = np.array([0.2, 1.0, 0.15]) + 0.02 * (
+        rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    psi = weights[:, None] * envelope.reshape(1, -1)
+    noise = rng.standard_normal((3, prob.size)) + 1j * rng.standard_normal((3, prob.size))
+    psi = psi + 0.005 * noise * np.abs(envelope.reshape(1, -1))
+    return SpinorField(psi.reshape((3,) + prob.shape), prob.axes, prob.dv).normalized()
+
+
+@pytest.mark.parametrize("case", ["no-band-minimum", "k0-beyond-grid"])
+def test_fallback_seed_is_the_k0_default(monkeypatch, case):
+    # without a band minimum, or with one past the grid's largest momentum
+    # (pi / dx = 0.157 on a 16-point grid), the seed is the k = 0 default
+    if case == "no-band-minimum":
+        def no_minimum(params):
+            raise ConvergenceError("no interior minima found")
+
+        monkeypatch.setattr(gp, "classify", no_minimum)
+        grid = C11_GRID
+    else:
+        grid = GridSpec((16,), (160.0,))
+    prob = build_problem(DETUNED, TRAP, RB, grid)
+    assert prob.seed_k is None and prob.seed_spinor is None
+    for seed in (0, 7):
+        assert np.array_equal(prob.initial_field(seed).psi, _default_seed(prob, seed).psi)
+
+
+def test_tied_minima_reach_the_plane_wave():
+    # at (omega_R, delta, epsilon) = (2, 0, -2) the band minima at +-1.943 tie; a
+    # seed on one of them reaches the plane wave at E = 3.748426, below the stripe
+    # (3.76106) that a seed on both converges to
+    params = ModelParams(omega_R=2.0, delta=0.0, epsilon=-2.0, N=100000)
+    prob = build_problem(params, TRAP, RB, C11_GRID)
+    assert classify(params).degenerate and abs(abs(prob.seed_k) - 1.943) <= 1e-3
+    res = imaginary_time_ground_state(prob, dt=0.02, tol=1e-7, seed=7)
+    assert res.energy <= 3.748427
 
 
 def test_populations_component_order():
