@@ -136,19 +136,16 @@ def _classify_cell(task):
 
 
 def _map_ordered(worker, tasks, jobs):
-    """Run (index, ...) tasks through one worker inline or in processes; payloads in order.
+    """Run (index, ...) tasks through one worker in up to ``jobs`` processes; payloads in order.
 
-    There is at most one process per task.  With more than one, the tasks are
-    dealt round-robin into shares: this process computes the first share, and
-    each other share is one forked child.  The payloads are put back in order
-    by the index each task returns.
+    There is at most one process per task.  The tasks are dealt round-robin
+    into shares: this process computes the first share, and each other share
+    is one forked child, so one share forks nothing.  The payloads are put
+    back in order by the index each task returns.
     """
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        results = [worker(t) for t in tasks]
-    else:
-        shares = [tasks[w::workers] for w in range(workers)]
-        results = sorted(_run_shares(worker, shares), key=lambda result: result[0])
+    workers = max(1, min(jobs, len(tasks)))
+    shares = [tasks[w::workers] for w in range(workers)]
+    results = sorted(_run_shares(worker, shares), key=lambda result: result[0])
     return [payload for _, payload in results]
 
 

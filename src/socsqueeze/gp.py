@@ -4,8 +4,9 @@ The ground state minimizes the discrete mean-field energy over normalized
 fields.  ``imaginary_time_ground_state`` (named for the relaxation it
 replaces) runs a preconditioned Riemannian conjugate gradient on the unit
 sphere and stops on the eigen-residual ||H psi - mu psi||; every iteration
-lowers the energy.  It starts from the layer below: the lowest dressed band's
-spinor at that band's minimum (``GpProblem.initial_field``).
+lowers the energy.  It starts from the layer below: the lowest dressed-band
+state of the grid, which the preconditioner's eigendecomposition already holds
+(``GpProblem.initial_field``).
 
 Dimensionless convention: lengths in inverse recoil momenta, energies in
 recoil energies, so the single-particle part at quasimomentum k along the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SQRT2, generator_stack
-from .bands import build_hamiltonian, classify
+from .bands import build_hamiltonian
 from .config import SOLVER_DEFAULTS, check_gp_setup, check_solver_settings
 from .errors import ConfigError, ConvergenceError
 from .metrics import MomentSet
@@ -116,7 +117,7 @@ def field_populations(field):
 
 class GpProblem:
     """Discretized problem: grids, trap potential, couplings, spectral kinetics,
-    and the band minimum the seed starts from."""
+    and the lowest single-particle state of the grid, which the seed starts from."""
 
     def __init__(self, params, trap, interaction, grid):
         check_gp_setup(trap, interaction, grid)
@@ -143,7 +144,10 @@ class GpProblem:
         w, u = np.linalg.eigh(self.h1)
         self.preconditioner = np.einsum("kij,kj,klj->kil", u,
                                         1.0 / (w - w.min() + PRECONDITIONER_SHIFT), u.conj())
-        self.seed_k, self.seed_spinor = _band_seed(params, float(np.max(np.abs(k_soc))))
+        # the seed: the lowest eigenpair over the grid's momenta.  A transverse k^2 only
+        # raises a row, so the argmin has k_perp = 0
+        lowest = int(np.argmin(w[:, 0]))
+        self.seed_k, self.seed_spinor = float(k_soc[lowest]), u[lowest, :, 0]
 
         if trap is not None:
             pos = np.meshgrid(*self.axes, indexing="ij")
@@ -159,42 +163,38 @@ class GpProblem:
         """Seed of the minimizer, from the lowest dressed band, with small
         reproducible noise.
 
-        Where the band has its global minimum at k0 (``seed_k``) on the grid's
-        momenta, the seed is its spinor v0 (``seed_spinor``) plus a seeded
-        complex jitter, times an envelope, times the plane wave e^{i k0 x}
-        along the coupled axis; a ground state near that plane wave then
-        needs no iterations to build its phase winding.  Otherwise (no
-        interior band minimum, or k0 beyond the grid) the spinor is the fixed
-        asymmetric (0.2, 1, 0.15) at k = 0.  The envelope is a Gaussian of the
-        trap oscillator length; where a repulsive density coupling widens the
-        cloud along the coupled axis past it, the band seed takes the
-        Thomas-Fermi profile of radius r_TF = (3 c0 / w^2)^(1/3), and the
-        fallback a Gaussian of width r_TF / 2.  A touch of white noise
-        populates every grid momentum, so no ground state is missed by
+        The seed is the spinor v0 (``seed_spinor``) of the lowest
+        single-particle eigenpair over the grid's momenta, at momentum k0
+        (``seed_k``), plus a seeded complex jitter, times an envelope, times
+        the plane wave e^{i k0 x} along the coupled axis; a ground state near
+        that plane wave then needs no iterations to build its phase winding.
+        A grid too coarse to carry the band's continuum minimum seeds at its
+        own lowest momentum, the minimum of the discretized problem.  The
+        envelope is a Gaussian of the trap oscillator length (a quarter of
+        the extent without a trap), except along the coupled axis where a
+        repulsive c0 puts r_TF / 2 above that length, r_TF = (3 c0 / w^2)^(1/3):
+        there it is the Thomas-Fermi profile of radius r_TF.  A touch of white
+        noise populates every grid momentum, so no ground state is missed by
         symmetry.
         """
         rng = np.random.default_rng(seed)
         pos = np.meshgrid(*self.axes, indexing="ij")
-        band = self.seed_k is not None
         envelope = np.ones(self.shape)
         for axis in range(self.grid.dimension):
-            if self.trap is not None:
+            if self.trap is None:
+                sigma = self.grid.extent[axis] / 4.0
+            else:
                 sigma = self.trap.oscillator_length(axis)
                 if self.c0 > 0.0 and axis == 0:
                     w = self.trap.frequency_ratio(axis)
                     r_tf = (3.0 * self.c0 / (w * w)) ** (1.0 / 3.0)
-                    if band and 0.5 * r_tf > sigma:
+                    if 0.5 * r_tf > sigma:
                         envelope = envelope * np.sqrt(np.maximum(1.0 - (pos[0] / r_tf) ** 2, 0.0))
                         continue
-                    sigma = max(sigma, 0.5 * r_tf)
-            else:
-                sigma = self.grid.extent[axis] / 4.0
             envelope = envelope * np.exp(-(pos[axis] ** 2) / (2.0 * sigma**2))
-        spinor = self.seed_spinor if band else np.array([0.2, 1.0, 0.15])
-        weights = spinor + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        psi = weights[:, None] * envelope.reshape(1, -1)
-        if band:
-            psi = psi * np.exp(1j * self.seed_k * pos[0].reshape(1, -1))
+        weights = self.seed_spinor + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        phase = np.exp(1j * self.seed_k * pos[0].reshape(1, -1))
+        psi = weights[:, None] * envelope.reshape(1, -1) * phase
         noise = rng.standard_normal((3, self.size)) + 1j * rng.standard_normal((3, self.size))
         psi = psi + 0.005 * noise * np.abs(envelope.reshape(1, -1))
         psi = psi.reshape((3,) + self.shape)
@@ -296,20 +296,6 @@ class GpProblem:
         flat = field.psi.reshape(3, -1)
         _, grad = self.gradient(flat, self.apply_hamiltonian(flat)[0])
         return float(np.linalg.norm(grad) * math.sqrt(self.dv))
-
-
-def _band_seed(params, k_max):
-    """(k0, v0): the momentum of the lowest dressed band's global minimum (ties
-    go to ``classify``'s pick) and that band's spinor there, or (None, None)
-    where the band has no interior minimum or |k0| exceeds the grid's largest
-    momentum k_max."""
-    try:
-        k0 = classify(params).k_min
-    except ConvergenceError:
-        return None, None
-    if abs(k0) > k_max:
-        return None, None
-    return k0, np.linalg.eigh(build_hamiltonian(k0, params))[1][:, 0]
 
 
 def _apply_spin_vector(a, flat):

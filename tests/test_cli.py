@@ -577,7 +577,7 @@ N = 200
     assert "Holstein-Primakoff expansion does not hold" in capsys.readouterr().err
 
 
-def test_gp_ground_run(tmp_path, monkeypatch):
+def test_gp_ground_run(tmp_path):
     out = tmp_path / "gp"
     ini = f"""
 [run]
@@ -612,7 +612,7 @@ tol = 1e-10
     assert abs(report["rho_0"] - 1.0) <= 1e-6
     assert 0.0 <= report["gp_last_energy_change"] < 1e-10
     assert 0.0 < report["gp_residual"] <= 1e-4
-    # the seed's momentum is the band minimum, here the m = 0 parabola's vertex
+    # the seed's momentum is the grid's band minimum, here the m = 0 parabola's vertex
     assert report["gp_seed_k"] == classify(ModelParams(0.0, 0.0, 2.0, 100)).k_min == 0.0
     assert (out / "field.npz").exists()
     trace = read_bytes(out / "energy_trace.csv").decode().splitlines()
@@ -622,16 +622,6 @@ tol = 1e-10
     assert manifest["backend"] == "gp"
     assert manifest["grid"] == {"n_points": [256], "extent": [32.0]}
     assert manifest["trap"]["recoil_frequency"] == 3678.0
-    # without a band minimum the k = 0 fallback seed runs, reported as null
-    from socsqueeze import gp
-    from socsqueeze.errors import ConvergenceError
-
-    def no_minimum(params):
-        raise ConvergenceError("no interior minima found")
-
-    monkeypatch.setattr(gp, "classify", no_minimum)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "fallback")]) == 0
-    assert json.loads(read_bytes(tmp_path / "fallback" / "report.json"))["gp_seed_k"] is None
 
 
 def test_gp_ground_needs_grid(tmp_path):

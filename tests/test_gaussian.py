@@ -264,6 +264,20 @@ def test_no_convergence_error_carries_context():
         hp_quadratic(coeffs, 100, mf)
 
 
+def test_mean_field_off_its_crossing_is_not_a_minimum(monkeypatch):
+    # a crossing moved by 1e-8 leaves the returned amplitudes off stationarity,
+    # which the final check must catch rather than return
+    from socsqueeze import gaussian
+
+    coeffs = effective_coefficients(ModelParams(omega_R=2.0, delta=0.0, epsilon=6.0, N=200))
+    assert hp_mean_field(coeffs, 200).grad_norm <= 1e-3 * GRAD_TOL_ACCEPT
+    crossings = gaussian._crossings
+    monkeypatch.setattr(gaussian, "_crossings", lambda base, slope: crossings(base, slope) + 1e-8)
+    with pytest.raises(ConvergenceError, match="is not a minimum: gradient norm") as err:
+        hp_mean_field(coeffs, 200)
+    assert err.value.context == {"coeffs": coeffs, "N": 200}
+
+
 def _oracle_state(v):
     """Oracle: the coordinates of v = (x+, y+, x-, y-), |beta+|^2, |beta-|^2 and
     s in plain floats, with s^2 = 1 - |u|^2 floored at 1e-14 as the package does."""

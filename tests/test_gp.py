@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from socsqueeze import gp
 from socsqueeze.algebra import generator_matrix
 from socsqueeze.bands import branch_energies, build_hamiltonian, classify
 from socsqueeze.config import (
@@ -418,58 +417,51 @@ def test_detuned_ground_state_does_not_depend_on_the_seed():
     assert abs(e0 - e7) <= 1e-8 * abs(e7)
 
 
+def _grid_band_minimum(params, grid):
+    """The momentum of the grid's coupled axis where an independent eigvalsh of the
+    band Hamiltonian is lowest, and the grid's momentum step."""
+    n, extent = grid.n_points[0], grid.extent[0]
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=2.0 * extent / n)
+    return k[int(np.argmin(np.linalg.eigvalsh(build_hamiltonian(k, params))[:, 0]))], k[1]
+
+
+def _seed_peak(prob, seed):
+    """The momentum where the seed's power spectrum peaks, and its spinor there."""
+    psi_k = np.fft.fft(prob.initial_field(seed).psi, axis=1)
+    dx = prob.axes[0][1] - prob.axes[0][0]
+    k = 2.0 * math.pi * np.fft.fftfreq(prob.shape[0], d=dx)
+    peak = int(np.argmax(np.sum(np.abs(psi_k) ** 2, axis=0)))
+    return k[peak], psi_k[:, peak] / np.linalg.norm(psi_k[:, peak])
+
+
 def test_seed_is_the_band_spinor_at_the_band_minimum():
     # the detuned criterion-11 case has its band minimum at k0 = -1.944: the seed
-    # carries that momentum and the lowest band's spinor there
+    # carries the grid momentum nearest it and the lowest band's spinor there
     prob = build_problem(DETUNED, TRAP, RB, C11_GRID)
+    k_grid, dk = _grid_band_minimum(DETUNED, C11_GRID)
     k0 = classify(DETUNED).k_min
-    assert prob.seed_k == k0 and abs(k0 + 1.944) <= 1e-3
-    psi_k = np.fft.fft(prob.initial_field(seed=3).psi, axis=1)
-    dx = prob.axes[0][1] - prob.axes[0][0]
-    k = 2.0 * math.pi * np.fft.fftfreq(1024, d=dx)
-    peak = int(np.argmax(np.sum(np.abs(psi_k) ** 2, axis=0)))
-    assert abs(k[peak] - k0) <= 2.0 * math.pi / (1024 * dx)
+    assert prob.seed_k == k_grid and abs(k0 + 1.944) <= 1e-3
+    assert abs(prob.seed_k - k0) <= 0.5 * dk
+    v_seed = np.linalg.eigh(build_hamiltonian(prob.seed_k, DETUNED))[1][:, 0]
+    assert abs(abs(np.vdot(v_seed, prob.seed_spinor)) - 1.0) <= 1e-12
+    peak, spinor = _seed_peak(prob, 3)
+    assert abs(peak - k0) <= dk
     v0 = np.linalg.eigh(build_hamiltonian(k0, DETUNED))[1][:, 0]
-    spinor = psi_k[:, peak] / np.linalg.norm(psi_k[:, peak])
     assert abs(np.vdot(v0, spinor)) >= 0.99
 
 
-def _default_seed(prob, seed):
-    """The k = 0 seed with fixed weights (0.2, 1, 0.15): a Gaussian envelope of the
-    oscillator length, widened to r_TF / 2 along axis 0 by a repulsive c0."""
-    rng = np.random.default_rng(seed)
-    pos = np.meshgrid(*prob.axes, indexing="ij")
-    envelope = np.ones(prob.shape)
-    for axis in range(prob.grid.dimension):
-        sigma = prob.trap.oscillator_length(axis)
-        if prob.c0 > 0.0 and axis == 0:
-            w = prob.trap.frequency_ratio(axis)
-            sigma = max(sigma, 0.5 * (3.0 * prob.c0 / (w * w)) ** (1.0 / 3.0))
-        envelope = envelope * np.exp(-(pos[axis] ** 2) / (2.0 * sigma**2))
-    weights = np.array([0.2, 1.0, 0.15]) + 0.02 * (
-        rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    psi = weights[:, None] * envelope.reshape(1, -1)
-    noise = rng.standard_normal((3, prob.size)) + 1j * rng.standard_normal((3, prob.size))
-    psi = psi + 0.005 * noise * np.abs(envelope.reshape(1, -1))
-    return SpinorField(psi.reshape((3,) + prob.shape), prob.axes, prob.dv).normalized()
-
-
-@pytest.mark.parametrize("case", ["no-band-minimum", "k0-beyond-grid"])
-def test_fallback_seed_is_the_k0_default(monkeypatch, case):
-    # without a band minimum, or with one past the grid's largest momentum
-    # (pi / dx = 0.157 on a 16-point grid), the seed is the k = 0 default
-    if case == "no-band-minimum":
-        def no_minimum(params):
-            raise ConvergenceError("no interior minima found")
-
-        monkeypatch.setattr(gp, "classify", no_minimum)
-        grid = C11_GRID
-    else:
-        grid = GridSpec((16,), (160.0,))
+def test_coarse_grid_seeds_at_its_own_band_minimum():
+    # a 16-point grid on extent 160 reaches only |k| <= pi / dx = 0.157, short of
+    # the band minimum at -1.944: the seed sits at that grid's lowest-band momentum
+    grid = GridSpec((16,), (160.0,))
     prob = build_problem(DETUNED, TRAP, RB, grid)
-    assert prob.seed_k is None and prob.seed_spinor is None
+    k_grid, _ = _grid_band_minimum(DETUNED, grid)
+    assert prob.seed_k == k_grid and abs(k_grid) < abs(classify(DETUNED).k_min)
+    v_seed = np.linalg.eigh(build_hamiltonian(k_grid, DETUNED))[1][:, 0]
+    assert abs(abs(np.vdot(v_seed, prob.seed_spinor)) - 1.0) <= 1e-12
     for seed in (0, 7):
-        assert np.array_equal(prob.initial_field(seed).psi, _default_seed(prob, seed).psi)
+        peak, spinor = _seed_peak(prob, seed)
+        assert abs(peak - k_grid) <= 1e-12 and abs(np.vdot(v_seed, spinor)) >= 0.99
 
 
 def test_tied_minima_reach_the_plane_wave():
