@@ -9,7 +9,6 @@ of the parameter space by minima count.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +19,9 @@ from .errors import ConvergenceError
 _SHIFT = (2.0, 0.0, -2.0)
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 100
+# grid points of one block of classify_points: the arrays of its seed scan
+# stay in cache, and the block still amortizes numpy's per-call cost
+_BLOCK_GRID_POINTS = 32768
 
 # the band parameters of a stack of points, one array per field
 _Points = namedtuple("_Points", ("omega_R", "delta", "epsilon"))
@@ -180,16 +182,16 @@ def _refine_minima(k0, dk, params):
     return k
 
 
-def _stack(points):
-    """The band parameters of a sequence of ModelParams, one float array per field."""
-    return _Points(*(np.array([getattr(p, name) for p in points], dtype=float)
-                     for name in _Points._fields))
+def _points(omega_R, delta, epsilon):
+    """The band fields, each a float or a 1-D array, as float arrays of one length."""
+    return _Points(*np.broadcast_arrays(*(np.array(field, dtype=float, ndmin=1)
+                                          for field in (omega_R, delta, epsilon))))
 
 
 def _minima(k, points):
     """Refined interior minima of the lowest branch at a stack of points, seeded on grid k.
 
-    ``points`` holds one array of shape (m,) per field (``_stack``).  Returns
+    ``points`` holds one array of shape (m,) per field (``_points``).  Returns
     (point, k_min, E_min, overflow): one entry per minimum of its point index,
     ascending, then its momentum, ascending within a point, and its energy;
     and per point, whether it has no seed because its scan overflowed.  Seeds
@@ -227,15 +229,7 @@ def _minima(k, points):
 
 def _grid(window, n_points):
     check_window(window, n_points)
-    return _cached_grid(float(window[0]), float(window[1]), int(n_points))
-
-
-@lru_cache(maxsize=8)
-def _cached_grid(lo, hi, n_points):
-    """The momentum grid of one window, built once and shared read-only."""
-    k = np.linspace(lo, hi, n_points)
-    k.setflags(write=False)
-    return k
+    return np.linspace(float(window[0]), float(window[1]), int(n_points))
 
 
 def dispersion(params, window=DEFAULT_WINDOW, n_points=DEFAULT_POINTS):
@@ -247,9 +241,10 @@ def dispersion(params, window=DEFAULT_WINDOW, n_points=DEFAULT_POINTS):
     scan overflows float64 and so finds no minimum.
     """
     k = _grid(window, n_points)
-    _, minima_k, minima_E, overflow = _minima(k, _stack([params]))
+    point = _points(params.omega_R, params.delta, params.epsilon)
+    _, minima_k, minima_E, overflow = _minima(k, point)
     if overflow[0]:
-        raise _overflow_error(params, window)
+        raise _point_error(point, 0, window, overflow=True)
     return DispersionResult(k=k, energies=branch_energies(k, params),
                             minima_k=minima_k, minima_E=minima_E)
 
@@ -272,39 +267,46 @@ def classify(params, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW, n_points=DE
     ConvergenceError if the window holds no interior minimum, or if the
     closed-form scan overflows float64 and so finds none.
     """
-    (cell,) = classify_points([params], tol_deg=tol_deg, window=window, n_points=n_points)
+    (cell,) = classify_points(params.omega_R, params.delta, params.epsilon, tol_deg=tol_deg,
+                              window=window, n_points=n_points)
     if isinstance(cell, ConvergenceError):
         raise cell
     return cell
 
 
-def classify_points(points, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW,
+def classify_points(omega_R, delta, epsilon, tol_deg=DEFAULT_TOL_DEG, window=DEFAULT_WINDOW,
                     n_points=DEFAULT_POINTS):
-    """``classify`` at every point of a sequence, in one batched pass.
+    """``classify`` at every point of parameter arrays, in blocks on one momentum grid.
 
-    Returns one entry per point: its PhaseCell, or the ConvergenceError that
-    ``classify`` raises there.  Each point's arithmetic is elementwise, so
-    its entry does not depend on the other points; the pass holds arrays of
-    len(points) x n_points, so callers batch a few tens of thousands of grid
-    points at a time.
+    Each band field is a float or a 1-D array, and together they broadcast to
+    one length m.  Returns m entries: each point's PhaseCell, or the
+    ConvergenceError that ``classify`` raises there.  Each point's arithmetic
+    is elementwise, so its entry does not depend on the other points.
     """
-    point, minima_k, minima_E, overflow = _minima(_grid(window, n_points), _stack(points))
-    bounds = np.searchsorted(point, np.arange(len(points) + 1))
-    return [_overflow_error(params, window) if over
-            else _phase_cell(params, minima_k[lo:hi], minima_E[lo:hi], tol_deg, window)
-            for params, lo, hi, over in zip(points, bounds[:-1], bounds[1:], overflow)]
+    k = _grid(window, n_points)
+    points = _points(omega_R, delta, epsilon)
+    size = max(1, _BLOCK_GRID_POINTS // len(k))
+    cells = []
+    for start in range(0, len(points.omega_R), size):
+        block = _Points(*(field[start:start + size] for field in points))
+        point, minima_k, minima_E, overflow = _minima(k, block)
+        bounds = np.searchsorted(point, np.arange(len(overflow) + 1))
+        cells += [_point_error(block, i, window, overflow[i]) if lo == hi
+                  else _phase_cell(minima_k[lo:hi], minima_E[lo:hi], tol_deg)
+                  for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    return cells
 
 
-def _overflow_error(params, window):
-    return ConvergenceError("the band scan overflows float64; the Hamiltonian entries are "
-                            "too large", context={"params": params, "window": window})
+def _point_error(points, i, window, overflow):
+    """The error of point i of a stack, which has no minimum, named by its band fields."""
+    message = ("the band scan overflows float64; the Hamiltonian entries are too large"
+               if overflow else "no interior minima found; widen the momentum window")
+    context = {name: float(field[i]) for name, field in points._asdict().items()}
+    return ConvergenceError(message, context={**context, "window": window})
 
 
-def _phase_cell(params, minima_k, minima_E, tol_deg, window):
-    """The PhaseCell of one point's minima, or its ConvergenceError if it has none."""
-    if len(minima_k) == 0:
-        return ConvergenceError("no interior minima found; widen the momentum window",
-                                context={"params": params, "window": window})
+def _phase_cell(minima_k, minima_E, tol_deg):
+    """The PhaseCell of one point's minima."""
     order = np.argsort(minima_E)
     e_sorted = minima_E[order]
     degenerate = len(minima_k) > 1 and (e_sorted[1] - e_sorted[0]) < tol_deg

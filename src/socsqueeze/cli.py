@@ -15,10 +15,10 @@ config's [run] section; every other run setting is a config key only.
 
 The CLI fixes the BLAS thread count if it is what loads numpy, and imports
 the band and GP layers, the squeezing backends and the report metrics only in
-the runners that use them.  A phase-diagram run classifies its cells in
-blocks, one task per block.  With ``--jobs J`` a sweep or phase diagram deals
-its tasks into at most J shares: the process computes one share itself and
-forks one child per other share, so ``J > 1`` needs POSIX ``os.fork``.
+the runners that use them.  A phase diagram runs one contiguous task per job,
+which ``bands`` classifies in blocks.  With ``--jobs J`` a sweep or phase
+diagram deals its tasks into at most J shares: the process computes one and
+forks a child per other share, so ``J > 1`` needs POSIX ``os.fork``.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge, the band scan overflowed float64, the Gaussian expansion
@@ -43,7 +43,7 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THRE
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import SWEEP_AXES, load_config
 from .errors import ConfigError, ConvergenceError, MomentInputError, UnstableExpansionError
 from .io import ensure_dir, write_csv, write_json
 from .params import effective_coefficients
@@ -52,9 +52,6 @@ REPORT_COLUMNS = ("xi_x", "xi_dcz_min", "theta_dcz", "xi_uv_min", "theta_uv",
                   "rho_m1", "rho_0", "rho_p1")
 # the failures a cell records while its siblings are kept
 _CELL_ERRORS = (ConfigError, ConvergenceError, MomentInputError, UnstableExpansionError)
-# grid points of one block of phase-diagram cells: the arrays of its seed scan
-# stay in cache, and the block still amortizes numpy's per-call cost
-_BLOCK_GRID_POINTS = 32768
 
 
 def _report_for_point(cfg, params, seed):
@@ -121,13 +118,14 @@ def _print_failure(where, payload):
 
 
 def _classify_cell(task):
-    """One block of phase-diagram cells, the first at first_index:
+    """Contiguous phase-diagram cells, the first at first_index:
     (first_index, [the table row | the error of each cell])."""
     from .bands import classify_points
 
     cfg, first_index, cells = task
-    points = [cfg.params.replace(**{cfg.axis1.name: v1, cfg.axis2.name: v2}) for v1, v2 in cells]
-    found = classify_points(points, tol_deg=cfg.tol_deg, window=cfg.window,
+    fields = {name: getattr(cfg.params, name) for name in SWEEP_AXES}
+    fields.update(zip((cfg.axis1.name, cfg.axis2.name), np.array(cells).T))
+    found = classify_points(**fields, tol_deg=cfg.tol_deg, window=cfg.window,
                             n_points=cfg.n_points)
     return first_index, [
         _failure(cell) if isinstance(cell, ConvergenceError)
@@ -280,7 +278,7 @@ def _run_phase_diagram(cfg):
     from . import bands  # noqa: F401  loaded before any child forks, so no child imports it
 
     cells = [(float(v1), float(v2)) for v1 in cfg.axis1.values for v2 in cfg.axis2.values]
-    size = max(1, _BLOCK_GRID_POINTS // cfg.n_points)
+    size = -(-len(cells) // cfg.jobs)
     tasks = [(cfg, i, cells[i:i + size]) for i in range(0, len(cells), size)]
     payloads = [p for block in _map_ordered(_classify_cell, tasks, cfg.jobs) for p in block]
     rows, errors = [], {}
@@ -350,47 +348,63 @@ def emit_plot_data(input_path, out_dir=None):
 
     Sweep tables produce one two-column file per metric; phase diagrams
     produce a matrix file of minima counts; dispersion tables produce one
-    series per branch.  Returns the list of written paths.
+    series per branch.  Every row is read before anything is written, so a
+    malformed table raises ConfigError and writes nothing.  Returns the list
+    of written paths.
     """
     if not os.path.isfile(input_path):
         raise OSError(f"no such result table: {input_path!r}")
-    out_dir = out_dir or (os.path.dirname(os.path.abspath(input_path)) or ".")
-    ensure_dir(out_dir)
     with open(input_path, "r", newline="") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n").split(",")) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ConfigError(f"{input_path!r} is empty")
-    header = lines[0].split(",")
-    body = [ln.split(",") for ln in lines[1:]]
-    written = []
+    (_, header), body = lines[0], lines[1:]
 
-    def emit(name, hdr, rows):
+    def parse(convert, keep=lambda r: True):
+        """convert(row) of every kept row; a row that fails names its line."""
+        parsed = []
+        for n, r in body:
+            try:
+                if len(r) != len(header):
+                    raise ValueError(f"{len(r)} cells under a header of {len(header)}")
+                if keep(r):
+                    parsed.append(convert(r))
+            except ValueError as exc:
+                raise ConfigError(f"{input_path!r} line {n}: {exc}") from None
+        return parsed
+
+    series = []  # (file name, header, rows)
+    if header[:4] == ["k", "E1", "E2", "E3"]:
+        table = parse(lambda r: [float(v) for v in r[:4]])
+        series = [(f"series_band_{branch}.csv", ("k", branch), [(t[0], t[j]) for t in table])
+                  for j, branch in enumerate(header[1:4], start=1)]
+    elif "n_minima" in header[2:]:
+        i_min = header.index("n_minima")
+        grid = dict(parse(lambda r: ((float(r[0]), float(r[1])), int(r[i_min]))))
+        v1 = sorted({a for a, _ in grid})
+        v2 = sorted({b for _, b in grid})
+        if len(grid) != len(v1) * len(v2):
+            raise ConfigError(f"{input_path!r} does not hold every cell of its "
+                              f"{len(v1)} x {len(v2)} grid")
+        rows = [(a,) + tuple(grid[(a, b)] for b in v2) for a in v1]
+        hdr = (f"{header[0]}\\{header[1]}",) + tuple(f"{b:.17g}" for b in v2)
+        series = [("matrix_n_minima.csv", hdr, rows)]
+    elif len(header) > 1 and header[1] in REPORT_COLUMNS:
+        status = header.index("status") if "status" in header else None
+        columns = [j for j, col in enumerate(header) if j > 0 and col != "status"]
+        table = parse(lambda r: [float(r[0])] + [float(r[j]) for j in columns],
+                      keep=lambda r: status is None or r[status] == "ok")
+        series = [(f"series_{header[j]}.csv", (header[0], header[j]),
+                   [(t[0], t[c]) for t in table]) for c, j in enumerate(columns, start=1)]
+    else:
+        raise ConfigError(f"unrecognized result table layout: {header}")
+    out_dir = out_dir or (os.path.dirname(os.path.abspath(input_path)) or ".")
+    ensure_dir(out_dir)
+    written = []
+    for name, hdr, rows in series:
         path = os.path.join(out_dir, name)
         write_csv(path, hdr, rows)
         written.append(path)
-
-    if header[:2] == ["k", "E1"]:
-        for j, branch in enumerate(("E1", "E2", "E3"), start=1):
-            emit(f"series_band_{branch}.csv", ("k", branch),
-                 [(float(r[0]), float(r[j])) for r in body])
-    elif "n_minima" in header:
-        i_min = header.index("n_minima")
-        v1 = sorted({float(r[0]) for r in body})
-        v2 = sorted({float(r[1]) for r in body})
-        grid = {(float(r[0]), float(r[1])): int(r[i_min]) for r in body}
-        rows = [(a,) + tuple(grid[(a, b)] for b in v2) for a in v1]
-        hdr = (f"{header[0]}\\{header[1]}",) + tuple(f"{b:.17g}" for b in v2)
-        emit("matrix_n_minima.csv", hdr, rows)
-    elif len(header) > 1 and header[1] in REPORT_COLUMNS:
-        status = header.index("status") if "status" in header else None
-        for j, col in enumerate(header[1:], start=1):
-            if col == "status":
-                continue
-            rows = [(float(r[0]), float(r[j])) for r in body
-                    if status is None or r[status] == "ok"]
-            emit(f"series_{col}.csv", (header[0], col), rows)
-    else:
-        raise ConfigError(f"unrecognized result table layout: {header}")
     return written
 
 

@@ -140,8 +140,10 @@ class GridSpec:
             raise ConfigError(f"grid needs matching 1..3 n_points/extent, got {n} / {l}")
         if any(v < 8 for v in n):
             raise ConfigError(f"each axis needs >= 8 points, got {n}")
-        if any(not (math.isfinite(v) and v > 0.0) for v in l):
-            raise ConfigError(f"extents must be positive, got {l}")
+        # positions reach the half-width, and the GP squares them: x^2 must stay finite
+        if any(not (math.isfinite(v * v) and v > 0.0) for v in l):
+            raise ConfigError(f"extents must be positive and square to a finite float, "
+                              f"at most {math.sqrt(np.finfo(float).max):.4g}, got {l}")
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "extent", l)
 

@@ -277,8 +277,8 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
         v = mean_field.as_vector()
     else:
         v = np.asarray(mean_field, dtype=float)
-        if v.shape != (4,):
-            raise ConfigError("mean_field must be a MeanFieldResult or a 4-vector")
+        if v.shape != (4,) or not np.isfinite(v).all():
+            raise ConfigError("mean_field must be a MeanFieldResult or a finite 4-vector")
     g, h = _energy_derivatives(v, coeffs, n_atoms)
     gn = float(np.linalg.norm(g))
     if gn > GRAD_TOL_EXPAND:

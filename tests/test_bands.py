@@ -9,17 +9,22 @@ from socsqueeze.bands import (
     _grid_minima_seeds,
     _lowest_root_grid,
     _minima,
-    _stack,
+    _points,
     build_hamiltonian,
     classify,
     classify_points,
     dispersion,
     lowest_branch,
 )
-from socsqueeze.cli import _BLOCK_GRID_POINTS, main
+from socsqueeze.cli import main
 from socsqueeze.config import AxisSpec, RunConfig
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.params import ModelParams
+
+
+def fields(points):
+    """The band fields of a list of ModelParams, one array per field."""
+    return _points(*np.array([(p.omega_R, p.delta, p.epsilon) for p in points]).reshape(-1, 3).T)
 
 
 def bare_parabolas(k, params):
@@ -290,7 +295,7 @@ def test_refined_minima_are_stationary(oracle_cases):
     h = 1e-5
     k = np.linspace(-4.0, 4.0, 2001)
     for p, _ in oracle_cases:
-        for km in _minima(k, _stack([p]))[1]:
+        for km in _minima(k, fields([p]))[1]:
             el, er = lowest_branch(np.array([km - h, km + h]), p)
             assert abs(er - el) / (2.0 * h) <= 1e-8, (p, km)
 
@@ -302,10 +307,11 @@ def _outcome(cell):
     return cell.n_minima, cell.degenerate, cell.E_min, cell.k_min
 
 
-def test_classify_points_matches_classify_bit_for_bit(oracle_cases):
-    # blocks of 16 from several offsets put each point at other places in a
-    # block and next to other points; its result must not change in any bit.
-    # The window [1, 3] leaves some points without a minimum inside blocks
+def test_classify_points_matches_classify_bit_for_bit(oracle_cases, monkeypatch):
+    # calls of 16 points from several offsets, and one call of every point in
+    # blocks of 7, put each point at other places in a block and next to other
+    # points; its result must not change in any bit.  The window [1, 3] leaves
+    # some points without a minimum inside blocks
     points = [p for p, _ in oracle_cases]
     for window, n_points in (((-4.0, 4.0), 2001), ((1.0, 3.0), 201)):
         single = []
@@ -319,9 +325,13 @@ def test_classify_points_matches_classify_bit_for_bit(oracle_cases):
         for offset in (0, 5, 13):
             bounds = [0] + list(range(offset, len(points), 16)) + [len(points)]
             batched = [_outcome(cell) for lo, hi in zip(bounds[:-1], bounds[1:])
-                       for cell in classify_points(points[lo:hi], window=window,
+                       for cell in classify_points(*fields(points[lo:hi]), window=window,
                                                    n_points=n_points)]
             assert batched == single, (window, offset)
+        with monkeypatch.context() as patch:
+            patch.setattr(bands, "_BLOCK_GRID_POINTS", 7 * n_points)
+            blocked = classify_points(*fields(points), window=window, n_points=n_points)
+        assert [_outcome(cell) for cell in blocked] == single, window
 
 
 def oracle_lowest_root(d0, d1, d2, w):
@@ -345,13 +355,13 @@ def test_scan_seeds_match_oracle_root():
     omega = rng.uniform(0.0, 10.0, 20000)
     for i, drive in enumerate((0.0, 1e-6, 1e-3)):
         omega[i::8] = drive
-    cases = [(2001, _stack(oracle_points() + [ModelParams(omega_R=0.0, delta=0.0,
+    cases = [(2001, fields(oracle_points() + [ModelParams(omega_R=0.0, delta=0.0,
                                                           epsilon=-4.0)])),
              (1001, bands._Points(omega, rng.uniform(-6.0, 6.0, 20000),
                                   rng.uniform(-6.0, 12.0, 20000)))]
     for n_points, stack in cases:
         k = np.linspace(-4.0, 4.0, n_points)
-        size = _BLOCK_GRID_POINTS // n_points
+        size = bands._BLOCK_GRID_POINTS // n_points
         for lo in range(0, len(stack.omega_R), size):
             block = bands._Points(*(field[lo:lo + size] for field in stack))
             column = bands._Points(*(field[:, None] for field in block))
@@ -373,12 +383,12 @@ def test_newton_refinement_takes_few_steps(monkeypatch):
 
     k = np.linspace(-4.0, 4.0, 2001)
     points = oracle_points()
-    seeds = [_grid_minima_seeds(k, _lowest_root_grid(k, _stack([p])))[1] for p in points]
+    seeds = [_grid_minima_seeds(k, _lowest_root_grid(k, fields([p])))[1] for p in points]
     monkeypatch.setattr(bands, "build_hamiltonian", counting)
     for p, k0 in zip(points, seeds):
         steps.append(0)
         bands._refine_minima(k0, k[1] - k[0], p)
-    stack = _stack(points)
+    stack = fields(points)
     per_seed = bands._Points(*(np.repeat(field, [len(s) for s in seeds]) for field in stack))
     steps.append(0)
     bands._refine_minima(np.concatenate(seeds), k[1] - k[0], per_seed)
@@ -398,7 +408,7 @@ def test_closed_form_lowest_root_matches_eigvalsh(oracle_cases):
         gap = ev[:, 1] - ev[:, 0]
         with np.errstate(divide="ignore"):
             bound = np.minimum(32.0 * eps * scale**2 / gap, np.sqrt(eps) * scale)
-        assert np.all(np.abs(_lowest_root_grid(k, _stack([p]))[0] - ev[:, 0]) <= bound), p
+        assert np.all(np.abs(_lowest_root_grid(k, fields([p]))[0] - ev[:, 0]) <= bound), p
 
 
 def test_scan_overflow_is_named_in_the_point_place():
@@ -414,25 +424,27 @@ def test_scan_overflow_is_named_in_the_point_place():
             classify(p)
         with pytest.raises(ConvergenceError, match=overflow):
             dispersion(p)
-    found = classify_points([base] + huge + [base])
+    found = classify_points(*fields([base] + huge + [base]))
     assert [str(cell).startswith(overflow) for cell in found[1:-1]] == [True] * len(huge)
     assert found[0] == found[-1] == classify(base)
+    # the error names the point's band fields; scalars broadcast against arrays
+    assert found[1].context == {"omega_R": 2.0, "delta": 1e300, "epsilon": 6.0,
+                                "window": (-4.0, 4.0)}
+    broadcast = classify_points(2.0, np.array([0.5, 1e300, 0.5]), 6.0)
+    assert broadcast[0] == broadcast[2] == found[0]
+    assert str(broadcast[1]) == str(found[1]) and broadcast[1].context == found[1].context
     # a finite scan without a minimum keeps the window reason
     with pytest.raises(ConvergenceError, match="widen the momentum window"):
         classify(base, window=(1.0, 3.0))
 
 
-def test_momentum_grid_is_shared_read_only_and_outputs_unchanged():
+def test_momentum_grid_and_outputs_unchanged():
     params = ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0)
     fresh = np.linspace(-4.0, 4.0, 2001)
-    first, second = dispersion(params), dispersion(params)
-    assert first.k is second.k
-    assert not first.k.flags.writeable
-    with pytest.raises(ValueError):
-        first.k[0] = 0.0
+    first = dispersion(params)
     assert np.array_equal(first.k, fresh)
     assert np.array_equal(first.energies, bands.branch_energies(fresh, params))
-    _, minima_k, minima_e, _ = _minima(fresh, _stack([params]))
+    _, minima_k, minima_e, _ = _minima(fresh, fields([params]))
     assert np.array_equal(first.minima_k, minima_k)
     assert np.array_equal(first.minima_E, minima_e)
     cell = classify(params)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import socsqueeze.cli as cli
+from socsqueeze import bands
 from socsqueeze.bands import classify
 from socsqueeze.cli import emit_plot_data, main
 from socsqueeze.config import COMMANDS, load_config
@@ -239,9 +240,9 @@ n_points = 801
 
 
 def test_phase_diagram_bytes_do_not_depend_on_jobs(tmp_path):
-    # 6 x 8 = 48 cells on the default 2001-point grid make three blocks of 16;
-    # at --jobs 2 this process classifies blocks 0 and 2 and one forked child
-    # block 1
+    # 7 x 8 = 56 cells on the default 2001-point grid, which bands classifies
+    # in blocks of 16: at --jobs 2 this process and one forked child take 28
+    # contiguous cells each, and at --jobs 3 the shares are 19, 19 and 18
     ini = """
 [run]
 command = phase-diagram
@@ -253,28 +254,30 @@ epsilon = 6.0
 axis1 = omega_R
 min1 = 0.25
 max1 = 5.0
-count1 = 6
+count1 = 7
 axis2 = delta
 min2 = -4.75
 max2 = 4.75
 count2 = 8
 """
     cfg = write_config(tmp_path / "run.ini", ini)
-    assert max(1, cli._BLOCK_GRID_POINTS // 2001) == 16
+    assert bands._BLOCK_GRID_POINTS // 2001 == 16
     tables = []
-    for name, jobs in (("j1a", "1"), ("j2a", "2"), ("j1b", "1"), ("j2b", "2")):
+    for name, jobs in (("j1a", "1"), ("j2a", "2"), ("j1b", "1"), ("j2b", "2"), ("j3", "3")):
         out = tmp_path / name
         assert main(["run", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
         tables.append(read_bytes(out / "phase_diagram.csv"))
-    assert len(tables[0].decode().splitlines()) == 49
+    assert len(tables[0].decode().splitlines()) == 57
     assert all(t == tables[0] for t in tables[1:])
 
 
 def test_phase_diagram_failed_cell_keeps_its_block(tmp_path, monkeypatch, capsys):
-    # blocks of 5 cells: cell 4 fails at the end of block 0 and cells 5-7 open
-    # block 1; with epsilon = 6 the single minimum near k = 0 lies outside the
-    # window [1, 3], which holds the k = 2 well of epsilon = -6 and -4
-    monkeypatch.setattr(cli, "_BLOCK_GRID_POINTS", 5 * 201)
+    # blocks of 5 cells: at --jobs 1 cell 4 fails at the end of block 0 and
+    # cells 5-7 open block 1; at --jobs 2 cell 5 ends this process's share of
+    # 6 cells, alone in its block, and cells 6-7 open the child's share.  With
+    # epsilon = 6 the single minimum near k = 0 lies outside the window
+    # [1, 3], which holds the k = 2 well of epsilon = -6 and -4
+    monkeypatch.setattr(bands, "_BLOCK_GRID_POINTS", 5 * 201)
     ini = """
 [run]
 command = phase-diagram
@@ -716,6 +719,10 @@ MALFORMED = [
     ("grid-n-points-word", "gp-ground", GP_SECTIONS.replace("n_points = 64", "n_points = 64 x")),
     ("grid-n-points-float", "gp-ground", GP_SECTIONS.replace("n_points = 64", "n_points = 64.5")),
     ("grid-extent-word", "gp-ground", GP_SECTIONS.replace("extent = 24.0", "extent = 1 z")),
+    # the square of a position past sqrt(float max) = 1.34e154 is not finite
+    ("grid-extent-square-overflows", "gp-ground", "[grid]\nn_points = 64\nextent = 1e300\n"),
+    ("grid-extent-square-overflows-trap", "gp-ground",
+     GP_SECTIONS.replace("extent = 24.0", "extent = 1e200")),
     ("trap-nan", "gp-ground", GP_SECTIONS.replace("omega_x = 150.0", "omega_x = nan")),
     ("gp-negative-seed", "gp-ground", "seed = -1\n" + GP_SECTIONS),
     ("sweep-negative-seed", "sweep", "seed = -3\n[sweep]\naxis = delta\nvalues = 1 2\n"),
@@ -1022,11 +1029,27 @@ max_steps = 9
     assert list(errors) == ["1"] and "ConvergenceError" in errors["1"]
 
 
-def test_plot_data_error_codes(tmp_path):
+def test_plot_data_error_codes(tmp_path, capsys):
     assert main(["plot-data", str(tmp_path / "nope.csv")]) == 4
     weird = tmp_path / "weird.csv"
     weird.write_text("a,b\n1,2\n")
     assert main(["plot-data", str(weird)]) == 2
+    # malformed tables, the first with a dispersion header short of E3: each
+    # exits 2 before any series is written, and names the line at fault
+    malformed = [("k,E1,E2\n1,2,3\n", "unrecognized result table layout"),
+                 ("k,E1,E2,E3\n0,1,2,3\n\n1,2,3\n", "line 4: 3 cells under a header of 4"),
+                 ("k,E1,E2,E3\n0,1,2,3\n1,2,x,4\n", "line 3: could not convert"),
+                 ("delta,xi_x,status\n1,2,ok\n3,4,5,ok\n", "line 3: 4 cells"),
+                 ("delta,xi_x,status\n1,2,ok\n3,y,ok\n", "line 3: could not convert"),
+                 ("a,b,n_minima\n0,0,1\n0,1,2.5\n", "line 3: invalid literal for int()"),
+                 ("a,b,n_minima\n0,0,1\n0,1,2\n1,0,1\n", "every cell of its 2 x 2 grid")]
+    for i, (text, message) in enumerate(malformed):
+        table = tmp_path / f"bad{i}" / "table.csv"
+        table.parent.mkdir()
+        table.write_text(text)
+        assert main(["plot-data", str(table)]) == 2, text
+        assert message in capsys.readouterr().err, text
+        assert os.listdir(table.parent) == ["table.csv"], text
     with pytest.raises(OSError):
         emit_plot_data(str(tmp_path / "nope.csv"))
 

@@ -194,6 +194,15 @@ def test_quadratic_requires_stationary_point():
         hp_quadratic(COEFFS, 100, np.array([0.3, 0.0, -0.2, 0.1]))
 
 
+def test_quadratic_rejects_a_malformed_mean_field_vector():
+    # a NaN gradient norm is not above the tolerance, so a non-finite vector
+    # is caught with the shape, before the expansion
+    nan, inf = float("nan"), float("inf")
+    for v in ([0.0, 0.0, 0.0], [nan, 0.0, 0.0, 0.0], [inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -inf]):
+        with pytest.raises(ConfigError, match="MeanFieldResult or a finite 4-vector"):
+            hp_quadratic(COEFFS, 100, np.array(v))
+
+
 def test_vacuum_covariance_is_identity_over_two():
     coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0, N=100))
     sol = hp_quadratic(coeffs, 100, np.zeros(4))
