@@ -7,9 +7,11 @@ sweeps.
 
 Every layer loads on first use of one of its names: ``import socsqueeze``
 imports neither numpy nor any submodule, and ``socsqueeze.classify`` loads
-``socsqueeze.bands`` when it is first looked up.  So a CLI process loads only
-the layers its command runs, after it has fixed its BLAS thread count.  The
-package runs on numpy alone: no module of it imports scipy.
+``socsqueeze.bands`` when it is first looked up.  numpy loads in the run that
+computes: a CLI process parses its arguments, validates its config and
+dispatches without it, and then loads numpy, after it has fixed its BLAS
+thread count, and only the layers its command runs.  The package runs on
+numpy alone: no module of it imports scipy.
 """
 
 import importlib

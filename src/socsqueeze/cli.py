@@ -13,17 +13,20 @@ manifest are kept; ``load_config`` raises every configuration error first.
 ``--backend``, ``--out``, ``--seed`` and ``--jobs`` beat the same keys of the
 config's [run] section; every other run setting is a config key only.
 
-The CLI fixes the BLAS thread count if it is what loads numpy, and imports
-the band and GP layers, the squeezing backends and the report metrics only in
-the runners that use them.  A phase diagram runs one contiguous task per job,
+Parsing, validating and dispatching load no numpy: it loads in the run that
+computes, once the config has validated, and the CLI fixes the BLAS thread
+count before then unless numpy is loaded already.  The band and GP layers,
+the squeezing backends and the report metrics load only in the runners that
+use them.  A phase diagram runs one contiguous task per job,
 which ``bands`` classifies in blocks.  With ``--jobs J`` a sweep or phase
 diagram deals its tasks into at most J shares: the process computes one and
 forks a child per other share, so ``J > 1`` needs POSIX ``os.fork``.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
-failed to converge, the band scan overflowed float64, the Gaussian expansion
-point is a depleted condensate or has an unstable mode, or a report is
-undefined at the state (partial results kept), 4 I/O failure.
+failed to converge, the band scan, the Lanczos recurrence or the Gaussian
+expansion overflowed float64, the Gaussian expansion point is a depleted
+condensate or has an unstable mode, or a report is undefined at the state
+(partial results kept), 4 I/O failure.
 """
 
 import argparse
@@ -39,8 +42,6 @@ import sys
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-import numpy as np
 
 from . import __version__
 from .config import SWEEP_AXES, load_config
@@ -124,7 +125,7 @@ def _classify_cell(task):
 
     cfg, first_index, cells = task
     fields = {name: getattr(cfg.params, name) for name in SWEEP_AXES}
-    fields.update(zip((cfg.axis1.name, cfg.axis2.name), np.array(cells).T))
+    fields.update(zip((cfg.axis1.name, cfg.axis2.name), zip(*cells)))
     found = classify_points(**fields, tol_deg=cfg.tol_deg, window=cfg.window,
                             n_points=cfg.n_points)
     return first_index, [
@@ -232,10 +233,13 @@ def _child_results(pid, data, exit_code):
 
 def _write_manifest(cfg):
     """The resolved config plus what else the output bytes depend on: the
-    package and numpy versions and the BLAS thread variables."""
+    package and numpy versions and the BLAS thread variables.  The run loads
+    numpy here, after the config has validated."""
+    import numpy
+
     manifest = cfg.resolved()
     manifest["version"] = __version__
-    manifest["numpy"] = np.__version__
+    manifest["numpy"] = numpy.__version__
     manifest["blas_threads"] = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     write_json(os.path.join(cfg.out, "manifest.json"), manifest)
 

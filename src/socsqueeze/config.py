@@ -8,7 +8,8 @@ trap, interaction, grid and solver settings.  Each setup rule that both
 ``check_window`` (``bands``), ``check_ed_atoms`` (``fockspace``) and, for
 ``gp``, ``check_gp_setup`` (interactions need a trap; the box spans 3
 oscillator lengths) and ``check_solver_settings``.  Reading and validating a
-config loads no solver, and ``load_config`` raises every configuration error,
+config loads no solver and no numpy, which loads in the run that computes,
+and ``load_config`` raises every configuration error,
 an unknown key included: each read consumes its key, and a key left unread
 is an error.
 
@@ -20,10 +21,9 @@ default made explicit) is what lands in the run manifest.
 import configparser
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
-
-import numpy as np
 
 from .errors import ConfigError
 from .params import ModelParams
@@ -126,6 +126,17 @@ class InteractionConfig:
                 raise ConfigError(f"{name} must be finite")
 
 
+def _per_axis(value):
+    """A grid setting as one entry per axis: a scalar is one axis, and a
+    sequence or 1-D array gives its entries."""
+    if isinstance(value, (str, bytes)):
+        return (value,)
+    try:
+        return tuple(value)
+    except TypeError:  # a scalar, or a 0-d array
+        return (value,)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid: per-axis point counts and half-widths (recoil units)."""
@@ -134,8 +145,8 @@ class GridSpec:
     extent: tuple
 
     def __post_init__(self):
-        n = tuple(int(v) for v in np.atleast_1d(self.n_points))
-        l = tuple(float(v) for v in np.atleast_1d(self.extent))
+        n = tuple(int(v) for v in _per_axis(self.n_points))
+        l = tuple(float(v) for v in _per_axis(self.extent))
         if not 1 <= len(n) <= 3 or len(n) != len(l):
             raise ConfigError(f"grid needs matching 1..3 n_points/extent, got {n} / {l}")
         if any(v < 8 for v in n):
@@ -143,7 +154,7 @@ class GridSpec:
         # positions reach the half-width, and the GP squares them: x^2 must stay finite
         if any(not (math.isfinite(v * v) and v > 0.0) for v in l):
             raise ConfigError(f"extents must be positive and square to a finite float, "
-                              f"at most {math.sqrt(np.finfo(float).max):.4g}, got {l}")
+                              f"at most {math.sqrt(sys.float_info.max):.4g}, got {l}")
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "extent", l)
 
@@ -152,6 +163,8 @@ class GridSpec:
         return len(self.n_points)
 
     def axes(self):
+        import numpy as np
+
         out = []
         for n, l in zip(self.n_points, self.extent):
             dx = 2.0 * l / n
@@ -160,7 +173,7 @@ class GridSpec:
 
     @property
     def dv(self):
-        return float(np.prod([2.0 * l / n for n, l in zip(self.n_points, self.extent)]))
+        return math.prod(2.0 * l / n for n, l in zip(self.n_points, self.extent))
 
 
 def check_gp_setup(trap, interaction, grid):

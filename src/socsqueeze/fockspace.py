@@ -303,13 +303,20 @@ def _lanczos_ground_state(apply, v0):
     converged, lost orthogonality soon makes ghost copies of it (Paige),
     whose pair is poor or overflows, so a pair that fails the residual test
     is replaced by the pair of the first step whose estimate passed, before
-    any copy existed; if that fails too, ConvergenceError.
+    any copy existed; if that fails too, ConvergenceError.  A recurrence that
+    overflows float64 raises ConvergenceError naming the overflow.
     """
     alphas, betas, hnorm = [], [], 0.0
     for _, alpha, beta in _recurrence(apply, v0):
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
+        # |alpha| and beta are at most ||H||, so only an overflow makes them
+        # infinite; stop before the next step multiplies by one
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ConvergenceError("the Lanczos recurrence overflows float64; "
+                                   "the Hamiltonian entries are too large",
+                                   context={"steps": steps})
         hnorm = max(hnorm, abs(alpha) + beta + (betas[-2] if steps > 1 else 0.0))
         # a small beta means a nearly invariant Krylov space (beta = 0 at
         # omega_R = 0 or N = 1): check at once instead of dividing by it

@@ -13,6 +13,7 @@ Conventions: quadrature vector R = (x+, p+, x-, p-) with [x, p] = i, so the
 vacuum covariance is diag(1/2) and displacements d(mode) = (x + i p)/sqrt(2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,11 @@ from .errors import (
 )
 from .metrics import MomentSet
 
+# gradient norms and Hessian eigenvalues round at about eps times the energy
+# scale (see _energy_scale), so every tolerance on them is relative to it
 GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
+HESS_TOL = 1e-9           # least Hessian eigenvalue of a returned point, negated
 MIN_CENTRAL_OCCUPATION = 0.5  # below this s^2 the expansion around the central mode fails
 _SCAN = np.linspace(-1.0, 1.0, 201)  # mu points of the crossing scan (see _crossings)
 _BISECTIONS = 52          # shrink a 0.01 scan bracket to about 2e-18
@@ -104,6 +108,23 @@ def _energy_derivatives(v, coeffs, n_atoms):
     gradient = a * jz * grad[0] + w @ grad
     hessian = a * (grad[0][:, None] * grad[0] + jz * hess[0]) + np.einsum("k,kij->ij", w, hess)
     return gradient, hessian
+
+
+def _energy_scale(coeffs, n_atoms):
+    """The size of the per-atom energy's terms, at least 1: the largest of
+    |q| N, |hx|, |hz| and |hY|."""
+    return max(1.0, abs(coeffs.q) * n_atoms, abs(coeffs.hx), abs(coeffs.hz), abs(coeffs.hY))
+
+
+def _gradient_norm(g, context):
+    """The norm of a mean-field gradient; ConvergenceError naming the overflow
+    where its square is past the largest float64."""
+    with np.errstate(over="ignore"):
+        gn = float(np.linalg.norm(g))
+    if not math.isfinite(gn):
+        raise ConvergenceError("the mean-field gradient norm overflows float64; "
+                               "the Hamiltonian coefficients are too large", context=context)
+    return gn
 
 
 def classical_gradient(v, coeffs, n_atoms):
@@ -218,8 +239,9 @@ def hp_mean_field(coeffs, n_atoms):
     Raises DepletedCondensateError when the global minimum leaves less than
     MIN_CENTRAL_OCCUPATION in the central mode: the Holstein-Primakoff
     expansion does not hold there.  Raises ConvergenceError unless the
-    winner has gradient norm <= GRAD_TOL_ACCEPT and a positive-semidefinite
-    4x4 Hessian.
+    winner has gradient norm <= GRAD_TOL_ACCEPT and a 4x4 Hessian whose
+    eigenvalues are >= -HESS_TOL, each times the energy scale, or where the
+    gradient norm overflows float64.
     """
     args = (coeffs, n_atoms)
     context = {"coeffs": coeffs, "N": n_atoms}
@@ -235,9 +257,10 @@ def hp_mean_field(coeffs, n_atoms):
             context={**context, "rho_0": rho_0, "rho_p": rho_p, "rho_m": rho_m},
         )
     g, h = _energy_derivatives(v_best, *args)
-    gn = float(np.linalg.norm(g))
+    gn = _gradient_norm(g, context)
     hess_min = float(np.linalg.eigvalsh(h)[0])
-    if gn > GRAD_TOL_ACCEPT or hess_min < -1e-9 * max(1.0, abs(coeffs.hY)):
+    scale = _energy_scale(*args)
+    if gn > GRAD_TOL_ACCEPT * scale or hess_min < -HESS_TOL * scale:
         raise ConvergenceError(
             f"the self-consistent mean field is not a minimum: gradient norm {gn:.3e}, "
             f"lowest Hessian eigenvalue {hess_min:.3e}",
@@ -267,11 +290,13 @@ class GaussianSolution:
 def hp_quadratic(coeffs, n_atoms, mean_field):
     """Expand to second order around a stationary point and solve the normal form.
 
-    Keeps every second-order term of the expansion.  The quadratic form must
-    be positive definite (the stationary point is a stable minimum); if not,
-    the symplectic spectrum is reported in the raised error.  The returned
-    covariance has symplectic eigenvalues exactly 1/2 up to roundoff (pure
-    Gaussian ground state).
+    Keeps every second-order term of the expansion.  The point must be
+    stationary within GRAD_TOL_EXPAND times the energy scale.  The quadratic
+    form must be positive definite (the stationary point is a stable
+    minimum); if not, the symplectic spectrum is reported in the raised
+    error.  The returned covariance has symplectic eigenvalues exactly 1/2 up
+    to roundoff (pure Gaussian ground state).  The normal form squares the
+    mode frequencies: where that overflows float64, ConvergenceError.
     """
     if isinstance(mean_field, MeanFieldResult):
         v = mean_field.as_vector()
@@ -279,9 +304,10 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
         v = np.asarray(mean_field, dtype=float)
         if v.shape != (4,) or not np.isfinite(v).all():
             raise ConfigError("mean_field must be a MeanFieldResult or a finite 4-vector")
+    context = {"coeffs": coeffs, "N": n_atoms}
     g, h = _energy_derivatives(v, coeffs, n_atoms)
-    gn = float(np.linalg.norm(g))
-    if gn > GRAD_TOL_EXPAND:
+    gn = _gradient_norm(g, context)
+    if gn > GRAD_TOL_EXPAND * _energy_scale(coeffs, n_atoms):
         raise ConfigError(
             f"quadratic expansion requires a stationary point; gradient norm {gn:.3e}"
         )
@@ -298,7 +324,11 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
     w_sqrt = u_m @ np.diag(np.sqrt(w_m)) @ u_m.T
     w_inv = u_m @ np.diag(1.0 / np.sqrt(w_m)) @ u_m.T
     t = w_sqrt @ OMEGA @ w_sqrt
-    tt = t @ t.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = t @ t.T
+    if not np.isfinite(tt).all():
+        raise ConvergenceError("the squared mode frequencies overflow float64; "
+                               "the Hamiltonian coefficients are too large", context=context)
     w_tt, u_tt = np.linalg.eigh(tt)
     freqs = np.sqrt(np.maximum(w_tt, 0.0))  # ascending, each frequency twice
     abs_t = u_tt @ np.diag(freqs) @ u_tt.T

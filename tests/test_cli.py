@@ -407,6 +407,28 @@ values2 = 0 1e300
                                                 epsilon=6.0)).n_minima
 
 
+def test_ed_and_gaussian_overflow_exit_3_and_name_it(tmp_path, capsys):
+    # omega_R = 1e200 and 1e300 square past float64 in the Lanczos recurrence
+    # and in the mean-field gradient norm: those sweep cells fail with the
+    # overflow named, the first is kept, and no RuntimeWarning is raised
+    reasons = {
+        "ed": "ConvergenceError: the Lanczos recurrence overflows float64; the "
+              "Hamiltonian entries are too large",
+        "gaussian": "ConvergenceError: the mean-field gradient norm overflows float64; "
+                    "the Hamiltonian coefficients are too large",
+    }
+    for backend, reason in reasons.items():
+        out = tmp_path / backend
+        cfg = write_config(tmp_path / f"{backend}.ini", SWEEP_INI.replace(
+            "values = 0.5 1.0 2.0", "values = 2.0 1e200 1e300"))
+        assert main(["run", "--config", cfg, "--out", str(out), "--backend", backend]) == 3
+        assert capsys.readouterr().err == "".join(
+            f"sweep cell {i} failed: {reason}\n" for i in (1, 2))
+        assert json.loads(read_bytes(out / "errors.json")) == {"1": reason, "2": reason}
+        rows = read_bytes(out / "sweep.csv").decode().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["ok", "failed", "failed"]
+
+
 def test_eff_squeeze_report(tmp_path):
     out = tmp_path / "eff"
     ini = f"""
@@ -1071,8 +1093,9 @@ def test_package_and_cli_import_without_scipy(tmp_path):
     # no path of the package loads scipy: not at startup, not for a Gaussian
     # solve, not for an ED report, not for an ED sweep at --jobs 2, which
     # forks its children without loading a process pool.  Each layer loads on
-    # first use, and the CLI fixes the BLAS thread count before numpy loads
-    # unless the environment already sets one or numpy is loaded already
+    # first use, numpy only in the run that computes (not to import the CLI
+    # or load a config), and the CLI fixes the BLAS thread count before numpy
+    # loads unless the environment already sets one or numpy is loaded already
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     submodules = tuple(f"socsqueeze.{name[:-3]}"
                        for name in os.listdir(os.path.join(src, "socsqueeze"))
@@ -1086,9 +1109,11 @@ def test_package_and_cli_import_without_scipy(tmp_path):
     pools = ("concurrent.futures", "multiprocessing")
     # (setup, thread variables set before it, modules it must not load besides
     # scipy, OPENBLAS_NUM_THREADS after it)
+    load_all = "; ".join(f"socsqueeze.cli.load_config({path!r})" for path in SHIPPED_CONFIGS)
     setups = (
         ("import socsqueeze", {}, ("numpy",) + submodules, None),
-        ("import socsqueeze.cli", {}, solvers + pools, "1"),
+        ("import socsqueeze.cli", {}, ("numpy",) + solvers + pools, "1"),
+        (f"import socsqueeze.cli; {load_all}", {}, ("numpy",) + solvers + pools, "1"),
         ("import socsqueeze.cli", {"OPENBLAS_NUM_THREADS": "3"}, (), "3"),
         ("import socsqueeze.cli", {"OMP_NUM_THREADS": "2"}, (), None),
         # numpy already loaded: the variable would not be in force, so it stays unset
@@ -1124,6 +1149,41 @@ def test_package_and_cli_import_without_scipy(tmp_path):
         assert openblas == blas_threads, setup
     body = read_bytes(tmp_path / "sweep" / "sweep.csv").decode().splitlines()[1:]
     assert [ln.split(",")[-1] for ln in body] == ["ok", "ok", "ok"]
+
+
+def test_front_end_runs_without_numpy(tmp_path):
+    # with a numpy that fails on import first on the path, the front end still
+    # parses, validates and dispatches: --help, plot-data on a sweep table,
+    # and a malformed config that exits 2 with nothing written
+    table = tmp_path / "sweep" / "sweep.csv"
+    table.parent.mkdir()
+    table.write_text("omega_R,xi_x,status\n0.5,0.25,ok\n1,0.125,ok\n2,nan,failed\n")
+    out = tmp_path / "out"
+    bad = write_config(tmp_path / "bad.ini", f"[run]\ncommand = sweep\nout = {out}\n"
+                                             "[sweep]\naxis = delta\nvalues = 1 y\n")
+    blocked = tmp_path / "blocked" / "numpy"
+    blocked.mkdir(parents=True)
+    (blocked / "__init__.py").write_text("raise ImportError('numpy is blocked')\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(blocked.parent), os.path.join(ROOT, "src")])}
+
+    def cli_run(*args):
+        return subprocess.run([sys.executable, "-m", "socsqueeze.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    proc = cli_run("--help")
+    assert proc.returncode == 0 and "plot-data" in proc.stdout, proc.stderr
+    proc = cli_run("plot-data", str(table))
+    assert proc.returncode == 0, proc.stderr
+    assert read_bytes(table.parent / "series_xi_x.csv") == b"omega_R,xi_x\n0.5,0.25\n1,0.125\n"
+    proc = cli_run("run", "--config", bad)
+    assert proc.returncode == 2, proc.stderr
+    assert "bad value for [sweep] values: '1 y'" in proc.stderr
+    assert not out.exists()
+    # the block holds: numpy cannot load in these processes
+    proc = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 1 and "numpy is blocked" in proc.stderr
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -472,3 +472,17 @@ def test_raw_matrix_observable_is_unsupported(backend):
     moments = BACKENDS[backend]()
     with pytest.raises(UnsupportedObservableError):
         moments.project([generator_matrix("Jx")])
+
+
+@pytest.mark.parametrize("n_atoms", [40, 300])
+def test_lanczos_overflow_is_named_without_a_warning(n_atoms):
+    # at omega_R = 1e200 or 1e300 the first Lanczos beta squares past float64:
+    # the solve stops there with the overflow named, before the next step
+    # multiplies by an infinite beta (a RuntimeWarning, then a NaN residual)
+    for omega_r in (1e200, 1e300):
+        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=0.0, epsilon=6.0,
+                                                    N=n_atoms))
+        with pytest.raises(ConvergenceError, match="the Lanczos recurrence overflows float64"
+                           ) as err:
+            ed_ground_state(coeffs, n_atoms)
+        assert err.value.context == {"steps": 1, "N": n_atoms, "coeffs": coeffs}

@@ -20,10 +20,12 @@ from socsqueeze.algebra import GENERATOR_LABELS, generator_matrix, generator_sta
 from socsqueeze.fockspace import ed_ground_state, ed_moment_set
 from socsqueeze.gaussian import (
     GRAD_TOL_ACCEPT,
+    HESS_TOL,
     MIN_CENTRAL_OCCUPATION,
     OMEGA,
     MeanFieldResult,
     _energy_derivatives,
+    _energy_scale,
     _symbol,
     classical_energy,
     classical_gradient,
@@ -287,6 +289,39 @@ def test_mean_field_off_its_crossing_is_not_a_minimum(monkeypatch):
     assert err.value.context == {"coeffs": coeffs, "N": 200}
 
 
+def test_stationarity_tolerances_follow_the_energy_scale():
+    # the gradient norm of the mean field rounds at about eps times the energy
+    # scale, here |hx|: 1.5e-10 at omega_R = 1e5 and 3.3e-4 at 1e12, which
+    # absolute tolerances rejected from 1e5 up.  A strong drive tends to the
+    # lowest Jx eigenstate, beta+ = beta- = -1/2, whose two excitations cost
+    # |hx| and 2 |hx|
+    for omega_r in np.logspace(3, 12, 10):
+        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=0.0, epsilon=6.0, N=40))
+        assert _energy_scale(coeffs, 40) == abs(coeffs.hx)
+        mf = hp_mean_field(coeffs, 40)
+        assert mf.grad_norm <= 1e-3 * GRAD_TOL_ACCEPT * abs(coeffs.hx)
+        assert abs(mf.beta_p + 0.5) <= 2.0 / omega_r and abs(mf.beta_m + 0.5) <= 2.0 / omega_r
+        sol = hp_quadratic(coeffs, 40, mf)
+        assert np.allclose(sol.frequencies / abs(coeffs.hx), [2.0, 1.0], rtol=0.0,
+                           atol=10.0 / omega_r)
+
+
+def test_float64_overflow_is_named_without_a_warning():
+    # a strong drive overflows the mean-field gradient norm, a large quadratic
+    # shift the squared mode frequencies of the expansion; each is a named
+    # ConvergenceError, and no RuntimeWarning is raised on the way
+    cases = [((1e200, 0.0, 6.0), "the mean-field gradient norm overflows float64"),
+             ((1e300, 0.0, 6.0), "the mean-field gradient norm overflows float64"),
+             ((2.0, 0.0, 1e200), "the squared mode frequencies overflow float64"),
+             ((0.0, 0.0, 1e300), "the squared mode frequencies overflow float64")]
+    for fields, message in cases:
+        coeffs = effective_coefficients(ModelParams(*fields, N=40))
+        with pytest.raises(ConvergenceError, match=message) as err:
+            solve_gaussian(coeffs, 40)
+        assert not isinstance(err.value, DepletedCondensateError)
+        assert err.value.context == {"coeffs": coeffs, "N": 40}
+
+
 def _oracle_state(v):
     """Oracle: the coordinates of v = (x+, y+, x-, y-), |beta+|^2, |beta-|^2 and
     s in plain floats, with s^2 = 1 - |u|^2 floored at 1e-14 as the package does."""
@@ -340,6 +375,7 @@ def _bfgs_mean_field(coeffs, n_atoms):
     Energy and gradient are the oracle's own plain-float ones."""
     seeds = (0.0, 0.05, -0.05, 0.05j, -0.05j)
     args = (coeffs, n_atoms)
+    scale = _energy_scale(*args)
     accepted = []
     for sp in seeds:
         for sm in seeds:
@@ -351,9 +387,9 @@ def _bfgs_mean_field(coeffs, n_atoms):
             sol = scipy.optimize.root(_oracle_gradient, res.x, args=args,
                                       jac=classical_hessian, method="hybr", tol=1e-13)
             v = sol.x if sol.success else res.x
-            if np.linalg.norm(_oracle_gradient(v, *args)) > GRAD_TOL_ACCEPT or v @ v >= 1.0:
+            if np.linalg.norm(_oracle_gradient(v, *args)) > GRAD_TOL_ACCEPT * scale or v @ v >= 1.0:
                 continue
-            if np.linalg.eigvalsh(classical_hessian(v, *args))[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
+            if np.linalg.eigvalsh(classical_hessian(v, *args))[0] < -HESS_TOL * scale:
                 continue
             accepted.append((_oracle_energy(v, *args), v))
     accepted.sort(key=lambda t: t[0])
@@ -478,15 +514,16 @@ def _grid_newton_mean_field(coeffs, n_atoms):
     when a grid point with s^2 < MIN_CENTRAL_OCCUPATION lies below every
     accepted point (is lowest on the grid, if none is accepted)."""
     args = (coeffs, n_atoms)
+    scale = _energy_scale(*args)
     xp, xm, energy, minima = _oracle_energy_grid(*args)
     accepted = []
     for start in zip(xp[minima], xm[minima]):
         v = _oracle_polish(start, *args)
         g, h = _energy_derivatives(v, *args)
         gn = float(np.linalg.norm(g))
-        if gn > GRAD_TOL_ACCEPT or v @ v >= 1.0:
+        if gn > GRAD_TOL_ACCEPT * scale or v @ v >= 1.0:
             continue
-        if np.linalg.eigvalsh(h)[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
+        if np.linalg.eigvalsh(h)[0] < -HESS_TOL * scale:
             continue
         accepted.append((float(classical_energy(v, *args)), gn, v))
     accepted.sort(key=lambda t: t[0])
