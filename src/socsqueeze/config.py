@@ -129,11 +129,9 @@ class InteractionConfig:
 def _per_axis(value):
     """A grid setting as one entry per axis: a scalar is one axis, and a
     sequence or 1-D array gives its entries."""
-    if isinstance(value, (str, bytes)):
-        return (value,)
     try:
         return tuple(value)
-    except TypeError:  # a scalar, or a 0-d array
+    except TypeError:  # a scalar
         return (value,)
 
 

@@ -311,9 +311,9 @@ def _lanczos_ground_state(apply, v0):
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
-        # |alpha| and beta are at most ||H||, so only an overflow makes them
-        # infinite; stop before the next step multiplies by one
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
+        # beta is at most ||H||, so only an overflow makes it non-finite;
+        # stop before the next step divides by it
+        if not math.isfinite(beta):
             raise ConvergenceError("the Lanczos recurrence overflows float64; "
                                    "the Hamiltonian entries are too large",
                                    context={"steps": steps})

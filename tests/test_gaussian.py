@@ -20,7 +20,6 @@ from socsqueeze.algebra import GENERATOR_LABELS, generator_matrix, generator_sta
 from socsqueeze.fockspace import ed_ground_state, ed_moment_set
 from socsqueeze.gaussian import (
     GRAD_TOL_ACCEPT,
-    HESS_TOL,
     MIN_CENTRAL_OCCUPATION,
     OMEGA,
     MeanFieldResult,
@@ -371,11 +370,11 @@ def test_oracle_energy_and_gradient_match_the_package():
 
 def _bfgs_mean_field(coeffs, n_atoms):
     """Oracle: 25 BFGS starts from the per-mode seeds {0, +-0.05, +-0.05i},
-    each polished by a root solve, with the same acceptance as the package.
-    Energy and gradient are the oracle's own plain-float ones."""
+    each polished by a root solve, with the package's acceptance at an energy
+    scale of 1: fixed, so at least as strict as the package's.  Energy and
+    gradient are the oracle's own plain-float ones."""
     seeds = (0.0, 0.05, -0.05, 0.05j, -0.05j)
     args = (coeffs, n_atoms)
-    scale = _energy_scale(*args)
     accepted = []
     for sp in seeds:
         for sm in seeds:
@@ -387,9 +386,9 @@ def _bfgs_mean_field(coeffs, n_atoms):
             sol = scipy.optimize.root(_oracle_gradient, res.x, args=args,
                                       jac=classical_hessian, method="hybr", tol=1e-13)
             v = sol.x if sol.success else res.x
-            if np.linalg.norm(_oracle_gradient(v, *args)) > GRAD_TOL_ACCEPT * scale or v @ v >= 1.0:
+            if np.linalg.norm(_oracle_gradient(v, *args)) > GRAD_TOL_ACCEPT or v @ v >= 1.0:
                 continue
-            if np.linalg.eigvalsh(classical_hessian(v, *args))[0] < -HESS_TOL * scale:
+            if np.linalg.eigvalsh(classical_hessian(v, *args))[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
                 continue
             accepted.append((_oracle_energy(v, *args), v))
     accepted.sort(key=lambda t: t[0])
@@ -514,16 +513,15 @@ def _grid_newton_mean_field(coeffs, n_atoms):
     when a grid point with s^2 < MIN_CENTRAL_OCCUPATION lies below every
     accepted point (is lowest on the grid, if none is accepted)."""
     args = (coeffs, n_atoms)
-    scale = _energy_scale(*args)
     xp, xm, energy, minima = _oracle_energy_grid(*args)
     accepted = []
     for start in zip(xp[minima], xm[minima]):
         v = _oracle_polish(start, *args)
         g, h = _energy_derivatives(v, *args)
         gn = float(np.linalg.norm(g))
-        if gn > GRAD_TOL_ACCEPT * scale or v @ v >= 1.0:
+        if gn > GRAD_TOL_ACCEPT or v @ v >= 1.0:
             continue
-        if np.linalg.eigvalsh(h)[0] < -HESS_TOL * scale:
+        if np.linalg.eigvalsh(h)[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
             continue
         accepted.append((float(classical_energy(v, *args)), gn, v))
     accepted.sort(key=lambda t: t[0])
