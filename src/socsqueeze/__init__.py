@@ -44,7 +44,6 @@ _LAZY = {
     **dict.fromkeys((
         "ConfigError",
         "ConvergenceError",
-        "DepletedCondensateError",
         "MomentInputError",
         "UnstableExpansionError",
         "UnsupportedObservableError",

@@ -23,10 +23,10 @@ diagram deals its tasks into at most J shares: the process computes one and
 forks a child per other share, so ``J > 1`` needs POSIX ``os.fork``.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
-failed to converge, the band scan, the Lanczos recurrence or the Gaussian
-expansion overflowed float64, the Gaussian expansion point is a depleted
-condensate or has an unstable mode, or a report is undefined at the state
-(partial results kept), 4 I/O failure.
+failed to converge, the band scan, the ED Hamiltonian or its Lanczos
+recurrence or the Gaussian expansion overflowed float64, the Gaussian
+expansion point is not a stable minimum, or a report is undefined at the
+state (partial results kept), 4 I/O failure.
 """
 
 import argparse

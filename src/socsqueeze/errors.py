@@ -13,11 +13,6 @@ class ConvergenceError(RuntimeError):
         self.context = context or {}
 
 
-class DepletedCondensateError(ConvergenceError):
-    """The mean-field minimum empties the central mode, so the Gaussian
-    (Holstein-Primakoff) expansion around it does not hold."""
-
-
 class UnstableExpansionError(RuntimeError):
     """Quadratic expansion around the mean field has a non-positive normal mode."""
 

@@ -179,13 +179,21 @@ def build_effective_hamiltonian(coeffs, n_atoms):
     """Real collective Hamiltonian -q Fz^2 + hx Fx + hz Fz + hY FY.
 
     Fx is real and every other term is diagonal, so H is real symmetric.
+    Coefficients so large that an entry overflows float64 raise
+    ConvergenceError naming the overflow.
     """
     basis = fock_basis(n_atoms)
     fz_diag = (basis.n_plus - basis.n_minus).astype(float)
     fy_diag = (basis.n_plus + basis.n_minus - 2.0 * basis.n_zero) / np.sqrt(3.0)
-    diag = -coeffs.q * fz_diag**2 + coeffs.hz * fz_diag + coeffs.hY * fy_diag
-    fx = basis.collective(coeffs.hx * generator_matrix("Jx"))
-    return FockOperator(basis, fx.diag + diag, fx.shifts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -coeffs.q * fz_diag**2 + coeffs.hz * fz_diag + coeffs.hY * fy_diag
+        fx = basis.collective(coeffs.hx * generator_matrix("Jx"))
+        diag += fx.diag
+    if not all(np.isfinite(w).all() for w in (diag, *(w for _, w, _ in fx.shifts))):
+        raise ConvergenceError("the Hamiltonian entries overflow float64; the Hamiltonian "
+                               "coefficients are too large",
+                               context={"coeffs": coeffs, "N": n_atoms})
+    return FockOperator(basis, diag, fx.shifts)
 
 
 def _recurrence(apply, v0):
@@ -396,8 +404,11 @@ def ed_ground_state(coeffs, n_atoms):
     basis = fock_basis(n_atoms)
     h = build_effective_hamiltonian(coeffs, n_atoms)
     try:
-        energy, psi, residual, steps = _lanczos_ground_state(h.apply_padded,
-                                                             _start_vector(coeffs, h))
+        # a recurrence that overflows is named by its non-finite beta, so
+        # the overflow and the NaN after it are not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy, psi, residual, steps = _lanczos_ground_state(h.apply_padded,
+                                                                 _start_vector(coeffs, h))
     except ConvergenceError as exc:
         exc.context.update(N=n_atoms, coeffs=coeffs)
         raise

@@ -1,16 +1,21 @@
 """Mean-field plus Gaussian-fluctuation treatment of the collective Hamiltonian.
 
-The two side modes are treated as bosonic fluctuations on top of a
-macroscopically occupied central mode.  The classical (per-atom) energy
-is minimized over the two complex side-mode amplitudes as the lowest
-eigenvector of a 3x3 matrix in a self-consistent effective Zeeman field (a
-1-D search over the self-consistent <Jz>); the quadratic
-expansion around the minimum is brought to normal form symplectically, giving
-the ground-state covariance of the quadratures (x+, p+, x-, p-).  Collective
-observables are then evaluated by Gaussian moment formulas.
+The mean field is the condensate mode z, the unit spinor that minimizes the
+classical (per-atom) energy: the lowest eigenvector of the real 3x3 matrix
+A = L - 2qN<Jz>Jz in a self-consistent effective Zeeman field (a 1-D search
+over the self-consistent <Jz>).  The fluctuations are the number-conserving
+Bogoliubov expansion about that mode (Castin and Dum, PRA 57, 3008 (1998);
+for spinor gases Kawaguchi and Ueda, Phys. Rep. 520, 253 (2012)).  In the
+frame U = (z, e1, e2) of A's eigenvectors the two side modes b1, b2 carry
+H2 = p^T D p / 2 + x^T K x / 2, with the gaps D = diag(lambda_a - lambda_0),
+the couplings c_a = z^T Jz e_a and K = D - 4qN c c^T.  With
+M = D^1/2 K D^1/2 the mode frequencies are sqrt(eig M), and the ground state
+has <x x^T> = D^1/2 M^-1/2 D^1/2 / 2 and <p p^T> = D^-1/2 M^1/2 D^-1/2 / 2.
+Collective observables are then evaluated by Gaussian moment formulas.
 
-Conventions: quadrature vector R = (x+, p+, x-, p-) with [x, p] = i, so the
-vacuum covariance is diag(1/2) and displacements d(mode) = (x + i p)/sqrt(2).
+Conventions: frame quadratures R = (X1, P1, X2, P2) with
+b_a = (X_a + i P_a)/sqrt(2) and [X, P] = i, so the vacuum covariance is
+diag(1/2).
 """
 
 import math
@@ -19,24 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import generator_matrix, generator_stack
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DepletedCondensateError,
-    UnstableExpansionError,
-)
+from .errors import ConfigError, ConvergenceError, UnstableExpansionError
 from .metrics import MomentSet
 
-# gradient norms and Hessian eigenvalues round at about eps times the energy
-# scale (see _energy_scale), so every tolerance on them is relative to it
+# gradient norms and mode energies round at about eps times the energy scale
+# (see _energy_scale), so every tolerance on them is relative to it
 GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
-HESS_TOL = 1e-9           # least Hessian eigenvalue of a returned point, negated
-MIN_CENTRAL_OCCUPATION = 0.5  # below this s^2 the expansion around the central mode fails
+MODE_TOL = 1e-12          # a gap or K eigenvalue at or below this is a zero mode
 _SCAN = np.linspace(-1.0, 1.0, 201)  # mu points of the crossing scan (see _crossings)
 _BISECTIONS = 52          # shrink a 0.01 scan bracket to about 2e-18
 
-# symplectic form of (x+, p+, x-, p-)
+# symplectic form of (X1, P1, X2, P2)
 OMEGA = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
@@ -44,26 +43,10 @@ OMEGA = np.array([
     [0.0, 0.0, -1.0, 0.0],
 ])
 
-_S_FLOOR = 1e-14
 # the per-atom energy is -qN<Jz>^2 + <L>, with L = hz Jz + hx Jx + hY Y
 _ENERGY_GENERATORS = np.stack([generator_matrix(lbl) for lbl in ("Jz", "Jx", "Y")])
 _JZ = _ENERGY_GENERATORS[0].real
 _GENERATORS = generator_stack()
-_CONDENSATE_COUPLED = (_GENERATORS[:, 0, 1] != 0.0) | (_GENERATORS[:, 2, 1] != 0.0)
-# dz/du of z = (x+ + i y+, s, x- + i y-), less its central row -u/s
-_SIDE_JACOBIAN = np.array([[1.0, 1j, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]])
-
-
-def _product_state(u, n_atoms):
-    """z = (beta+, s, beta-) and s = sqrt(n - |u|^2) of mode coordinates u.
-
-    u = (x+, y+, x-, y-) may carry trailing axes; s is floored so that points
-    on or beyond the rim stay finite.
-    """
-    s = np.sqrt(np.maximum(n_atoms - np.einsum("i...,i...->...", u, u), _S_FLOOR))
-    z = np.einsum("ij,j...->i...", _SIDE_JACOBIAN, u)
-    z[1] = s
-    return z, s
 
 
 def _symbol_value(mats, z):
@@ -71,43 +54,18 @@ def _symbol_value(mats, z):
     return np.einsum("i...,kij,j...->k...", z.conj(), mats, z).real
 
 
-def _symbol(mats, u, n_atoms):
-    """Value, gradient and Hessian in u of the classical symbol z^dag G z.
-
-    The symbol is the expectation of each generator G of the stack mats
-    (k, 3, 3) in the displaced product state z = (beta+, s, beta-), at one
-    point u = (x+, y+, x-, y-) (unscaled, so |u|^2 counts atoms).  With
-    J = dz/du, the gradient is 2 Re((Gz)^dag J) and the Hessian is
-    2 Re(J^dag G J) + 2 Re((Gz)_1) d2s, where (Gz)_1 is the central (m = 0)
-    entry and d2s = -(I/s + u u^T/s^3) the Hessian of s.  Returns arrays of
-    shape (k,), (k, 4) and (k, 4, 4).
-    """
-    z, s = _product_state(u, n_atoms)
-    jac = _SIDE_JACOBIAN.copy()
-    jac[1] = -u / s
-    gz = mats @ z
-    d2s = -(np.eye(4) / s + u[:, None] * u / s**3)
-    hess = 2.0 * (jac.conj().T @ mats @ jac).real + (2.0 * gz[:, 1].real)[:, None, None] * d2s
-    return _symbol_value(mats, z), 2.0 * (gz.conj() @ jac).real, hess
-
-
 def classical_energy(v, coeffs, n_atoms):
-    """Per-atom energy of side-mode amplitudes v = (x+, y+, x-, y-).
+    """Per-atom energy of side-mode amplitudes v = (x+, y+, x-, y-), in the
+    product state z = (x+ + i y+, s, x- + i y-) with s = sqrt(1 - |v|^2) >= 0.
 
     ``v`` may carry trailing axes, giving the energy at every point of a grid.
     """
-    jz, jx, y = _symbol_value(_ENERGY_GENERATORS, _product_state(v, 1.0)[0])
+    v = np.asarray(v)
+    z = np.array([v[0] + 1j * v[1],
+                  np.sqrt(np.maximum(1.0 - np.einsum("i...,i...->...", v, v), 0.0)),
+                  v[2] + 1j * v[3]])
+    jz, jx, y = _symbol_value(_ENERGY_GENERATORS, z)
     return -coeffs.q * n_atoms * jz * jz + coeffs.hz * jz + coeffs.hx * jx + coeffs.hY * y
-
-
-def _energy_derivatives(v, coeffs, n_atoms):
-    """Gradient and Hessian of the per-atom energy at one point, by the chain rule."""
-    (jz, _, _), grad, hess = _symbol(_ENERGY_GENERATORS, v, 1.0)
-    a = -2.0 * coeffs.q * n_atoms
-    w = np.array([coeffs.hz, coeffs.hx, coeffs.hY])
-    gradient = a * jz * grad[0] + w @ grad
-    hessian = a * (grad[0][:, None] * grad[0] + jz * hess[0]) + np.einsum("k,kij->ij", w, hess)
-    return gradient, hessian
 
 
 def _energy_scale(coeffs, n_atoms):
@@ -116,23 +74,30 @@ def _energy_scale(coeffs, n_atoms):
     return max(1.0, abs(coeffs.q) * n_atoms, abs(coeffs.hx), abs(coeffs.hz), abs(coeffs.hY))
 
 
-def _gradient_norm(g, context):
-    """The norm of a mean-field gradient; ConvergenceError naming the overflow
-    where its square is past the largest float64."""
+def _overflow(what, coeffs, n_atoms):
+    return ConvergenceError(f"the {what} float64; the Hamiltonian coefficients "
+                            "are too large", context={"coeffs": coeffs, "N": n_atoms})
+
+
+def _zeeman_matrix(coeffs):
+    """L = hz Jz + hx Jx + hY Y, real."""
+    return np.einsum("k,kij->ij", [coeffs.hz, coeffs.hx, coeffs.hY], _ENERGY_GENERATORS.real)
+
+
+def _self_consistent_matrix(coeffs, n_atoms, z):
+    """(A, gradient norm) at a unit spinor z: A = L - 2qN <Jz> Jz, and
+    2 ||(I - z z^dag) A z||, the norm of the per-atom energy's gradient along
+    the unit sphere; ConvergenceError naming the overflow where its square is
+    past the largest float64."""
+    jz = float((z.conj() @ _JZ @ z).real)
+    a = _zeeman_matrix(coeffs) - 2.0 * coeffs.q * n_atoms * jz * _JZ
+    g = a @ z
+    g -= (z.conj() @ g) * z
     with np.errstate(over="ignore"):
-        gn = float(np.linalg.norm(g))
+        gn = 2.0 * float(np.linalg.norm(g))
     if not math.isfinite(gn):
-        raise ConvergenceError("the mean-field gradient norm overflows float64; "
-                               "the Hamiltonian coefficients are too large", context=context)
-    return gn
-
-
-def classical_gradient(v, coeffs, n_atoms):
-    return _energy_derivatives(v, coeffs, n_atoms)[0]
-
-
-def classical_hessian(v, coeffs, n_atoms):
-    return _energy_derivatives(v, coeffs, n_atoms)[1]
+        raise _overflow("mean-field gradient norm overflows", coeffs, n_atoms)
+    return a, gn
 
 
 @dataclass(frozen=True)
@@ -211,64 +176,51 @@ def _classical_minimum(coeffs, n_atoms):
     Returns (z, energy, free_phase): the unit amplitudes (beta+, s, beta-)
     of every candidate within 1e-10 of the lowest per-atom energy, one per
     row with the lowest first; that energy; and whether the lowest has a
-    free phase.
+    free phase.  Coefficients too large for float64 leave A, its eigenvalues
+    or the energies non-finite (LAPACK returns NaN eigenvalues from about
+    1e308): ConvergenceError naming the overflow.
     """
-    base = np.einsum("k,kij->ij", [coeffs.hz, coeffs.hx, coeffs.hY], _ENERGY_GENERATORS.real)
+    base = _zeeman_matrix(coeffs)
     slope = 2.0 * coeffs.q * n_atoms
-    mu = _crossings(base, slope)
-    w, vecs = _self_consistent_states(base, slope, mu)
-    z = vecs[:, :, 0].copy()
-    free_phase = w[:, 1] - w[:, 0] <= 1e-12 * np.maximum(1.0, np.max(np.abs(w), axis=1))
-    for i in np.flatnonzero(free_phase):
-        z[i] = _degenerate_mix(vecs[i, :, 0], vecs[i, :, 1], mu[i])
-    z *= np.where(z[:, 1] < 0.0, -1.0, 1.0)[:, None]
-    zero = np.zeros_like(mu)
-    energies = classical_energy(np.array([z[:, 0], zero, z[:, 2], zero]), coeffs, n_atoms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _crossings(base, slope)
+        w, vecs = _self_consistent_states(base, slope, mu)
+        z = vecs[:, :, 0].copy()
+        free_phase = w[:, 1] - w[:, 0] <= 1e-12 * np.maximum(1.0, np.max(np.abs(w), axis=1))
+        for i in np.flatnonzero(free_phase):
+            z[i] = _degenerate_mix(vecs[i, :, 0], vecs[i, :, 1], mu[i])
+        z *= np.where(z[:, 1] < 0.0, -1.0, 1.0)[:, None]
+        zero = np.zeros_like(mu)
+        energies = classical_energy(np.array([z[:, 0], zero, z[:, 2], zero]), coeffs, n_atoms)
+    if not (len(mu) and np.isfinite(w).all() and np.isfinite(energies).all()):
+        raise _overflow("mean-field matrix overflows", coeffs, n_atoms)
     order = np.argsort(energies, kind="stable")
     tied = order[energies[order] - energies[order[0]] <= 1e-10]
     return z[tied], float(energies[tied[0]]), bool(free_phase[tied[0]])
 
 
 def hp_mean_field(coeffs, n_atoms):
-    """Minimize the classical energy over the two side-mode amplitudes.
+    """The condensate mode: the global minimum of the classical energy.
 
     The minimum is that of ``_classical_minimum``.  A free phase, or
     distinct candidates tied in energy within 1e-10 (symmetry-broken pairs),
-    mark the result degenerate.
-
-    Raises DepletedCondensateError when the global minimum leaves less than
-    MIN_CENTRAL_OCCUPATION in the central mode: the Holstein-Primakoff
-    expansion does not hold there.  Raises ConvergenceError unless the
-    winner has gradient norm <= GRAD_TOL_ACCEPT and a 4x4 Hessian whose
-    eigenvalues are >= -HESS_TOL, each times the energy scale, or where the
-    gradient norm overflows float64.
+    mark the result degenerate.  ``grad_norm`` is the energy's gradient
+    along the unit sphere, 2 ||(I - z z^T) A z||, which vanishes where z is
+    an eigenvector of the self-consistent A.  Raises ConvergenceError unless
+    it is <= GRAD_TOL_ACCEPT times the energy scale, or where it overflows
+    float64.  Whether the minimum is a stable expansion point is for
+    ``hp_quadratic`` to check.
     """
-    args = (coeffs, n_atoms)
-    context = {"coeffs": coeffs, "N": n_atoms}
-    z, energy, free_phase = _classical_minimum(*args)
-    v_best = np.array([z[0, 0], 0.0, z[0, 2], 0.0])
-    rho_p, rho_m = v_best[0] ** 2, v_best[2] ** 2
-    if 1.0 - rho_p - rho_m < MIN_CENTRAL_OCCUPATION:
-        rho_0 = 1.0 - rho_p - rho_m
-        raise DepletedCondensateError(
-            f"the global minimum depletes the central mode: rho_0 = {rho_0:.4f} < "
-            f"{MIN_CENTRAL_OCCUPATION}, |beta+|^2 = {rho_p:.4f}, |beta-|^2 = {rho_m:.4f}; "
-            "the Holstein-Primakoff expansion does not hold",
-            context={**context, "rho_0": rho_0, "rho_p": rho_p, "rho_m": rho_m},
-        )
-    g, h = _energy_derivatives(v_best, *args)
-    gn = _gradient_norm(g, context)
-    hess_min = float(np.linalg.eigvalsh(h)[0])
-    scale = _energy_scale(*args)
-    if gn > GRAD_TOL_ACCEPT * scale or hess_min < -HESS_TOL * scale:
+    z, energy, free_phase = _classical_minimum(coeffs, n_atoms)
+    gn = _self_consistent_matrix(coeffs, n_atoms, z[0])[1]
+    if gn > GRAD_TOL_ACCEPT * _energy_scale(coeffs, n_atoms):
         raise ConvergenceError(
-            f"the self-consistent mean field is not a minimum: gradient norm {gn:.3e}, "
-            f"lowest Hessian eigenvalue {hess_min:.3e}",
-            context=context,
+            f"the self-consistent mean field is not a minimum: gradient norm {gn:.3e}",
+            context={"coeffs": coeffs, "N": n_atoms},
         )
     return MeanFieldResult(
-        beta_p=complex(v_best[0], v_best[1]),
-        beta_m=complex(v_best[2], v_best[3]),
+        beta_p=complex(z[0, 0]),
+        beta_m=complex(z[0, 2]),
         energy_per_atom=energy,
         grad_norm=gn,
         degenerate=free_phase or len(z) > 1,
@@ -277,101 +229,122 @@ def hp_mean_field(coeffs, n_atoms):
 
 @dataclass(frozen=True)
 class GaussianSolution:
-    """Mean field plus the Gaussian ground state of the fluctuation modes."""
+    """Condensate frame plus the Gaussian ground state of the side modes."""
 
     N: int
-    beta_p: complex
-    beta_m: complex
-    covariance: np.ndarray       # 4x4 over (x+, p+, x-, p-)
+    frame: np.ndarray            # 3x3 real orthogonal, columns (z, e1, e2)
+    covariance: np.ndarray       # 4x4 over the frame quadratures (X1, P1, X2, P2)
     frequencies: np.ndarray      # the two normal-mode frequencies, descending
     energy_per_atom: float
 
 
 def hp_quadratic(coeffs, n_atoms, mean_field):
-    """Expand to second order around a stationary point and solve the normal form.
+    """The Bogoliubov expansion about a stationary point, in its own frame.
 
-    Keeps every second-order term of the expansion.  The point must be
-    stationary within GRAD_TOL_EXPAND times the energy scale.  The quadratic
-    form must be positive definite (the stationary point is a stable
-    minimum); if not, the symplectic spectrum is reported in the raised
-    error.  The returned covariance has symplectic eigenvalues exactly 1/2 up
-    to roundoff (pure Gaussian ground state).  The normal form squares the
-    mode frequencies: where that overflows float64, ConvergenceError.
+    ``mean_field`` is a MeanFieldResult or a finite 4-vector (x+, y+, x-, y-)
+    with |v| <= 1, for the product state z = (x+ + i y+, s, x- + i y-) with
+    s = sqrt(1 - |v|^2).  z must be stationary within GRAD_TOL_EXPAND times
+    the energy scale, so an eigenvector of the self-consistent A, whose
+    eigenvectors then make the frame (z, e1, e2).  The point is a stable
+    minimum when the gaps D and K = D - 4qN c c^T both exceed MODE_TOL times
+    the energy scale; if not (a stationary point that is not the lowest, or a
+    zero mode such as a free phase), UnstableExpansionError carries the
+    offending frequency, a square root of an eigenvalue of D K.  The returned
+    covariance has symplectic eigenvalues exactly 1/2 up to roundoff (pure
+    Gaussian ground state).  D K has the units of a squared frequency: where
+    it overflows float64, ConvergenceError.
     """
     if isinstance(mean_field, MeanFieldResult):
         v = mean_field.as_vector()
     else:
         v = np.asarray(mean_field, dtype=float)
-        if v.shape != (4,) or not np.isfinite(v).all():
-            raise ConfigError("mean_field must be a MeanFieldResult or a finite 4-vector")
-    context = {"coeffs": coeffs, "N": n_atoms}
-    g, h = _energy_derivatives(v, coeffs, n_atoms)
-    gn = _gradient_norm(g, context)
-    if gn > GRAD_TOL_EXPAND * _energy_scale(coeffs, n_atoms):
+        if v.shape != (4,) or not np.isfinite(v).all() or v @ v > 1.0:
+            raise ConfigError("mean_field must be a MeanFieldResult or a finite 4-vector "
+                              "with |v| <= 1")
+    z = np.array([complex(v[0], v[1]), math.sqrt(max(1.0 - v @ v, 0.0)), complex(v[2], v[3])])
+    a, gn = _self_consistent_matrix(coeffs, n_atoms, z)
+    scale = _energy_scale(coeffs, n_atoms)
+    if gn > GRAD_TOL_EXPAND * scale:
         raise ConfigError(
             f"quadratic expansion requires a stationary point; gradient norm {gn:.3e}"
         )
-    m = h / 2.0
-    w_m, u_m = np.linalg.eigh(m)
-    if w_m[0] <= 0.0:
-        modes = np.linalg.eigvals(OMEGA @ m)
-        worst = modes[np.argmax(np.abs(modes.real))]
+    lam, frame = np.linalg.eigh(a)
+    k = int(np.argmax(np.abs(frame.T @ z)))
+    order = [k] + [i for i in range(3) if i != k]
+    lam, frame = lam[order], frame[:, order]
+    c = frame[:, 0] @ _JZ @ frame[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = lam[1:] - lam[0]
+        kmat = np.diag(d) - 4.0 * coeffs.q * n_atoms * np.outer(c, c)
+        dk = d[:, None] * kmat
+    if not np.isfinite(dk).all():
+        raise _overflow("squared mode frequencies overflow", coeffs, n_atoms)
+    k_min = float(np.linalg.eigvalsh(kmat)[0])
+    stable = min(d) > MODE_TOL * scale and k_min > MODE_TOL * scale
+    if stable:
+        root_d = np.sqrt(d)
+        w_m, u_m = np.linalg.eigh(root_d[:, None] * kmat * root_d)
+        stable = w_m[0] > 0.0  # M is congruent to K, so only roundoff fails here
+    if not stable:
+        squares = np.linalg.eigvals(dk)
+        worst = np.sqrt(complex(squares[np.argmin(squares.real)]))
         raise UnstableExpansionError(
-            f"quadratic form not positive definite (min eigenvalue {w_m[0]:.3e}); "
-            f"offending normal mode {worst}",
+            f"the expansion point is not a stable minimum (gaps {d[0]:.3e}, {d[1]:.3e}; "
+            f"least K eigenvalue {k_min:.3e}); offending normal mode {worst}",
             frequency=worst,
         )
-    w_sqrt = u_m @ np.diag(np.sqrt(w_m)) @ u_m.T
-    w_inv = u_m @ np.diag(1.0 / np.sqrt(w_m)) @ u_m.T
-    t = w_sqrt @ OMEGA @ w_sqrt
-    with np.errstate(over="ignore", invalid="ignore"):
-        tt = t @ t.T
-    if not np.isfinite(tt).all():
-        raise ConvergenceError("the squared mode frequencies overflow float64; "
-                               "the Hamiltonian coefficients are too large", context=context)
-    w_tt, u_tt = np.linalg.eigh(tt)
-    freqs = np.sqrt(np.maximum(w_tt, 0.0))  # ascending, each frequency twice
-    abs_t = u_tt @ np.diag(freqs) @ u_tt.T
-    sigma = 0.5 * w_inv @ abs_t @ w_inv
-    sigma = 0.5 * (sigma + sigma.T)
-    energy = float(classical_energy(v, coeffs, n_atoms))
+    freqs = np.sqrt(w_m)  # ascending
+    sigma = np.zeros((4, 4))
+    sigma[0::2, 0::2] = 0.5 * root_d[:, None] * ((u_m / freqs) @ u_m.T) * root_d
+    sigma[1::2, 1::2] = 0.5 * ((u_m * freqs) @ u_m.T) / root_d[:, None] / root_d
     return GaussianSolution(
         N=int(n_atoms),
-        beta_p=complex(v[0], v[1]),
-        beta_m=complex(v[2], v[3]),
+        frame=frame,
         covariance=sigma,
-        frequencies=freqs[[3, 1]],
-        energy_per_atom=energy,
+        frequencies=freqs[::-1],
+        energy_per_atom=float(classical_energy(v, coeffs, n_atoms)),
     )
+
+
+def _frame_expansion(frame, n_atoms):
+    """Each generator's symbol to second order in the frame quadratures:
+    (value (8,), a (8, 4), F (8, 4, 4)) with G = value + a.R + R^T F R / 2.
+
+    With G' = U^T G U in the frame U, the collective G is
+    N G'00 + sqrt(N) 2 Re(G'0a b_a) + b^dag (G'_side - G'00 I) b, the last
+    term counting the atoms the side modes take from the condensate.  So
+    a = sqrt(2N) (Re G'0a, -Im G'0a), and F holds the real part of the
+    side-mode block on the X and on the P block and minus its imaginary part
+    on the X-P block.
+    """
+    g = frame.T @ _GENERATORS @ frame
+    side = g[:, 1:, 1:] - g[:, :1, :1] * np.eye(2)
+    lin = math.sqrt(2.0 * n_atoms) * g[:, 0, 1:]
+    a = np.empty((8, 4))
+    a[:, 0::2], a[:, 1::2] = lin.real, -lin.imag
+    f = np.empty((8, 4, 4))
+    f[:, 0::2, 0::2] = f[:, 1::2, 1::2] = side.real
+    f[:, 0::2, 1::2], f[:, 1::2, 0::2] = -side.imag, side.imag
+    return n_atoms * g[:, 0, 0].real, a, f
 
 
 def gaussian_moment_set(solution):
     """Full eight-operator MomentSet of a Gaussian solution: means (8,) and
     symmetrized covariances (8, 8) of the eight generators.
 
-    Each generator is expanded to second order in the fluctuations around the
-    mean field by its classical symbol: constant c, linear coefficients
-    a = grad/sqrt(2) and quadratic form F = hess/2.  Generators that transfer
-    atoms with the condensate mode (G[+1, 0] or G[-1, 0] nonzero) are kept to
-    linear order (their quadratic piece is 1/sqrt(N) suppressed); pure
-    number/side-mode bilinears keep their exact quadratic form, with the
-    Weyl-ordering constant -tr(F)/4 folded into c.  Then
+    One rule expands every generator, ``_frame_expansion``'s, with the
+    Weyl-ordering constant -tr(F)/4 folded into its value c.  Then
     <O> = c + tr(F sigma)/2 and
     Cov(O1, O2) = a1.sigma.a2 + tr(F1 sigma F2 sigma)/2 + tr(F1 W F2 W)/8
     with W the symplectic form (the last term is the Weyl-ordering
     correction; it vanishes for commuting quadratics).
     """
-    u = np.sqrt(solution.N) * np.array([
-        solution.beta_p.real, solution.beta_p.imag,
-        solution.beta_m.real, solution.beta_m.imag,
-    ])
+    value, a, f = _frame_expansion(solution.frame, solution.N)
     sigma = solution.covariance
-    value, grad, hess = _symbol(_GENERATORS, u, solution.N)
-    f = np.where(_CONDENSATE_COUPLED[:, None, None], 0.0, hess / 2.0)
     f_sigma = f @ sigma
     f_omega = f @ OMEGA
     means = value - np.trace(f, axis1=1, axis2=2) / 4.0 + 0.5 * np.trace(f_sigma, axis1=1, axis2=2)
-    cov = (0.5 * grad @ sigma @ grad.T
+    cov = (a @ sigma @ a.T
            + 0.5 * np.einsum("iab,jba->ij", f_sigma, f_sigma)
            + 0.125 * np.einsum("iab,jba->ij", f_omega, f_omega))
     return MomentSet(solution.N, means, 0.5 * (cov + cov.T))

@@ -429,6 +429,33 @@ def test_ed_and_gaussian_overflow_exit_3_and_name_it(tmp_path, capsys):
         assert [row.split(",")[-1] for row in rows] == ["ok", "failed", "failed"]
 
 
+def test_float_maximum_exits_3_and_names_it(tmp_path, capsys):
+    # fields at the float64 maximum: the Gaussian expansion's squared mode
+    # frequencies or its mean-field matrix, and the ED Hamiltonian's entries,
+    # overflow; each run exits 3 with the overflow named in error.json, and no
+    # RuntimeWarning is raised on the way
+    cases = [("gaussian", "epsilon = 1.7e308", "the squared mode frequencies overflow"),
+             ("gaussian", "delta = 1.7e308\nepsilon = -1.7e308",
+              "the mean-field matrix overflows"),
+             ("ed", "omega_R = 1.7e308\nepsilon = 1.7e308", "the Hamiltonian entries overflow")]
+    for i, (backend, fields, what) in enumerate(cases):
+        out = tmp_path / f"case{i}"
+        cfg = write_config(tmp_path / f"case{i}.ini", f"""
+[run]
+command = eff-squeeze
+backend = {backend}
+
+[params]
+N = 40
+{fields}
+""")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        reason = (f"ConvergenceError: {what} float64; the Hamiltonian coefficients "
+                  "are too large")
+        assert capsys.readouterr().err == f"eff-squeeze failed: {reason}\n"
+        assert json.loads(read_bytes(out / "error.json")) == {"error": reason}
+
+
 def test_eff_squeeze_report(tmp_path):
     out = tmp_path / "eff"
     ini = f"""
@@ -596,10 +623,15 @@ N = 200
     assert 0.0 <= report["mf_grad_norm"] <= 1e-10
     assert report["mf_degenerate"] is False
     assert 0.0 < report["xi_x"] < 1.0
-    # at epsilon = 2 the mean-field minimum empties the central mode: exit 3
+    # at epsilon = 2 the mean field leaves almost no atoms in the central mode;
+    # the expansion about the condensate mode still holds: exit 0, and the
+    # report shows the depletion
     depleted = write_config(tmp_path / "depleted.ini", ini.replace("6.0", "2.0"))
-    assert main(["run", "--config", depleted]) == 3
-    assert "Holstein-Primakoff expansion does not hold" in capsys.readouterr().err
+    assert main(["run", "--config", depleted]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(read_bytes(out / "report.json"))
+    assert report["rho_0"] < 0.05 and report["mf_grad_norm"] <= 1e-10
+    assert report["mf_degenerate"] is True  # one of the mirror pair at delta = 0
 
 
 def test_gp_ground_run(tmp_path):
@@ -1222,9 +1254,10 @@ n_points = 101
 
 def test_sweep_cell_holds_over_the_parameter_space(monkeypatch):
     # a fuzz of the report cell over omega_R 0-8, delta -2-2 and epsilon -8-8 on
-    # both squeezing backends: every cell returns its index and a report or a
-    # recorded error of the types a cell keeps its siblings through, and no
-    # exception escapes (numpy RuntimeWarnings are errors under pytest)
+    # both squeezing backends, then a cell past float64 on each: every cell
+    # returns its index and a report or a recorded error of the types a cell
+    # keeps its siblings through, and no exception escapes (numpy
+    # RuntimeWarnings are errors under pytest)
     from socsqueeze import cli
     from socsqueeze.config import AxisSpec, RunConfig
     from socsqueeze.params import ModelParams
@@ -1243,15 +1276,14 @@ def test_sweep_cell_holds_over_the_parameter_space(monkeypatch):
             params = ModelParams(omega_R=0.0, delta=0.0, epsilon=0.0, N=n)
             cfg = RunConfig(command="sweep", backend=backend, out="unused", seed=0, jobs=1,
                             params=params, sweep=AxisSpec("delta", (0.0, 1.0)))
-            for index in range(34):
-                point = params.replace(omega_R=rng.uniform(0.0, 8.0),
-                                       delta=rng.uniform(-2.0, 2.0),
-                                       epsilon=rng.uniform(-8.0, 8.0))
+            points = [params.replace(omega_R=rng.uniform(0.0, 8.0), delta=rng.uniform(-2.0, 2.0),
+                                     epsilon=rng.uniform(-8.0, 8.0)) for _ in range(34)]
+            for index, point in enumerate(points + [params.replace(omega_R=1.7e308)]):
                 got_index, payload = cli._sweep_cell((cfg, index, point))
                 assert got_index == index
                 (key,) = payload
                 outcomes[key] += 1
-    assert sum(outcomes.values()) == 204
+    assert sum(outcomes.values()) == 210
     assert len(recorded) == outcomes["error"]
     assert all(isinstance(exc, cli._CELL_ERRORS) for exc in recorded)
     assert outcomes["report"] > 0 and outcomes["error"] > 0

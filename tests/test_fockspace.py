@@ -20,12 +20,7 @@ from socsqueeze.fockspace import (
     ed_moment_set,
     fock_basis,
 )
-from socsqueeze.gaussian import (
-    MIN_CENTRAL_OCCUPATION,
-    _classical_minimum,
-    gaussian_moment_set,
-    solve_gaussian,
-)
+from socsqueeze.gaussian import _classical_minimum, gaussian_moment_set, solve_gaussian
 from socsqueeze.gp import SpinorField, gp_moment_set
 from socsqueeze.metrics import xi_x
 from socsqueeze.params import EffectiveCoefficients, ModelParams, effective_coefficients
@@ -280,8 +275,9 @@ def test_ghost_fallback_assembles_a_second_ritz_vector(monkeypatch, n, omega_r, 
 
 def oracle_points(n):
     """Coefficient sets of the dense-oracle sweep at atom number n: omega_R = 0,
-    depleted and mirror-degenerate (tied) classical minima, delta != 0, and
-    the same drives and fields with q < 0."""
+    depleted (less than half of the atoms in the central mode) and
+    mirror-degenerate (tied) classical minima, delta != 0, and the same drives
+    and fields with q < 0."""
     points = [effective_coefficients(ModelParams(omega_R=om, delta=d, epsilon=eps, N=n))
               for om, d, eps in itertools.product((0.0, 0.5, 2.0, 4.0), (0.0, 0.7),
                                                   (-6.0, -4.0, 0.0, 4.0, 6.0))]
@@ -309,7 +305,7 @@ def test_ed_matches_dense_oracle_over_start_sweep(n):
         kinds.update(kind for kind, hit in (
             ("omega_R = 0", coeffs.hx == 0.0), ("q < 0", coeffs.q < 0.0),
             ("tied, omega_R != 0", len(z) > 1 and coeffs.hx != 0.0),
-            ("depleted", z[0, 1] ** 2 < MIN_CENTRAL_OCCUPATION)) if hit)
+            ("depleted", z[0, 1] ** 2 < 0.5)) if hit)
         state = ed_ground_state(coeffs, n)
         exact, ground, gap = dense_ground_space(coeffs, n)
         assert abs(state.energy - exact) <= 1e-12 * max(1.0, abs(exact)), coeffs
