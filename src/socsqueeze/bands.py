@@ -19,8 +19,7 @@ from .errors import ConvergenceError
 _SHIFT = (2.0, 0.0, -2.0)
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 100
-# grid points of one block of classify_points: the arrays of its seed scan
-# stay in cache, and the block still amortizes numpy's per-call cost
+# grid values per block of the seed scan: cached arrays, amortized numpy call costs
 _BLOCK_GRID_POINTS = 32768
 
 # the band parameters of a stack of points, one array per field
@@ -62,6 +61,7 @@ def lowest_branch(k, params):
     return branch_energies(k, params)[..., 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lowest_root_grid(k, points):
     """The lowest branch on grid k at every point of a stack, in closed form.
 
@@ -121,8 +121,8 @@ class DispersionResult:
         return len(self.minima_k)
 
 
-def _grid_minima_seeds(k, e):
-    """Interior grid minima of every row of e, as (row index, momentum) arrays.
+def _grid_minima_seeds(k, e, lo=0):
+    """Interior grid minima of rows e on grid points lo, lo + 1, ... of k: (row, momentum).
 
     A minimum is a run of equal values (one point for a strict minimum) that
     the grid enters falling and leaves rising, so window edges never count; a
@@ -134,7 +134,7 @@ def _grid_minima_seeds(k, e):
     # the steps of each row, closed by a NaN step: it moves and does not rise
     step = np.empty((m, n))
     np.subtract(e[:, 1:], e[:, :-1], out=step[:, :-1])
-    step[:, -1] = np.nan
+    step[:, -1:] = np.nan
     row, into = np.nonzero((step[:, :-1] < 0.0) & (step[:, 1:] >= 0.0))
     out = into + 1
     flat = step[row, out] == 0.0
@@ -143,7 +143,7 @@ def _grid_minima_seeds(k, e):
         start = row[flat] * n + out[flat]
         out[flat] = moving[np.searchsorted(moving, start)] - row[flat] * n
     rises = step[row, out] > 0.0
-    return row[rises], k[0] + 0.5 * (into[rises] + 1 + out[rises]) * (k[1] - k[0])
+    return row[rises], k[0] + 0.5 * (into[rises] + out[rises] + 1 + 2 * lo) * (k[1] - k[0])
 
 
 def _refine_minima(k0, dk, params):
@@ -195,11 +195,16 @@ def _minima(k, points):
     (point, k_min, E_min, overflow): one entry per minimum of its point index,
     ascending, then its momentum, ascending within a point, and its energy;
     and per point, whether it has no seed because its scan overflowed.  Seeds
-    come from the closed-form lowest root on the grid, for every point at
-    once, and are refined in one Newton loop; energies come from ``eigvalsh``.
+    come from the closed-form lowest root on the grid, in blocks of points;
+    all are refined in one Newton loop, and energies come from ``eigvalsh``.
     Every refined point is a minimum: the bracketed Newton closes only where
     the slope turns from - to +, and a kink in the lowest of smooth branches
     always bends down, so it cannot fake one.
+
+    E0 - k^2 is the lowest eigenvalue of k diag(2 _SHIFT) + H(0), concave with
+    slope in [-4, 4], so E0' = 0 only at |k| <= 2: only grid points with
+    |k| <= 2 + 2 dk (a seed and its neighbours) are scanned, and seeds keep
+    their full-grid index.  A point without a seed is scanned on all of k.
 
     Minima are not merged: no two of a point lie within half a grid step.
     Two seeds of a point lie at least two grid steps apart (a falling step
@@ -215,15 +220,24 @@ def _minima(k, points):
     delta = 0 points and 182 over 50 000 random points on that grid, and
     1.45 steps apart over 40 000 random points on grids of 5-59 points.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scan = _lowest_root_grid(k, points)
-    point, seeds = _grid_minima_seeds(k, scan)
-    # only points without seeds are checked, so the common path pays nothing
-    unseeded = np.flatnonzero(np.bincount(point, minlength=len(scan)) == 0)
-    overflow = np.zeros(len(scan), dtype=bool)
-    overflow[unseeded] = ~np.isfinite(scan[unseeded]).all(axis=1)
+    dk = k[1] - k[0]
+    reach = max(map(abs, _SHIFT)) + 2.0 * dk
+    lo, hi = np.searchsorted(k, -reach), np.searchsorted(k, reach, side="right")
+    size = max(1, _BLOCK_GRID_POINTS // max(1, hi - lo))
+    found = []
+    for start in range(0, max(len(points.omega_R), 1), size):
+        block = _Points(*(field[start:start + size] for field in points))
+        row, seed = _grid_minima_seeds(k, _lowest_root_grid(k[lo:hi], block), lo)
+        found.append((start + row, seed))
+    point, seeds = map(np.concatenate, zip(*found))
+    # the points without a seed, then those of them whose scan overflows
+    overflow = np.bincount(point, minlength=len(points.omega_R)) == 0
+    unseeded = np.flatnonzero(overflow)
+    for rows in np.array_split(unseeded, 1 + len(unseeded) * len(k) // _BLOCK_GRID_POINTS):
+        scan = _lowest_root_grid(k, _Points(*(field[rows] for field in points)))
+        overflow[rows] = ~np.isfinite(scan).all(axis=1)
     per_seed = _Points(*(field[point] for field in points))
-    kc = _refine_minima(seeds, k[1] - k[0], per_seed)
+    kc = _refine_minima(seeds, dk, per_seed)
     return point, kc, lowest_branch(kc, per_seed), overflow
 
 
@@ -281,20 +295,16 @@ def classify_points(omega_R, delta, epsilon, tol_deg=DEFAULT_TOL_DEG, window=DEF
     Each band field is a float or a 1-D array, and together they broadcast to
     one length m.  Returns m entries: each point's PhaseCell, or the
     ConvergenceError that ``classify`` raises there.  Each point's arithmetic
-    is elementwise, so its entry does not depend on the other points.
+    is elementwise, so its entry does not depend on the other points.  Two
+    minima differ in energy by at most (k2 - k1)^2 <= 16: E0 - k^2 is concave.
     """
     k = _grid(window, n_points)
     points = _points(omega_R, delta, epsilon)
-    size = max(1, _BLOCK_GRID_POINTS // len(k))
-    cells = []
-    for start in range(0, len(points.omega_R), size):
-        block = _Points(*(field[start:start + size] for field in points))
-        point, minima_k, minima_E, overflow = _minima(k, block)
-        bounds = np.searchsorted(point, np.arange(len(overflow) + 1))
-        cells += [_point_error(block, i, window, overflow[i]) if lo == hi
-                  else _phase_cell(minima_k[lo:hi], minima_E[lo:hi], tol_deg)
-                  for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    return cells
+    point, minima_k, minima_E, overflow = _minima(k, points)
+    bounds = np.searchsorted(point, np.arange(len(overflow) + 1))
+    return [_point_error(points, i, window, overflow[i]) if lo == hi
+            else _phase_cell(minima_k[lo:hi], minima_E[lo:hi], tol_deg)
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def _point_error(points, i, window, overflow):

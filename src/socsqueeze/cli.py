@@ -21,6 +21,8 @@ use them.  A phase diagram runs one contiguous task per job,
 which ``bands`` classifies in blocks.  With ``--jobs J`` a sweep or phase
 diagram deals its tasks into at most J shares: the process computes one and
 forks a child per other share, so ``J > 1`` needs POSIX ``os.fork``.
+Once ``main`` returns, a process ends by a flush and ``os._exit``, skipping
+numpy's teardown; ``main`` in process, ``--help`` and a traceback end normally.
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 a solver
 failed to converge, the band scan, the ED Hamiltonian or its Lanczos
@@ -448,5 +450,13 @@ def main(argv=None):
         return 4
 
 
+def entry_point():
+    """The process entry of ``socsqueeze`` and ``python -m socsqueeze.cli``."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None if its descriptor was closed
+        stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -297,8 +297,8 @@ class RunConfig:
             if self.axis1.name == self.axis2.name:
                 raise ConfigError(f"phase-diagram axes must differ, both are {self.axis1.name!r}")
         check_window(self.window, self.n_points)
-        if not (math.isfinite(self.tol_deg) and self.tol_deg > 0.0):
-            raise ConfigError(f"tol_deg must be positive and finite, got {self.tol_deg!r}")
+        if not 0.0 < self.tol_deg <= 16.0:  # the largest gap of two band minima (bands)
+            raise ConfigError(f"tol_deg must be in (0, 16], got {self.tol_deg!r}")
         if self.command == "sweep" and self.sweep is None:
             raise ConfigError("sweep needs a [sweep] section")
         if self.command == "eff-squeeze" and self.backend == "gp":

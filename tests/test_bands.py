@@ -456,3 +456,132 @@ def test_momentum_grid_and_outputs_unchanged():
             dispersion(params, window=window, n_points=n_points)
         with pytest.raises(ConfigError):
             classify(params, window=window, n_points=n_points)
+
+
+# --- the scanned slice: E0'(k) = 2k + v0.diag(4, 0, -4).v0 vanishes only at |k| <= 2 ---
+
+# a refined minimum lies within |k| <= 2, up to the Newton step tolerance
+K_BOUND = 2.0 + 10.0 * bands._NEWTON_TOL
+SLICE_WINDOWS = [((-4.0, 4.0), 2001), ((1.0, 3.0), 201), ((-2.5, 2.5), 401),
+                 ((-10.0, 10.0), 1001), ((2.5, 4.0), 201), ((-6.0, -2.1), 301)]
+
+
+def random_band_points(rng, m, largest=1e6):
+    """m points with fields of magnitude 1e-3 to ``largest`` and either sign,
+    omega_R >= 0 and exactly 0 at one point in seven."""
+    stack = 10.0 ** rng.uniform(-3.0, np.log10(largest), (3, m)) * rng.choice([-1.0, 1.0], (3, m))
+    stack[0] = np.abs(stack[0])
+    stack[0, ::7] = 0.0
+    return _points(*stack)
+
+
+def full_grid_minima(k, stack, size=16):
+    """The seed search on every point of grid k, in blocks of ``size`` points,
+    with every seed refined in one Newton loop: (point, k_min, E_min, overflow)."""
+    point, seeds, overflow = [], [], []
+    for lo in range(0, len(stack.omega_R), size):
+        block = bands._Points(*(field[lo:lo + size] for field in stack))
+        scan = _lowest_root_grid(k, block)
+        row, seed = _grid_minima_seeds(k, scan)
+        point.append(lo + row)
+        seeds.append(seed)
+        overflow.append((np.bincount(row, minlength=len(scan)) == 0)
+                        & ~np.isfinite(scan).all(axis=1))
+    point, seeds = np.concatenate(point), np.concatenate(seeds)
+    per_seed = bands._Points(*(field[point] for field in stack))
+    kc = bands._refine_minima(seeds, k[1] - k[0], per_seed)
+    return point, kc, lowest_branch(kc, per_seed), np.concatenate(overflow)
+
+
+def test_scanned_slice_matches_the_full_grid_search():
+    # 24 000 seeded points over windows that hold the slice |k| <= 2 + 2 dk,
+    # clip it or miss it.  The minima must be the full-grid search's, bit for
+    # bit, less those it reports at |k| > 2: no minimum lies there.  Each such
+    # one comes from a rounding-noise seed whose bracketed Newton ends on its
+    # bracket's edge, as at omega_R = 0, delta = 8.3, epsilon = -7.1e5, where
+    # the full grid reports k = 2.076 beside the minimum at k = -2
+    rng = np.random.default_rng(1)
+    noise = _points(0.0, 8.3, -7.1e5)
+    dropped = 0
+    for window, n_points in SLICE_WINDOWS:
+        stack = bands._Points(*(np.r_[field, extra] for field, extra in
+                                zip(random_band_points(rng, 4000), noise)))
+        k = np.linspace(window[0], window[1], n_points)
+        point, k_min, e_min, overflow = full_grid_minima(k, stack)
+        kept = np.abs(k_min) <= K_BOUND
+        dropped += np.count_nonzero(~kept)
+        got = _minima(k, stack)
+        for g, want in zip(got, (point[kept], k_min[kept], e_min[kept], overflow)):
+            assert np.array_equal(g, want), window
+    assert dropped > 0
+
+
+def test_every_minimum_lies_within_two_recoil_momenta():
+    # also where the scan seeds rounding noise (fields up to 1e15): a seed
+    # beside |k| = 2 + dk refines toward |k| = 2, where the slope turns
+    rng = np.random.default_rng(2)
+    stack = random_band_points(rng, 1000, largest=1e15)
+    for window, n_points in (((-4.0, 4.0), 2001), ((-10.0, 10.0), 1001)):
+        k = np.linspace(window[0], window[1], n_points)
+        assert np.all(np.abs(_minima(k, stack)[1]) <= K_BOUND)
+        cells = classify_points(*stack, window=window, n_points=n_points)
+        assert all(abs(cell.k_min) <= K_BOUND for cell in cells
+                   if not isinstance(cell, ConvergenceError))
+
+
+def test_one_newton_loop_and_one_eigvalsh_per_call(monkeypatch):
+    # 400 points on the default grid are 13 scan blocks of 32 points; their
+    # seeds are refined, and their energies taken, once for the whole call
+    calls = []
+    for name in ("_grid_minima_seeds", "_refine_minima", "lowest_branch"):
+        def counting(*args, _fn=getattr(bands, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(bands, name, counting)
+    cells = classify_points(*fields(oracle_points()[:400]))
+    assert not any(isinstance(cell, ConvergenceError) for cell in cells)
+    assert calls == ["_grid_minima_seeds"] * 13 + ["_refine_minima", "lowest_branch"]
+    calls.clear()
+    assert dispersion(ModelParams(omega_R=1.0, delta=0.0, epsilon=0.0)).n_minima == 3
+    assert calls == ["_grid_minima_seeds", "_refine_minima", "lowest_branch"]
+
+
+def test_window_beyond_the_slice_keeps_both_reasons():
+    # these windows hold no grid point with |k| <= 2 + 2 dk, so nothing is
+    # scanned for seeds; each point still fails for the full grid's reason
+    overflow = "the band scan overflows float64"
+    for window, n_points in (((2.5, 4.0), 201), ((-6.0, -2.1), 301)):
+        k = np.linspace(window[0], window[1], n_points)
+        assert not np.any(np.abs(k) <= 2.0 + 2.0 * (k[1] - k[0]))
+        cells = classify_points(1.0, np.array([0.0, 1e200, 1e300]), -6.0, window=window,
+                                n_points=n_points)
+        assert str(cells[0]).startswith("no interior minima found; widen the momentum window")
+        assert [str(cell).startswith(overflow) for cell in cells[1:]] == [True, True]
+        for delta in (1e200, 1e300):
+            with pytest.raises(ConvergenceError, match=overflow):
+                dispersion(ModelParams(omega_R=1.0, delta=delta, epsilon=-6.0), window=window,
+                           n_points=n_points)
+        params = ModelParams(omega_R=1.0, delta=0.0, epsilon=-6.0)
+        assert dispersion(params, window=window, n_points=n_points).n_minima == 0
+
+
+def test_minima_energy_gaps_stay_within_the_momentum_bound():
+    # E0 - k^2 is concave and E0'(k_i) = 0 at each minimum, so two minima
+    # differ in energy by at most (k2 - k1)^2 <= 16, the bound on tol_deg;
+    # the drive and fields below give many points two or three minima
+    rng = np.random.default_rng(16)
+    m = 3000
+    stack = _points(rng.uniform(0.0, 4.0, m), rng.uniform(-8.0, 8.0, m),
+                    rng.uniform(-10.0, 10.0, m))
+    point, k_min, e_min, _ = _minima(np.linspace(-4.0, 4.0, 2001), stack)
+    assert np.bincount(point).max() <= 3
+    # every pair of minima of one point, which lie next to each other or one apart
+    first = [np.flatnonzero(point[d:] == point[:-d]) for d in (1, 2)]
+    first, second = np.concatenate(first), np.concatenate([f + d for f, d in zip(first, (1, 2))])
+    assert len(first) > 600
+    gap = np.abs(e_min[second] - e_min[first])
+    assert np.all(gap <= (k_min[second] - k_min[first]) ** 2 + 1e-12)
+    assert gap.max() > 8.0
+    # so the largest tol_deg a configuration accepts tags every point with two minima
+    cells = classify_points(*stack, tol_deg=16.0)
+    assert all(cell.degenerate == (cell.n_minima > 1) for cell in cells)

@@ -239,10 +239,17 @@ n_points = 801
     assert first[0] == "0" and first[1] == "3" and first[3] == "1"
 
 
-def test_phase_diagram_bytes_do_not_depend_on_jobs(tmp_path):
-    # 7 x 8 = 56 cells on the default 2001-point grid, which bands classifies
-    # in blocks of 16: at --jobs 2 this process and one forked child take 28
-    # contiguous cells each, and at --jobs 3 the shares are 19, 19 and 18
+def scanned_grid_points(window, n_points):
+    """The grid points bands scans for seeds: those with |k| <= 2 + 2 dk."""
+    k = np.linspace(window[0], window[1], n_points)
+    return int(np.count_nonzero(np.abs(k) <= 2.0 + 2.0 * (k[1] - k[0])))
+
+
+def test_phase_diagram_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    # 7 x 8 = 56 cells on the default 2001-point grid, of which bands scans
+    # 1005 points, in blocks of 32 cells; patched to blocks of 16: at --jobs 2
+    # this process and one forked child take 28 contiguous cells each, and at
+    # --jobs 3 the shares are 19, 19 and 18
     ini = """
 [run]
 command = phase-diagram
@@ -261,7 +268,9 @@ max2 = 4.75
 count2 = 8
 """
     cfg = write_config(tmp_path / "run.ini", ini)
-    assert bands._BLOCK_GRID_POINTS // 2001 == 16
+    scanned = scanned_grid_points((-4.0, 4.0), 2001)
+    assert scanned == 1005 and bands._BLOCK_GRID_POINTS // scanned == 32
+    monkeypatch.setattr(bands, "_BLOCK_GRID_POINTS", 16 * scanned)
     tables = []
     for name, jobs in (("j1a", "1"), ("j2a", "2"), ("j1b", "1"), ("j2b", "2"), ("j3", "3")):
         out = tmp_path / name
@@ -272,12 +281,15 @@ count2 = 8
 
 
 def test_phase_diagram_failed_cell_keeps_its_block(tmp_path, monkeypatch, capsys):
-    # blocks of 5 cells: at --jobs 1 cell 4 fails at the end of block 0 and
-    # cells 5-7 open block 1; at --jobs 2 cell 5 ends this process's share of
-    # 6 cells, alone in its block, and cells 6-7 open the child's share.  With
-    # epsilon = 6 the single minimum near k = 0 lies outside the window
-    # [1, 3], which holds the k = 2 well of epsilon = -6 and -4
-    monkeypatch.setattr(bands, "_BLOCK_GRID_POINTS", 5 * 201)
+    # blocks of 5 cells (bands scans the 103 points of [1, 2.02]): at --jobs 1
+    # cell 4 fails at the end of block 0 and cells 5-7 open block 1; at
+    # --jobs 2 cell 5 ends this process's share of 6 cells, alone in its
+    # block, and cells 6-7 open the child's share.  With epsilon = 6 the
+    # single minimum near k = 0 lies outside the window [1, 3], which holds
+    # the k = 2 well of epsilon = -6 and -4
+    scanned = scanned_grid_points((1.0, 3.0), 201)
+    assert scanned == 103
+    monkeypatch.setattr(bands, "_BLOCK_GRID_POINTS", 5 * scanned)
     ini = """
 [run]
 command = phase-diagram
@@ -797,6 +809,8 @@ MALFORMED = [
     ("tol-deg-inf", "phase-diagram", PHASE_SECTION + "tol_deg = inf\n"),
     ("tol-deg-zero", "phase-diagram", PHASE_SECTION + "tol_deg = 0\n"),
     ("tol-deg-negative", "phase-diagram", PHASE_SECTION + "tol_deg = -5\n"),
+    # two band minima differ in energy by at most 16
+    ("tol-deg-above-gap-bound", "phase-diagram", PHASE_SECTION + "tol_deg = 16.000001\n"),
     ("ed-sweep-over-cap", "sweep", "[params]\nN = 400\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("ed-eff-squeeze-over-cap", "eff-squeeze", "[params]\nN = 400\n"),
     # the oscillator length of the 150 Hz axis is 7.0, so a half-width of 4 is too small
@@ -825,6 +839,7 @@ MALFORMED = [
 # the stderr of the rows above whose rule no other row reaches, and of a
 # bad value of a key that two sections share
 MALFORMED_MESSAGES = {
+    "tol-deg-above-gap-bound": "tol_deg must be in (0, 16], got 16.000001",
     "trap-missing-key": "missing required config key [trap] omega_y",
     "grid-n-points-word": "bad value for [grid] n_points: '64 x'",
     "sweep-count-one": "axis count must be >= 2, got 1",
@@ -849,6 +864,14 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, case, com
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert MALFORMED_MESSAGES.get(case, "") in err
+
+
+def test_tol_deg_may_reach_the_gap_bound(tmp_path):
+    # 16 is the largest energy gap two band minima can have, so it is the
+    # largest tolerance that still means something, and it is accepted
+    cfg = write_config(tmp_path / "run.ini", "[run]\ncommand = phase-diagram\n"
+                       + PHASE_SECTION + "tol_deg = 16\n")
+    assert load_config(cfg).tol_deg == 16.0
 
 
 def test_unwritable_out_exits_4_before_any_cell_runs(tmp_path, monkeypatch, capsys):
@@ -1250,6 +1273,107 @@ n_points = 101
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+
+
+def run_cli(*args, code=None, **kwargs):
+    """`python -m socsqueeze.cli args` (or `python -c code args`) from src/, with
+    PYTHONUNBUFFERED removed so that stdout and stderr are block-buffered pipes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    head = ["-c", code] if code is not None else ["-m", "socsqueeze.cli"]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *head, *args], text=True, env=env, **pipes)
+
+
+def test_console_script_runs_the_function_the_main_block_calls():
+    # the installed `socsqueeze` and `python -m socsqueeze.cli` share one
+    # process entry, so the two cannot drift apart
+    import ast
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["socsqueeze"]
+    module, _, name = target.partition(":")
+    tree = ast.parse(read_bytes(cli.__file__))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert not stmt.value.args and not stmt.value.keywords
+    assert getattr(importlib.import_module(module), name) is getattr(cli, stmt.value.func.id)
+
+
+def test_process_entry_ends_hard_only_when_main_returns(tmp_path):
+    # a returned exit code ends the process by os._exit after a flush: text
+    # still buffered on stdout arrives, and an exit handler another package
+    # registered does not run.  --help (SystemExit) and an unexpected
+    # exception (a traceback, exit 1) take the interpreter's normal exit
+    code = ("import atexit, sys\n"
+            "import socsqueeze.cli as cli\n"
+            "atexit.register(print, 'exit handler ran')\n"
+            "if sys.argv[1] == 'crash':\n"
+            "    cli.load_config = lambda *args, **kwargs: 1 / 0\n"
+            "    sys.argv[1] = 'run'\n"
+            "print('buffered', end=' ')\n"
+            "cli.entry_point()\n")
+    missing = str(tmp_path / "nope.ini")
+    proc = run_cli("run", "--config", missing, code=code)
+    assert (proc.returncode, proc.stdout) == (2, "buffered ")
+    assert "configuration error" in proc.stderr
+    proc = run_cli("--help", code=code)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("buffered usage: socsqueeze")
+    assert proc.stdout.endswith("exit handler ran\n")
+    proc = run_cli("crash", "--config", missing, code=code)
+    assert (proc.returncode, proc.stdout) == (1, "buffered exit handler ran\n")
+    assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr
+    # a process whose stdout is closed has sys.stdout None, and keeps its code
+    proc = run_cli("run", "--config", missing, stdout=None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2 and proc.stderr.startswith("configuration error: ")
+
+
+def test_hard_exit_drops_no_line_and_no_file(tmp_path):
+    # with block-buffered pipes: a sweep with a failing cell keeps its stderr
+    # line, errors.json and the whole sweep.csv; a config error exits 2 with
+    # nothing written; and a --jobs 2 sweep, whose forked child ends by
+    # os._exit as well, writes the bytes of the same run made in process
+    reason = ("ConvergenceError: the Lanczos recurrence overflows float64; the "
+              "Hamiltonian entries are too large")
+    cfg = write_config(tmp_path / "fail.ini", SWEEP_INI.replace(
+        "values = 0.5 1.0 2.0", "values = 0.5 1e300 2.0"))
+    out = tmp_path / "fail"
+    proc = run_cli("run", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == f"sweep cell 1 failed: {reason}\n"
+    assert json.loads(read_bytes(out / "errors.json")) == {"1": reason}
+    table = read_bytes(out / "sweep.csv").decode()
+    assert table.endswith("\n")
+    assert [row.split(",")[-1] for row in table.splitlines()] == ["status", "ok", "failed", "ok"]
+
+    out = tmp_path / "bad"
+    bad = write_config(tmp_path / "bad.ini", f"[run]\ncommand = explode\nout = {out}\n")
+    proc = run_cli("run", "--config", bad)
+    assert proc.returncode == 2 and proc.stderr.startswith("configuration error: ")
+    assert not out.exists()
+
+    cfg = write_config(tmp_path / "sweep.ini", SWEEP_INI)
+    outs = {side: tmp_path / side for side in ("process", "in_process")}
+    proc = run_cli("run", "--config", cfg, "--out", str(outs["process"]), "--jobs", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert main(["run", "--config", cfg, "--out", str(outs["in_process"]), "--jobs", "2"]) == 0
+    names = sorted(os.listdir(outs["process"]))
+    assert names == sorted(os.listdir(outs["in_process"])) and len(names) == 5
+    for name in names:
+        if name != "manifest.json":
+            assert read_bytes(outs["process"] / name) == read_bytes(outs["in_process"] / name)
+    # the manifests differ only in the out path and in the BLAS variables,
+    # which the CLI sets only where numpy is not loaded yet (not under pytest)
+    manifests = [json.loads(read_bytes(o / "manifest.json")) for o in outs.values()]
+    for manifest in manifests:
+        del manifest["out"], manifest["blas_threads"]
+    assert manifests[0] == manifests[1]
 
 
 def test_sweep_cell_holds_over_the_parameter_space(monkeypatch):
