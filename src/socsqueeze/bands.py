@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_POINTS, DEFAULT_TOL_DEG, DEFAULT_WINDOW, check_window
+from .crossing import _refine_crossings
 from .errors import ConvergenceError
 
 # momentum shift of the +1, 0, -1 components: bare branch i is (k + _SHIFT[i])^2
 _SHIFT = (2.0, 0.0, -2.0)
-_NEWTON_TOL = 1e-13
-_NEWTON_MAX_STEPS = 100
 # grid values per block of the seed scan: cached arrays, amortized numpy call costs
 _BLOCK_GRID_POINTS = 32768
 
@@ -147,39 +146,10 @@ def _grid_minima_seeds(k, e, lo=0):
 
 
 def _refine_minima(k0, dk, params):
-    """Stationary points of the lowest branch near every seed k0, all at once.
-
-    ``params`` holds one point's parameters, or one array entry per seed.
-    Safeguarded Newton on E0'(k) = 0 inside the bracket k0 +- dk.  The
-    derivatives come from one batched ``eigh`` per step by Hellmann-Feynman,
-    with H' = dH/dk = 2 diag(k + _SHIFT) and H'' = 2 I:
-    E0' = v0.H'.v0 and E0'' = 2 + 2 sum_{n>0} (vn.H'.v0)^2 / (E0 - En).  The
-    sign of E0' shrinks the bracket; a step that leaves it, or meets
-    E0'' <= 0, bisects it instead.  A seed stops once its step is at most
-    _NEWTON_TOL, so its result does not depend on the other seeds.
-    """
-    k = k0
-    lo, hi = k - dk, k + dk
-    active = np.ones(k.shape, dtype=bool)
-    shift = np.array(_SHIFT)
-    with np.errstate(divide="ignore", invalid="ignore"):  # E0 = E1 only at omega_R = 0
-        for _ in range(_NEWTON_MAX_STEPS):
-            w, v = np.linalg.eigh(build_hamiltonian(k, params))
-            # g[m, n] = vn.H'.v0 at seed m
-            g = ((2.0 * (k[:, None] + shift) * v[:, :, 0])[:, None, :] @ v)[:, 0]
-            slope, gn = g[:, 0], g[:, 1:]
-            curv = 2.0 - 2.0 * (gn * gn / (w[:, 1:] - w[:, :1])).sum(axis=1)
-            lo = np.where(slope < 0.0, k, lo)
-            hi = np.where(slope > 0.0, k, hi)
-            trial = k - slope / curv
-            # inclusive: a converged step may round onto the bracket edge
-            inside = (curv > 0.0) & (trial >= lo) & (trial <= hi)
-            trial = np.where(active, np.where(inside, trial, 0.5 * (lo + hi)), k)
-            active &= np.abs(trial - k) > _NEWTON_TOL
-            k = trial
-            if not active.any():
-                break
-    return k
+    """Minima of the lowest branch near seeds k0 +- dk, for one point's ``params`` or one
+    entry per seed: the upward zeros of E0' = 2k + v0.diag(2 _SHIFT).v0."""
+    return _refine_crossings(k0, dk, lambda k: build_hamiltonian(k, params), 2.0,
+                             np.multiply(2.0, _SHIFT), 1.0)
 
 
 def _points(omega_R, delta, epsilon):
@@ -196,7 +166,7 @@ def _minima(k, points):
     ascending, then its momentum, ascending within a point, and its energy;
     and per point, whether it has no seed because its scan overflowed.  Seeds
     come from the closed-form lowest root on the grid, in blocks of points;
-    all are refined in one Newton loop, and energies come from ``eigvalsh``.
+    all are refined by one call of ``crossing``'s Newton, energies by ``eigvalsh``.
     Every refined point is a minimum: the bracketed Newton closes only where
     the slope turns from - to +, and a kink in the lowest of smooth branches
     always bends down, so it cannot fake one.

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import generator_matrix, generator_stack
+from .crossing import _refine_crossings
 from .errors import ConfigError, ConvergenceError, UnstableExpansionError
 from .metrics import MomentSet
 
@@ -33,7 +34,6 @@ GRAD_TOL_ACCEPT = 1e-10   # mean-field stationarity required of a returned point
 GRAD_TOL_EXPAND = 1e-8    # stationarity required before a quadratic expansion
 MODE_TOL = 1e-12          # a gap or K eigenvalue at or below this is a zero mode
 _SCAN = np.linspace(-1.0, 1.0, 201)  # mu points of the crossing scan (see _crossings)
-_BISECTIONS = 52          # shrink a 0.01 scan bracket to about 2e-18
 
 # symplectic form of (X1, P1, X2, P2)
 OMEGA = np.array([
@@ -115,33 +115,22 @@ class MeanFieldResult:
                          self.beta_m.real, self.beta_m.imag])
 
 
-def _self_consistent_states(base, slope, mu):
-    """Ascending eigenvalues and eigenvectors of A(mu) = base - slope mu Jz, per mu of an array."""
-    return np.linalg.eigh(base - (slope * mu)[:, None, None] * _JZ)
-
-
-def _crossings(base, slope):
+def _crossings(matrices, slope):
     """The upward zero crossings of h(mu) = mu - <Jz>_0(mu) on [-1, 1].
 
-    <Jz>_0 is the Jz expectation of the lowest eigenvector of A(mu).  Since
-    |<Jz>_0| <= 1, h < 0 below mu = -1 and h(1) >= 0, so a scan point with
-    h >= 0 that follows one with h < 0 (or is mu = -1 itself) brackets a
-    crossing, and a zero exactly on a scan point counts once.  All brackets
-    are closed together by bisection, which also closes on a jump of h where
-    lambda_0 is degenerate.
+    <Jz>_0 is the Jz expectation of the lowest eigenvector of A(mu) =
+    matrices(mu), and dA/dmu = slope diag(-Jz).  |<Jz>_0| <= 1 gives h < 0
+    below mu = -1 and h(1) >= 0, so a scan point with h >= 0 after one with
+    h < 0 (or mu = -1 itself) brackets a crossing, counted once if h = 0
+    there; ``crossing``'s Newton closes it from the end nearer the zero.
     """
-    def h(mu):
-        vecs = _self_consistent_states(base, slope, mu)[1]
-        return mu - vecs[:, 0, 0] ** 2 + vecs[:, 2, 0] ** 2
-
-    above = h(_SCAN) >= 0.0
-    up = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
-    lo, hi = _SCAN[np.maximum(up - 1, 0)], _SCAN[up]
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        mid_above = h(mid) >= 0.0
-        lo, hi = np.where(mid_above, lo, mid), np.where(mid_above, mid, hi)
-    return hi
+    vecs = np.linalg.eigh(matrices(_SCAN))[1]
+    h = _SCAN - vecs[:, 0, 0] ** 2 + vecs[:, 2, 0] ** 2
+    up = np.flatnonzero((h >= 0.0) & ~np.concatenate(([False], h[:-1] >= 0.0)))
+    lo = np.maximum(up - 1, 0)
+    start = np.where(np.abs(h[lo]) < np.abs(h[up]), lo, up)
+    return _refine_crossings(_SCAN[start], _SCAN[up] - _SCAN[lo], matrices, 1.0,
+                             -np.diag(_JZ), slope)
 
 
 def _degenerate_mix(e0, e1, mu):
@@ -169,9 +158,9 @@ def _classical_minimum(coeffs, n_atoms):
     is real, so the amplitudes are real, with x+ and x- of the sign of
     -omega once the central amplitude s is taken >= 0.  The candidates are
     the upward zero crossings of mu - <Jz>_0(mu) on [-1, 1], found by a
-    201-point scan and closed by bisection.  Where lambda_0 is degenerate at
-    a crossing (only at omega = 0) the minimizer is the mix of the pair with
-    <Jz> = mu, and its relative phase is free.
+    201-point scan and closed by ``crossing``'s Newton.  Where lambda_0 is
+    degenerate at a crossing (only at omega = 0) the minimizer is the mix of
+    the pair with <Jz> = mu, and its relative phase is free.
 
     Returns (z, energy, free_phase): the unit amplitudes (beta+, s, beta-)
     of every candidate within 1e-10 of the lowest per-atom energy, one per
@@ -182,9 +171,12 @@ def _classical_minimum(coeffs, n_atoms):
     """
     base = _zeeman_matrix(coeffs)
     slope = 2.0 * coeffs.q * n_atoms
+
+    def matrices(mu):  # A(mu) at every mu of an array
+        return base - (slope * mu)[:, None, None] * _JZ
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = _crossings(base, slope)
-        w, vecs = _self_consistent_states(base, slope, mu)
+        mu = _crossings(matrices, slope)
+        w, vecs = np.linalg.eigh(matrices(mu))
         z = vecs[:, :, 0].copy()
         free_phase = w[:, 1] - w[:, 0] <= 1e-12 * np.maximum(1.0, np.max(np.abs(w), axis=1))
         for i in np.flatnonzero(free_phase):

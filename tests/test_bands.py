@@ -18,6 +18,7 @@ from socsqueeze.bands import (
 )
 from socsqueeze.cli import main
 from socsqueeze.config import AxisSpec, RunConfig
+from socsqueeze.crossing import _NEWTON_TOL
 from socsqueeze.errors import ConfigError, ConvergenceError
 from socsqueeze.params import ModelParams
 
@@ -461,7 +462,7 @@ def test_momentum_grid_and_outputs_unchanged():
 # --- the scanned slice: E0'(k) = 2k + v0.diag(4, 0, -4).v0 vanishes only at |k| <= 2 ---
 
 # a refined minimum lies within |k| <= 2, up to the Newton step tolerance
-K_BOUND = 2.0 + 10.0 * bands._NEWTON_TOL
+K_BOUND = 2.0 + 10.0 * _NEWTON_TOL
 SLICE_WINDOWS = [((-4.0, 4.0), 2001), ((1.0, 3.0), 201), ((-2.5, 2.5), 401),
                  ((-10.0, 10.0), 1001), ((2.5, 4.0), 201), ((-6.0, -2.1), 301)]
 

@@ -1160,7 +1160,8 @@ def test_package_and_cli_import_without_scipy(tmp_path):
                                                                "command = eff-squeeze"))
     run = "from socsqueeze.cli import main; assert main({!r}) == 0"
     solvers = ("socsqueeze.bands", "socsqueeze.gp", "socsqueeze.fockspace",
-               "socsqueeze.gaussian", "socsqueeze.metrics", "socsqueeze.algebra")
+               "socsqueeze.gaussian", "socsqueeze.metrics", "socsqueeze.algebra",
+               "socsqueeze.crossing")
     pools = ("concurrent.futures", "multiprocessing")
     # (setup, thread variables set before it, modules it must not load besides
     # scipy, OPENBLAS_NUM_THREADS after it)

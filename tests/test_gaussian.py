@@ -4,8 +4,9 @@ expansion, vacuum limits, symplectic purity, agreement with exact
 diagonalization (also where the central mode is depleted, converging as
 1/N), the frequencies against the earlier chart expansion's normal form, the
 mean-field search against a multi-start BFGS oracle and against a grid
-search polished by Newton on the sphere of spinors, and the generator
-moments against a Wick's theorem oracle on the side-mode operators."""
+search polished by Newton on the sphere of spinors, its crossings against
+the earlier bisection, and the generator moments against a Wick's theorem
+oracle on the side-mode operators."""
 
 import math
 
@@ -708,6 +709,92 @@ def test_mean_field_matches_grid_newton_oracle():
         v = ref.as_vector()
         depleted += 1.0 - v @ v < 0.5
     assert depleted >= 300, depleted
+
+
+_ORACLE_BISECTIONS = 52  # shrink a 0.01 scan bracket to about 2e-18
+
+
+def _oracle_matrices(coeffs, n_atoms):
+    """Oracle: A(mu) = L - 2qN mu Jz at every mu of an array, from the
+    hand-written matrices, and its slope 2qN."""
+    lmat = coeffs.hz * _ORACLE_JZ + coeffs.hx * _ORACLE_JX + coeffs.hY * _ORACLE_Y
+    slope = 2.0 * coeffs.q * n_atoms
+    return (lambda mu: lmat - (slope * mu)[:, None, None] * _ORACLE_JZ), slope
+
+
+def _bisected_crossings(matrices):
+    """Oracle: the earlier crossing search.  The upward sign changes of
+    h(mu) = mu - <Jz>_0(mu) on a 201-point scan of [-1, 1] (a point with
+    h >= 0 after one with h < 0, or mu = -1 itself), each closed by 52
+    bisections onto the point with h >= 0, so also onto a jump of h where
+    lambda_0 is degenerate."""
+    def h(mu):
+        vecs = np.linalg.eigh(matrices(mu))[1]
+        return mu - vecs[:, 0, 0] ** 2 + vecs[:, 2, 0] ** 2
+
+    scan = np.linspace(-1.0, 1.0, 201)
+    above = h(scan) >= 0.0
+    up = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
+    lo, hi = scan[np.maximum(up - 1, 0)], scan[up]
+    for _ in range(_ORACLE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        mid_above = h(mid) >= 0.0
+        lo, hi = np.where(mid_above, lo, mid), np.where(mid_above, mid, hi)
+    return hi
+
+
+def _mean_field_sets(seed, m=420):
+    """The 24 benchmark cells and m seeded coefficient sets: |q| N from 1e-2
+    to 1e3 with q of either sign, |hx| from 1e-3 to 10 and exactly 0 at one
+    set in seven (a degenerate lambda_0 makes h jump), hz in (-3, 3), hY in
+    (-3, 5) and N in {20, 200, 1e5}."""
+    sets = [(effective_coefficients(ModelParams(omega_R=om, delta=de, epsilon=ep, N=n)), n)
+            for om, de, ep, n in _perfbench_gaussian_cells()]
+    rng = np.random.default_rng(seed)
+    for i in range(m):
+        n = int(rng.choice([20, 200, 100000]))
+        qn = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 3.0)
+        hx = 0.0 if i % 7 == 0 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.0)
+        sets.append((EffectiveCoefficients(q=qn / n, hx=hx, hz=rng.uniform(-3.0, 3.0),
+                                           hY=rng.uniform(-3.0, 5.0)), n))
+    return sets
+
+
+def test_crossings_match_the_bisection_oracle():
+    # the bracketed Newton finds every crossing that 52 bisections of each
+    # scan bracket find, to within its step tolerance, also at hx = 0, where
+    # it must bisect onto the jump of h
+    from socsqueeze import gaussian
+
+    jumps = 0
+    for coeffs, n in _mean_field_sets(41):
+        matrices, slope = _oracle_matrices(coeffs, n)
+        got, ref = gaussian._crossings(matrices, slope), _bisected_crossings(matrices)
+        assert len(got) == len(ref) >= 1, (coeffs, n)
+        assert np.max(np.abs(got - ref)) <= 1e-13, (coeffs, n)
+        jumps += coeffs.hx == 0.0
+    assert jumps >= 60
+
+
+def test_mean_field_takes_few_eigh_calls(monkeypatch):
+    # one eigh for the scan, one per Newton step and one for the amplitudes;
+    # a crossing must not fall back to bisecting its bracket down to the step
+    # tolerance, except onto a jump of h (hx = 0), which takes about 37 halvings
+    from socsqueeze import gaussian
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls[-1] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for coeffs, n in _mean_field_sets(41):
+        calls.append(0)
+        gaussian._classical_minimum(coeffs, n)
+    assert max(calls[:24]) <= 6
+    assert max(calls) <= 39
 
 
 def test_mirror_symmetry_swaps_side_modes():
