@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import generator_matrix, generator_stack
-from .crossing import _refine_crossings
+from .crossing import _NEWTON_TOL, _refine_crossings
 from .errors import ConfigError, ConvergenceError, UnstableExpansionError
 from .metrics import MomentSet
 
@@ -157,10 +157,10 @@ def _classical_minimum(coeffs, n_atoms):
     numerical range of (L, Jz) is convex, so the Lagrange dual is exact.  A
     is real, so the amplitudes are real, with x+ and x- of the sign of
     -omega once the central amplitude s is taken >= 0.  The candidates are
-    the upward zero crossings of mu - <Jz>_0(mu) on [-1, 1], found by a
-    201-point scan and closed by ``crossing``'s Newton.  Where lambda_0 is
-    degenerate at a crossing (only at omega = 0) the minimizer is the mix of
-    the pair with <Jz> = mu, and its relative phase is free.
+    those of ``_crossings``.  Where lambda_0 is degenerate at a crossing
+    (only at omega = 0, where h jumps) the minimizer is the mix of the pair
+    with <Jz> = mu, and its relative phase is free.  A jump is closed only
+    to _NEWTON_TOL, so a pair 4|qN| _NEWTON_TOL apart is degenerate too.
 
     Returns (z, energy, free_phase): the unit amplitudes (beta+, s, beta-)
     of every candidate within 1e-10 of the lowest per-atom energy, one per
@@ -178,7 +178,8 @@ def _classical_minimum(coeffs, n_atoms):
         mu = _crossings(matrices, slope)
         w, vecs = np.linalg.eigh(matrices(mu))
         z = vecs[:, :, 0].copy()
-        free_phase = w[:, 1] - w[:, 0] <= 1e-12 * np.maximum(1.0, np.max(np.abs(w), axis=1))
+        free_phase = w[:, 1] - w[:, 0] <= np.maximum(
+            1e-12 * np.maximum(1.0, np.max(np.abs(w), axis=1)), 2.0 * abs(slope) * _NEWTON_TOL)
         for i in np.flatnonzero(free_phase):
             z[i] = _degenerate_mix(vecs[i, :, 0], vecs[i, :, 1], mu[i])
         z *= np.where(z[:, 1] < 0.0, -1.0, 1.0)[:, None]
