@@ -76,7 +76,7 @@ def _report_for_point(cfg, params, seed):
 
         coeffs = effective_coefficients(params)
         mean_field = hp_mean_field(coeffs, params.N)
-        sol = hp_quadratic(coeffs, params.N, mean_field)
+        sol = hp_quadratic(coeffs, params.N, mean_field.z)
         moments = gaussian_moment_set(sol)
         extras = {"backend": "gaussian",
                   "energy_per_atom": sol.energy_per_atom,

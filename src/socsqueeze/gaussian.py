@@ -1,11 +1,14 @@
 """Mean-field plus Gaussian-fluctuation treatment of the collective Hamiltonian.
 
-The mean field is the condensate mode z, the unit spinor that minimizes the
-classical (per-atom) energy: the lowest eigenvector of the real 3x3 matrix
-A = L - 2qN<Jz>Jz in a self-consistent effective Zeeman field (a 1-D search
-over the self-consistent <Jz>).  The fluctuations are the number-conserving
-Bogoliubov expansion about that mode (Castin and Dum, PRA 57, 3008 (1998);
-for spinor gases Kawaguchi and Ueda, Phys. Rep. 520, 253 (2012)).  In the
+The mean field is the condensate mode z = (beta+, s, beta-), the real unit
+spinor with s >= 0 that minimizes the classical (per-atom) energy: the lowest
+eigenvector of the real 3x3 matrix A = L - 2qN<Jz>Jz in a self-consistent
+effective Zeeman field (a 1-D search over the self-consistent <Jz>).  z is
+the mean field's only coordinate: the energy, the stationarity test and the
+expansion all take it as it is, so a nearly empty central mode (s near 0) is
+an ordinary point.  The fluctuations are the number-conserving Bogoliubov
+expansion about that mode (Castin and Dum, PRA 57, 3008 (1998); for spinor
+gases Kawaguchi and Ueda, Phys. Rep. 520, 253 (2012)).  In the
 frame U = (z, e1, e2) of A's eigenvectors the two side modes b1, b2 carry
 H2 = p^T D p / 2 + x^T K x / 2, with the gaps D = diag(lambda_a - lambda_0),
 the couplings c_a = z^T Jz e_a and K = D - 4qN c c^T.  With
@@ -54,17 +57,14 @@ def _symbol_value(mats, z):
     return np.einsum("i...,kij,j...->k...", z.conj(), mats, z).real
 
 
-def classical_energy(v, coeffs, n_atoms):
-    """Per-atom energy of side-mode amplitudes v = (x+, y+, x-, y-), in the
-    product state z = (x+ + i y+, s, x- + i y-) with s = sqrt(1 - |v|^2) >= 0.
+def classical_energy(z, coeffs, n_atoms):
+    """Per-atom energy -qN <Jz>^2 + <L> of the product state of a unit spinor
+    z = (z+, z0, z-), real or complex, with <G> = z^dag G z.
 
-    ``v`` may carry trailing axes, giving the energy at every point of a grid.
+    ``z`` may carry trailing axes, shape (3, ...), giving the energy of every
+    spinor of a grid.
     """
-    v = np.asarray(v)
-    z = np.array([v[0] + 1j * v[1],
-                  np.sqrt(np.maximum(1.0 - np.einsum("i...,i...->...", v, v), 0.0)),
-                  v[2] + 1j * v[3]])
-    jz, jx, y = _symbol_value(_ENERGY_GENERATORS, z)
+    jz, jx, y = _symbol_value(_ENERGY_GENERATORS, np.asarray(z))
     return -coeffs.q * n_atoms * jz * jz + coeffs.hz * jz + coeffs.hx * jx + coeffs.hY * y
 
 
@@ -102,17 +102,13 @@ def _self_consistent_matrix(coeffs, n_atoms, z):
 
 @dataclass(frozen=True)
 class MeanFieldResult:
-    """Optimal side-mode amplitudes and diagnostics of the search."""
+    """The condensate mode and diagnostics of the search: z is the real unit
+    spinor (beta+, s, beta-) with s >= 0."""
 
-    beta_p: complex
-    beta_m: complex
+    z: np.ndarray
     energy_per_atom: float
     grad_norm: float
     degenerate: bool
-
-    def as_vector(self):
-        return np.array([self.beta_p.real, self.beta_p.imag,
-                         self.beta_m.real, self.beta_m.imag])
 
 
 def _crossings(matrices, slope):
@@ -155,8 +151,8 @@ def _classical_minimum(coeffs, n_atoms):
     A(mu) = L - 2qN mu Jz at a self-consistent mu = j: for q > 0 because
     -qN j^2 = min_mu (qN mu^2 - 2qN mu j), for q < 0 because the joint
     numerical range of (L, Jz) is convex, so the Lagrange dual is exact.  A
-    is real, so the amplitudes are real, with x+ and x- of the sign of
-    -omega once the central amplitude s is taken >= 0.  The candidates are
+    is real, so the amplitudes are real, with beta+ and beta- of the sign
+    of -omega once the central amplitude s is taken >= 0.  The candidates are
     those of ``_crossings``.  Where lambda_0 is degenerate at a crossing
     (only at omega = 0, where h jumps) the minimizer is the mix of the pair
     with <Jz> = mu, and its relative phase is free.  A jump is closed only
@@ -183,8 +179,7 @@ def _classical_minimum(coeffs, n_atoms):
         for i in np.flatnonzero(free_phase):
             z[i] = _degenerate_mix(vecs[i, :, 0], vecs[i, :, 1], mu[i])
         z *= np.where(z[:, 1] < 0.0, -1.0, 1.0)[:, None]
-        zero = np.zeros_like(mu)
-        energies = classical_energy(np.array([z[:, 0], zero, z[:, 2], zero]), coeffs, n_atoms)
+        energies = classical_energy(z.T, coeffs, n_atoms)
     if not (len(mu) and np.isfinite(w).all() and np.isfinite(energies).all()):
         raise _overflow("mean-field matrix overflows", coeffs, n_atoms)
     order = np.argsort(energies, kind="stable")
@@ -212,8 +207,7 @@ def hp_mean_field(coeffs, n_atoms):
             context={"coeffs": coeffs, "N": n_atoms},
         )
     return MeanFieldResult(
-        beta_p=complex(z[0, 0]),
-        beta_m=complex(z[0, 2]),
+        z=z[0],
         energy_per_atom=energy,
         grad_norm=gn,
         degenerate=free_phase or len(z) > 1,
@@ -231,30 +225,26 @@ class GaussianSolution:
     energy_per_atom: float
 
 
-def hp_quadratic(coeffs, n_atoms, mean_field):
-    """The Bogoliubov expansion about a stationary point, in its own frame.
+def hp_quadratic(coeffs, n_atoms, z):
+    """The Bogoliubov expansion about a stationary point z, in its own frame.
 
-    ``mean_field`` is a MeanFieldResult or a finite 4-vector (x+, y+, x-, y-)
-    with |v| <= 1, for the product state z = (x+ + i y+, s, x- + i y-) with
-    s = sqrt(1 - |v|^2).  z must be stationary within GRAD_TOL_EXPAND times
-    the energy scale, so an eigenvector of the self-consistent A, whose
-    eigenvectors then make the frame (z, e1, e2).  The point is a stable
-    minimum when the gaps D and K = D - 4qN c c^T both exceed MODE_TOL times
-    the energy scale; if not (a stationary point that is not the lowest, or a
-    zero mode such as a free phase), UnstableExpansionError carries the
-    offending frequency, a square root of an eigenvalue of D K.  The returned
-    covariance has symplectic eigenvalues exactly 1/2 up to roundoff (pure
-    Gaussian ground state).  D K has the units of a squared frequency: where
-    it overflows float64, ConvergenceError.
+    ``z`` is the spinor of the product state, as ``MeanFieldResult.z``: a
+    finite real 3-vector with |z^T z - 1| <= 1e-12, or ConfigError.  It must
+    be stationary within GRAD_TOL_EXPAND times the energy scale, so an
+    eigenvector of the self-consistent A, whose eigenvectors then make the
+    frame (z, e1, e2).  The point is a stable minimum when the gaps D and
+    K = D - 4qN c c^T both exceed MODE_TOL times the energy scale; if not (a
+    stationary point that is not the lowest, or a zero mode such as a free
+    phase), UnstableExpansionError carries the offending frequency, a square
+    root of an eigenvalue of D K.  The returned covariance has symplectic
+    eigenvalues exactly 1/2 up to roundoff (pure Gaussian ground state).  D K
+    has the units of a squared frequency: where it overflows float64,
+    ConvergenceError.
     """
-    if isinstance(mean_field, MeanFieldResult):
-        v = mean_field.as_vector()
-    else:
-        v = np.asarray(mean_field, dtype=float)
-        if v.shape != (4,) or not np.isfinite(v).all() or v @ v > 1.0:
-            raise ConfigError("mean_field must be a MeanFieldResult or a finite 4-vector "
-                              "with |v| <= 1")
-    z = np.array([complex(v[0], v[1]), math.sqrt(max(1.0 - v @ v, 0.0)), complex(v[2], v[3])])
+    z = np.asarray(z)
+    if (np.iscomplexobj(z) or z.shape != (3,) or not np.isfinite(z).all()
+            or abs(z @ z - 1.0) > 1e-12):
+        raise ConfigError("the expansion point must be a finite real unit 3-vector")
     a, gn = _self_consistent_matrix(coeffs, n_atoms, z)
     scale = _energy_scale(coeffs, n_atoms)
     if gn > GRAD_TOL_EXPAND * scale:
@@ -295,7 +285,7 @@ def hp_quadratic(coeffs, n_atoms, mean_field):
         frame=frame,
         covariance=sigma,
         frequencies=freqs[::-1],
-        energy_per_atom=float(classical_energy(v, coeffs, n_atoms)),
+        energy_per_atom=float(classical_energy(z, coeffs, n_atoms)),
     )
 
 
@@ -346,4 +336,4 @@ def gaussian_moment_set(solution):
 def solve_gaussian(coeffs, n_atoms):
     """Convenience: mean field, quadratic expansion, Gaussian solution."""
     mf = hp_mean_field(coeffs, n_atoms)
-    return hp_quadratic(coeffs, n_atoms, mf)
+    return hp_quadratic(coeffs, n_atoms, mf.z)

@@ -644,6 +644,15 @@ N = 200
     report = json.loads(read_bytes(out / "report.json"))
     assert report["rho_0"] < 0.05 and report["mf_grad_norm"] <= 1e-10
     assert report["mf_degenerate"] is True  # one of the mirror pair at delta = 0
+    # at omega_R = 1, epsilon = -3e7 the central mode holds about 1e-16 of the
+    # atoms, which the earlier chart lost to roundoff and refused (exit 3)
+    (out / "report.json").unlink()
+    empty = write_config(tmp_path / "empty.ini",
+                         ini.replace("omega_R = 2.0", "omega_R = 1.0").replace("6.0", "-3e7"))
+    assert main(["run", "--config", empty]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(read_bytes(out / "report.json"))
+    assert report["rho_0"] < 1e-12 and report["mf_degenerate"] is True
 
 
 def test_gp_ground_run(tmp_path):

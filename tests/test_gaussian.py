@@ -2,17 +2,16 @@
 sphere gradient, the frame's quadratic form and every generator's frame
 expansion, vacuum limits, symplectic purity, agreement with exact
 diagonalization (also where the central mode is depleted, converging as
-1/N), the frequencies against the earlier chart expansion's normal form, the
-mean-field search against a multi-start BFGS oracle and against a grid
-search polished by Newton on the sphere of spinors, its crossings against
-the earlier bisection, and the generator moments against a Wick's theorem
+1/N, or nearly empty), the frequencies against the earlier chart
+expansion's normal form, the mean-field search against a grid search
+polished by Newton on the sphere of spinors, its crossings against the
+earlier bisection, and the generator moments against a Wick's theorem
 oracle on the side-mode operators."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from socsqueeze.errors import ConfigError, ConvergenceError, UnstableExpansionError
 from socsqueeze.algebra import GENERATOR_LABELS, generator_matrix, generator_stack
@@ -34,6 +33,7 @@ from socsqueeze.metrics import MomentSet, build_report, populations, xi_x
 from socsqueeze.params import EffectiveCoefficients, ModelParams, effective_coefficients
 
 COEFFS = effective_coefficients(ModelParams(omega_R=2.0, delta=0.5, epsilon=6.0, N=100))
+CENTRAL = np.array([0.0, 1.0, 0.0])  # every atom in the m = 0 mode
 
 
 def _symbol_pieces(matrix3, u, n_atoms):
@@ -112,12 +112,10 @@ def _normal_form(m):
     return freqs[[3, 1]], 0.5 * (sigma + sigma.T)
 
 
-def _sphere_energy(z, coeffs, n_atoms):
-    """The package's per-atom energy of a unit spinor z, in the chart of the
-    global phase that makes the central amplitude real and >= 0."""
-    z = z * np.exp(-1j * np.angle(z[1]))
-    return classical_energy(np.array([z[0].real, z[0].imag, z[2].real, z[2].imag]),
-                            coeffs, n_atoms)
+def _chart_spinor(v):
+    """The unit spinor (x+ + i y+, s, x- + i y-) with s = sqrt(1 - |v|^2) of
+    the earlier chart's coordinates v = (x+, y+, x-, y-), |v| < 1."""
+    return np.array([v[0] + 1j * v[1], math.sqrt(1.0 - v @ v), v[2] + 1j * v[3]])
 
 
 def _displaced(frame, r, n_atoms):
@@ -208,8 +206,8 @@ def test_gradient_matches_finite_differences():
         derivs = []
         for row in tangent:
             w = row[:3] + 1j * row[3:]
-            fd = (_sphere_energy(np.cos(h) * z + np.sin(h) * w, COEFFS, 100)
-                  - _sphere_energy(np.cos(h) * z - np.sin(h) * w, COEFFS, 100)) / (2 * h)
+            fd = (classical_energy(np.cos(h) * z + np.sin(h) * w, COEFFS, 100)
+                  - classical_energy(np.cos(h) * z - np.sin(h) * w, COEFFS, 100)) / (2 * h)
             assert abs(fd - 2.0 * (w.conj() @ a @ z).real) <= 1e-6 * max(1.0, abs(fd))
             derivs.append(fd)
         assert abs(np.linalg.norm(derivs) - gn) <= 1e-6 * max(1.0, gn)
@@ -228,15 +226,13 @@ def test_hessian_matches_finite_differences():
     points.append((EffectiveCoefficients(q=-0.01, hx=1.2, hz=0.6, hY=2.5), 100))
     for coeffs, n in points:
         mf = hp_mean_field(coeffs, n)
-        sol = hp_quadratic(coeffs, n, mf)
+        sol = hp_quadratic(coeffs, n, mf.z)
         frame = sol.frame
         assert np.max(np.abs(frame.T @ frame - np.eye(3))) <= 1e-14
-        s = math.sqrt(1.0 - abs(mf.beta_p) ** 2 - abs(mf.beta_m) ** 2)
-        z = np.array([mf.beta_p.real, s, mf.beta_m.real])
-        assert np.max(np.abs(abs(frame[:, 0] @ z) - 1.0)) <= 1e-12
+        assert np.max(np.abs(abs(frame[:, 0] @ mf.z) - 1.0)) <= 1e-12
 
         def energy(r):
-            return n * _sphere_energy(_displaced(frame, r, n), coeffs, n)
+            return n * classical_energy(_displaced(frame, r, n), coeffs, n)
 
         hess = _central_differences(energy, 1e-2)[1]
         scale = np.max(np.abs(hess))
@@ -284,41 +280,46 @@ def test_symbol_derivatives_match_finite_differences_for_every_generator():
 
 
 def test_mean_field_is_stationary_and_stable():
+    # the sphere oracle's gradient and Hessian along the real tangent plane
+    # and the relative phases
     mf = hp_mean_field(COEFFS, 100)
     assert mf.grad_norm <= 1e-10
-    v = mf.as_vector()
-    assert np.linalg.norm(_oracle_gradient(v, COEFFS, 100)) <= 1e-10
-    assert np.linalg.eigvalsh(_oracle_hessian(v, COEFFS, 100))[0] >= -1e-9
+    _, _, grad, hess = _oracle_tangent_terms(mf.z, COEFFS, 100)
+    assert np.linalg.norm(grad) <= 1e-10
+    assert np.linalg.eigvalsh(hess)[0] >= -1e-9
 
 
 def test_mean_field_vacuum_when_undriven():
     coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0, N=100))
     mf = hp_mean_field(coeffs, 100)
-    assert abs(mf.beta_p) <= 1e-9
-    assert abs(mf.beta_m) <= 1e-9
+    assert abs(mf.z[0]) <= 1e-9
+    assert abs(mf.z[2]) <= 1e-9
     # classical energy of the empty side modes: -2 hY / sqrt(3)
     assert abs(mf.energy_per_atom + 2.0 * coeffs.hY / np.sqrt(3.0)) <= 1e-12
 
 
 def test_quadratic_requires_stationary_point():
-    with pytest.raises(ConfigError):
-        hp_quadratic(COEFFS, 100, np.array([0.3, 0.0, -0.2, 0.1]))
+    z = np.array([0.3, 0.9, -0.2])
+    with pytest.raises(ConfigError, match="requires a stationary point"):
+        hp_quadratic(COEFFS, 100, z / np.linalg.norm(z))
 
 
 def test_quadratic_rejects_a_malformed_mean_field_vector():
     # a NaN gradient norm is not above the tolerance, so a non-finite vector
-    # is caught with the shape, before the expansion; so is one outside the
-    # unit ball, which is no spinor
+    # is caught with the shape, before the expansion; so is a wrong shape (the
+    # earlier chart's 4-vector among them), a norm off 1 by more than 1e-12,
+    # which is no spinor, and a complex spinor
     nan, inf = float("nan"), float("inf")
-    for v in ([0.0, 0.0, 0.0], [nan, 0.0, 0.0, 0.0], [inf, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -inf],
-              [0.8, 0.0, -0.7, 0.0]):
-        with pytest.raises(ConfigError, match="MeanFieldResult or a finite 4-vector"):
-            hp_quadratic(COEFFS, 100, np.array(v))
+    for z in ([0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [[0.0, 1.0, 0.0]], [nan, 1.0, 0.0],
+              [inf, 1.0, 0.0], [0.0, 1.0, -inf], [0.8, 0.0, -0.7], [0.0, 1.0 + 2e-12, 0.0],
+              [0.0, 0.5, 0.0], [0.0, 1.0j, 0.0]):
+        with pytest.raises(ConfigError, match="must be a finite real unit 3-vector"):
+            hp_quadratic(COEFFS, 100, np.array(z))
 
 
 def test_vacuum_covariance_is_identity_over_two():
     coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0, N=100))
-    sol = hp_quadratic(coeffs, 100, np.zeros(4))
+    sol = hp_quadratic(coeffs, 100, CENTRAL)
     assert np.max(np.abs(sol.covariance - 0.5 * np.eye(4))) <= 1e-12
     # both normal modes sit at the bare side-mode gap 2 sqrt(3) hY / 2
     assert np.allclose(sol.frequencies, np.sqrt(3.0) * coeffs.hY, atol=1e-9)
@@ -341,7 +342,7 @@ def test_unstable_expansion_raises_with_frequency():
     # inverted quadrupole field makes the empty condensate a local maximum
     coeffs = EffectiveCoefficients(q=0.0, hx=0.0, hz=0.0, hY=-2.0)
     with pytest.raises(UnstableExpansionError) as err:
-        hp_quadratic(coeffs, 100, np.zeros(4))
+        hp_quadratic(coeffs, 100, CENTRAL)
     assert err.value.frequency is not None
     # omega_R = 0 with an attractive -q Fz^2 frees the mean field's phase: a
     # zero mode, which the gaps and K must exceed by more than roundoff
@@ -353,7 +354,7 @@ def test_unstable_expansion_raises_with_frequency():
 
 def test_vacuum_moments_reproduce_fock_limits():
     coeffs = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0, N=150))
-    sol = hp_quadratic(coeffs, 150, np.zeros(4))
+    sol = hp_quadratic(coeffs, 150, CENTRAL)
     m = gaussian_moment_set(sol)
     assert abs(m.cov("Jx", "Jx") - 150.0) <= 1e-9
     assert abs(m.cov("Jy", "Jy") - 150.0) <= 1e-9
@@ -423,8 +424,8 @@ def test_stationarity_tolerances_follow_the_energy_scale():
         assert _energy_scale(coeffs, 40) == abs(coeffs.hx)
         mf = hp_mean_field(coeffs, 40)
         assert mf.grad_norm <= 1e-3 * GRAD_TOL_ACCEPT * abs(coeffs.hx)
-        assert abs(mf.beta_p + 0.5) <= 2.0 / omega_r and abs(mf.beta_m + 0.5) <= 2.0 / omega_r
-        sol = hp_quadratic(coeffs, 40, mf)
+        assert abs(mf.z[0] + 0.5) <= 2.0 / omega_r and abs(mf.z[2] + 0.5) <= 2.0 / omega_r
+        sol = hp_quadratic(coeffs, 40, mf.z)
         assert np.allclose(sol.frequencies / abs(coeffs.hx), [2.0, 1.0], rtol=0.0,
                            atol=10.0 / omega_r)
 
@@ -448,44 +449,19 @@ def test_float64_overflow_is_named_without_a_warning():
         assert err.value.context == {"coeffs": coeffs, "N": 40}
 
 
-def _oracle_state(v):
-    """Oracle: the coordinates of v = (x+, y+, x-, y-), |beta+|^2, |beta-|^2 and
-    s in plain floats, with s^2 = 1 - |u|^2 floored at 1e-14 as the package does."""
-    xp, yp, xm, ym = (float(c) for c in v)
-    rp, rm = xp * xp + yp * yp, xm * xm + ym * ym
-    return (xp, yp, xm, ym), rp, rm, math.sqrt(max(1.0 - rp - rm, 1e-14))
-
-
-def _oracle_energy(v, coeffs, n_atoms):
-    """Oracle: the per-atom classical energy written out by hand,
-    E = -qN j^2 + hz j + hx sqrt2 s (x+ + x-) + hY (|b+|^2 + |b-|^2 - 2 s^2) / sqrt3
-    with j = |b+|^2 - |b-|^2."""
-    (xp, _, xm, _), rp, rm, s = _oracle_state(v)
-    j = rp - rm
-    return (-coeffs.q * n_atoms * j * j + coeffs.hz * j
-            + coeffs.hx * math.sqrt(2.0) * s * (xp + xm)
-            + coeffs.hY * (rp + rm - 2.0 * s * s) / math.sqrt(3.0))
-
-
-def _oracle_gradient(v, coeffs, n_atoms):
-    """Oracle: dE/du of ``_oracle_energy`` by hand, with dj/du = 2 (x+, y+, -x-, -y-),
-    ds/du = -u / s and d(|b+|^2 + |b-|^2 - 2 s^2)/du = 6 u."""
-    (xp, yp, xm, ym), rp, rm, s = _oracle_state(v)
-    jz = 2.0 * (coeffs.hz - 2.0 * coeffs.q * n_atoms * (rp - rm))
-    drive = coeffs.hx * math.sqrt(2.0)
-    radial = 2.0 * math.sqrt(3.0) * coeffs.hY - drive * (xp + xm) / s
-    return np.array([(jz + radial) * xp + drive * s, (jz + radial) * yp,
-                     (radial - jz) * xm + drive * s, (radial - jz) * ym])
-
-
 def test_oracle_energy_and_gradient_match_the_package():
-    # the oracles' hand-written energy against the package's, their gradient
-    # against central differences of the package's energy, and their Hessian
-    # (the chain rule on the hand-derived symbol pieces) against central
-    # differences of their gradient, at random points inside the disk, q of
-    # either sign
+    # the sphere oracle's hand-written energy against the package's at random
+    # complex unit spinors and at their real parts' spinors, its gradient
+    # against central differences of the package's energy and its Hessian
+    # against central differences of its gradient, in the six real
+    # coordinates (Re z, Im z); and the chart Hessian oracle (the chain rule on
+    # the hand-derived symbol pieces) against central differences of the
+    # package's energy at z(v), at random points v inside the disk, q of
+    # either sign.  The chart's derivatives grow like powers of 1/s towards
+    # the rim, so its steps shrink like s^2
     rng = np.random.default_rng(33)
     h = 1e-6
+    steps = h * np.concatenate([np.eye(3), 1j * np.eye(3)])
     for i in range(200):
         n = int(rng.choice([10, 200, 100000]))
         coeffs = EffectiveCoefficients(q=(-1.0) ** i * rng.uniform(0.5, 10.0) / n,
@@ -493,44 +469,20 @@ def test_oracle_energy_and_gradient_match_the_package():
                                        hY=rng.uniform(-1.0, 6.0))
         v = rng.normal(size=4)
         v *= rng.uniform(0.0, 0.999) / np.linalg.norm(v)
-        e_ref = classical_energy(v, coeffs, n)
-        assert abs(_oracle_energy(v, coeffs, n) - e_ref) <= 1e-13 * max(1.0, abs(e_ref))
-        steps = h * np.eye(4)
-        g_ref = np.array([classical_energy(v + dv, coeffs, n) - classical_energy(v - dv, coeffs, n)
-                          for dv in steps]) / (2 * h)
-        g = _oracle_gradient(v, coeffs, n)
-        assert np.max(np.abs(g - g_ref)) <= 1e-6 * max(1.0, np.max(np.abs(g)))
-        h_ref = np.array([_oracle_gradient(v + dv, coeffs, n) - _oracle_gradient(v - dv, coeffs, n)
-                          for dv in steps]) / (2 * h)
+        for z in (_chart_spinor(v), _chart_spinor(v * [1.0, 0.0, 1.0, 0.0])):
+            e, g, hess = _oracle_sphere_terms(z, coeffs, n)
+            e_ref = classical_energy(z, coeffs, n)
+            assert abs(e - e_ref) <= 1e-13 * max(1.0, abs(e_ref))
+            g_ref = (classical_energy(z[:, None] + steps.T, coeffs, n)
+                     - classical_energy(z[:, None] - steps.T, coeffs, n)) / (2 * h)
+            assert np.max(np.abs(g - g_ref)) <= 1e-6 * max(1.0, np.max(np.abs(g)))
+            h_ref = np.array([_oracle_sphere_terms(z + dz, coeffs, n)[1]
+                              - _oracle_sphere_terms(z - dz, coeffs, n)[1] for dz in steps]) / (2 * h)
+            assert np.max(np.abs(hess - h_ref)) <= 1e-5 * max(1.0, np.max(np.abs(hess)))
+        h_ref = _central_differences(lambda dv: classical_energy(_chart_spinor(v + dv), coeffs, n),
+                                     2e-4 * (1.0 - v @ v))[1]
         hess = _oracle_hessian(v, coeffs, n)
         assert np.max(np.abs(hess - h_ref)) <= 1e-5 * max(1.0, np.max(np.abs(hess)))
-
-
-def _bfgs_mean_field(coeffs, n_atoms):
-    """Oracle: 25 BFGS starts from the per-mode seeds {0, +-0.05, +-0.05i},
-    each polished by a root solve, with the package's acceptance at an energy
-    scale of 1: fixed, so at least as strict as the package's.  Energy,
-    gradient and Hessian are the oracle's own plain-float ones."""
-    seeds = (0.0, 0.05, -0.05, 0.05j, -0.05j)
-    args = (coeffs, n_atoms)
-    accepted = []
-    for sp in seeds:
-        for sm in seeds:
-            v0 = np.array([sp.real, sp.imag, sm.real, sm.imag])
-            res = scipy.optimize.minimize(
-                _oracle_energy, v0, args=args, jac=_oracle_gradient,
-                method="BFGS", options={"gtol": 1e-11, "maxiter": 500},
-            )
-            sol = scipy.optimize.root(_oracle_gradient, res.x, args=args,
-                                      jac=_oracle_hessian, method="hybr", tol=1e-13)
-            v = sol.x if sol.success else res.x
-            if np.linalg.norm(_oracle_gradient(v, *args)) > GRAD_TOL_ACCEPT or v @ v >= 1.0:
-                continue
-            if np.linalg.eigvalsh(_oracle_hessian(v, *args))[0] < -1e-9 * max(1.0, abs(coeffs.hY)):
-                continue
-            accepted.append((_oracle_energy(v, *args), v))
-    accepted.sort(key=lambda t: t[0])
-    return accepted[0]
 
 
 def _perfbench_gaussian_cells():
@@ -545,7 +497,7 @@ def test_moment_set_matches_looped_oracle():
     # the 24 benchmark cells and the vacuum; entries that vanish exactly come
     # out as roundoff of the largest one, hence the 1e-14 floor
     vacuum = effective_coefficients(ModelParams(omega_R=0.0, delta=0.0, epsilon=6.0, N=150))
-    solutions = [hp_quadratic(vacuum, 150, np.zeros(4))]
+    solutions = [hp_quadratic(vacuum, 150, CENTRAL)]
     for omega_r, delta, eps, n in _perfbench_gaussian_cells():
         coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
         solutions.append(solve_gaussian(coeffs, n))
@@ -557,157 +509,175 @@ def test_moment_set_matches_looped_oracle():
 
 
 def test_phase_closed_form_never_raises_the_energy():
+    # a complex unit spinor against the real one of the same moduli with the
+    # side amplitudes of the sign of -hx
     rng = np.random.default_rng(21)
     negative_drive = EffectiveCoefficients(q=0.08, hx=-1.3, hz=0.4, hY=3.0)
     for coeffs in (COEFFS, negative_drive):
         sign = np.sign(coeffs.hx)
         for _ in range(100):
-            v = rng.standard_normal(4)
-            v *= rng.uniform(0.0, 0.999) / np.linalg.norm(v)
-            reduced = np.array([-sign * np.hypot(v[0], v[1]), 0.0,
-                                -sign * np.hypot(v[2], v[3]), 0.0])
-            assert classical_energy(v, coeffs, 100) >= classical_energy(reduced, coeffs, 100) - 1e-12
-
-
-def test_mean_field_matches_multistart_bfgs_oracle():
-    rng = np.random.default_rng(31)
-    cells = _perfbench_gaussian_cells()
-    cells += [(rng.uniform(0.0, 5.0), rng.uniform(-2.0, 2.0), rng.uniform(6.0, 10.0), 200)
-              for _ in range(12)]
-    points = [(effective_coefficients(ModelParams(omega_R=om, delta=de, epsilon=ep, N=n)), n)
-              for om, de, ep, n in cells]
-    # q < 0 with a drive: there the 1-D search rests on the exact Lagrange dual
-    rng = np.random.default_rng(32)
-    points += [(EffectiveCoefficients(q=-rng.uniform(0.005, 0.03),
-                                      hx=float(rng.choice([-1.0, 1.0])) * rng.uniform(0.3, 2.0),
-                                      hz=rng.uniform(-1.5, 1.5), hY=rng.uniform(1.5, 4.0)), 100)
-               for _ in range(8)]
-    for coeffs, n in points:
-        mf = hp_mean_field(coeffs, n)
-        e_ref, v_ref = _bfgs_mean_field(coeffs, n)
-        assert abs(mf.energy_per_atom - e_ref) <= 1e-12 * abs(e_ref)
-        assert np.max(np.abs(mf.as_vector() - v_ref)) <= 1e-8
-        assert not mf.degenerate
+            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            z /= np.linalg.norm(z)
+            reduced = np.array([-sign * abs(z[0]), abs(z[1]), -sign * abs(z[2])])
+            assert classical_energy(z, coeffs, 100) >= classical_energy(reduced, coeffs, 100) - 1e-12
 
 
 _ORACLE_GRID_POINTS = 41
 _ORACLE_NEIGHBOURS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-# the matrices of E(z) = -qN (z^T Jz z)^2 + z^T (hz Jz + hx Jx + hY Y) z for a
-# real spinor z = (x+, s, x-), written out by hand
+# the matrices of E(z) = -qN (z^dag Jz z)^2 + z^dag (hz Jz + hx Jx + hY Y) z,
+# written out by hand
 _ORACLE_JZ = np.diag([1.0, 0.0, -1.0])
 _ORACLE_JX = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
 _ORACLE_Y = np.diag([1.0, -2.0, 1.0]) / math.sqrt(3.0)
 
 
+def _oracle_zeeman(coeffs):
+    """Oracle: L = hz Jz + hx Jx + hY Y from the hand-written matrices."""
+    return coeffs.hz * _ORACLE_JZ + coeffs.hx * _ORACLE_JX + coeffs.hY * _ORACLE_Y
+
+
+def _oracle_energy(z, coeffs, n_atoms):
+    """Oracle: E(z) of spinors z of shape (3, ...), real or complex."""
+    j = np.einsum("i...,ij,j...->...", z.conj(), _ORACLE_JZ, z).real
+    return (np.einsum("i...,ij,j...->...", z.conj(), _oracle_zeeman(coeffs), z).real
+            - coeffs.q * n_atoms * j * j)
+
+
 def _oracle_energy_grid(coeffs, n_atoms):
-    """Oracle grid: square in p, with x = p sin(pi |p| / 2) / |p| and so
-    s = cos(pi |p| / 2), evenly spaced in angle on the hemisphere
-    (s, x+, x-).  Returns the points and the mask of the grid's local minima
-    (over the neighbours inside |p| <= 1, so next to the rim too)."""
+    """Oracle grid: square in p, with (x+, x-) = p sin(pi |p| / 2) / |p| and
+    s = cos(pi |p| / 2), evenly spaced in angle on the hemisphere of real
+    spinors z = (x+, s, x-).  Returns z (3, n, n) and the mask of the grid's
+    local minima (over the neighbours inside |p| <= 1, so next to the rim
+    too)."""
     p = np.linspace(-1.0, 1.0, _ORACLE_GRID_POINTS)
     pp, pm = np.meshgrid(p, p, indexing="ij")
     radius = np.hypot(pp, pm)
     scale = 0.5 * np.pi * np.sinc(0.5 * radius)  # sin(pi r / 2) / r
-    xp, xm = scale * pp, scale * pm
-    zero = np.zeros_like(xp)
+    z = np.array([scale * pp, np.cos(0.5 * np.pi * radius), scale * pm])
     inside = radius <= 1.0
-    energy = np.where(inside, classical_energy(np.array([xp, zero, xm, zero]),
-                                               coeffs, n_atoms), np.inf)
+    energy = np.where(inside, _oracle_energy(z, coeffs, n_atoms), np.inf)
     padded = np.pad(energy, 1, constant_values=np.inf)
     n = _ORACLE_GRID_POINTS
     neighbours = np.array([padded[1 + di:1 + di + n, 1 + dj:1 + dj + n]
                            for di, dj in _ORACLE_NEIGHBOURS])
-    return xp, xm, inside & np.all(energy <= neighbours, axis=0)
+    return z, inside & np.all(energy <= neighbours, axis=0)
 
 
 def _oracle_sphere_terms(z, coeffs, n_atoms):
-    """Oracle: E(z) of a real spinor z with its gradient and Hessian in R^3:
-    with j = z^T Jz z, grad = 2 L z - 4qN j Jz z and
-    hess = 2 L - 8qN (Jz z)(Jz z)^T - 4qN j Jz."""
-    lmat = coeffs.hz * _ORACLE_JZ + coeffs.hx * _ORACLE_JX + coeffs.hY * _ORACLE_Y
+    """Oracle: E(z) of a spinor z, real or complex, with its gradient and
+    Hessian in the six real coordinates x = (Re z, Im z), where L and Jz act
+    on each half: with j = x^T Jz x, grad = 2 L x - 4qN j Jz x and
+    hess = 2 L - 8qN (Jz x)(Jz x)^T - 4qN j Jz."""
+    lmat = _oracle_zeeman(coeffs)
     qn = coeffs.q * n_atoms
-    jz_z = _ORACLE_JZ @ z
-    j = float(z @ jz_z)
-    return (float(z @ lmat @ z) - qn * j * j, 2.0 * lmat @ z - 4.0 * qn * j * jz_z,
-            2.0 * lmat - 8.0 * qn * np.outer(jz_z, jz_z) - 4.0 * qn * j * _ORACLE_JZ)
+    jz_z, l_z = _ORACLE_JZ @ z, lmat @ z
+    j = float((z.conj() @ jz_z).real)
+    grad = 2.0 * l_z - 4.0 * qn * j * jz_z
+    w = np.concatenate([jz_z.real, jz_z.imag])
+    hess = -8.0 * qn * np.outer(w, w)
+    for half in (slice(0, 3), slice(3, 6)):
+        hess[half, half] += 2.0 * lmat - 4.0 * qn * j * _ORACLE_JZ
+    return (float((z.conj() @ l_z).real) - qn * j * j, np.concatenate([grad.real, grad.imag]),
+            hess)
 
 
-def _oracle_polish(start, coeffs, n_atoms):
-    """Oracle: Riemannian Newton on the unit sphere of real spinors, from the
-    grid point start = (x+, x-).  In an orthonormal basis T of the tangent
-    plane the gradient is T^T grad and the Hessian T^T (hess - z.grad I) T;
-    each step goes along -|H|^-1 g, back onto the sphere by normalizing, and
-    is halved while it raises the energy beyond roundoff.  Returns z with
-    s >= 0, its energy, tangent gradient norm and least tangent Hessian
-    eigenvalue."""
-    z = np.array([start[0], math.sqrt(max(1.0 - start[0] ** 2 - start[1] ** 2, 0.0)), start[1]])
+def _oracle_tangent_terms(z, coeffs, n_atoms):
+    """Oracle: at a real unit spinor z, an orthonormal basis T (3, 2) of its
+    real tangent plane, the energy, and the gradient and Hessian along the
+    sphere of spinors over the tangent directions T and iT (the relative
+    phases): B^T grad and B^T (hess - x.grad I) B, with B the columns (T, 0)
+    and (0, T) in (Re z, Im z)."""
     e, g, h = _oracle_sphere_terms(z, coeffs, n_atoms)
+    tangent = np.linalg.svd(z[None])[2][1:].T
+    basis = np.zeros((6, 4))
+    basis[:3, :2] = basis[3:, 2:] = tangent
+    return tangent, e, basis.T @ g, basis.T @ (h - (z @ g[:3]) * np.eye(6)) @ basis
+
+
+def _oracle_polish(z, coeffs, n_atoms):
+    """Oracle: Riemannian Newton on the unit sphere of real spinors, from the
+    grid spinor z.  Each step goes along -|H|^-1 g in the real tangent plane,
+    back onto the sphere by normalizing, and is halved while it raises the
+    energy beyond roundoff.  Returns z with s >= 0, its energy, tangent
+    gradient norm and least tangent Hessian eigenvalue, the relative phases
+    included."""
+    tangent, e, g, h = _oracle_tangent_terms(z, coeffs, n_atoms)
     for _ in range(60):
-        tangent = np.linalg.svd(z[None])[2][1:].T
-        w, u = np.linalg.eigh(tangent.T @ (h - (z @ g) * np.eye(3)) @ tangent)
-        step = -u @ ((u.T @ tangent.T @ g) / np.maximum(np.abs(w), 1e-12))
+        w, u = np.linalg.eigh(h[:2, :2])
+        step = -u @ ((u.T @ g[:2]) / np.maximum(np.abs(w), 1e-12))
         slack = 1e-13 * max(1.0, abs(e))
         while np.max(np.abs(step)) >= 1e-16:
             trial = z + tangent @ step
             trial /= np.linalg.norm(trial)
-            terms = _oracle_sphere_terms(trial, coeffs, n_atoms)
-            if terms[0] <= e + slack:
+            terms = _oracle_tangent_terms(trial, coeffs, n_atoms)
+            if terms[1] <= e + slack:
                 break
             step = 0.5 * step
         else:
             break
-        z, (e, g, h) = trial, terms
+        z, (tangent, e, g, h) = trial, terms
         if np.max(np.abs(step)) <= 1e-15:
             break
-    tangent = np.linalg.svd(z[None])[2][1:].T
-    w = np.linalg.eigvalsh(tangent.T @ (h - (z @ g) * np.eye(3)) @ tangent)
-    return z if z[1] >= 0.0 else -z, e, float(np.linalg.norm(tangent.T @ g)), float(w[0])
+    return z if z[1] >= 0.0 else -z, e, float(np.linalg.norm(g)), float(np.linalg.eigvalsh(h)[0])
 
 
 def _grid_newton_mean_field(coeffs, n_atoms):
     """Oracle: the earlier mean-field search, polished on the sphere.  The
-    local minima of a 41x41 hemisphere grid over the real (x+, x-) disk are
-    polished by Newton on the unit sphere of real spinors, where the rim of
-    the disk (s = 0) is an ordinary point; accepted points are stationary and
-    have a PSD tangent Hessian, and the lowest wins."""
-    xp, xm, minima = _oracle_energy_grid(coeffs, n_atoms)
+    local minima of a 41x41 grid over the hemisphere of real spinors are
+    polished by Newton on the unit sphere, where a spinor with s = 0 is an
+    ordinary point; accepted points are stationary and have a PSD tangent
+    Hessian, and the lowest wins."""
+    grid, minima = _oracle_energy_grid(coeffs, n_atoms)
     accepted = []
-    for start in zip(xp[minima], xm[minima]):
+    for start in grid[:, minima].T:
         z, e, gn, least = _oracle_polish(start, coeffs, n_atoms)
         if gn <= GRAD_TOL_ACCEPT and least >= -1e-9 * max(1.0, abs(coeffs.hY)):
-            accepted.append((e, gn, np.array([z[0], 0.0, z[2], 0.0])))
+            accepted.append((e, gn, z))
     if not accepted:
         raise ConvergenceError("no mean-field start converged")
     accepted.sort(key=lambda t: t[0])
-    e_best, gn_best, v_best = accepted[0]
-    distinct = [v_best]
-    for e, _, v in accepted[1:]:
+    e_best, gn_best, z_best = accepted[0]
+    distinct = [z_best]
+    for e, _, z in accepted[1:]:
         if e - e_best > 1e-10:
             break
-        if all(np.max(np.abs(v - u)) > 1e-6 for u in distinct):
-            distinct.append(v)
-    return MeanFieldResult(complex(v_best[0], v_best[1]), complex(v_best[2], v_best[3]),
-                           e_best, gn_best, len(distinct) > 1)
+        if all(np.max(np.abs(z - u)) > 1e-6 for u in distinct):
+            distinct.append(z)
+    return MeanFieldResult(z_best, e_best, gn_best, len(distinct) > 1)
 
 
 def test_mean_field_matches_grid_newton_oracle():
     # the 24 benchmark cells and 1 000 seeded points across the wedge and the
     # region where the central mode is depleted, at three atom numbers: all
     # solve and match, at least 300 of them with less than half of the atoms
-    # in the central mode (which the expansion about that mode refused)
+    # in the central mode (which the expansion about that mode refused).
+    # Then 12 seeded cells of the wedge and 8 seeded driven sets with q < 0,
+    # where the 1-D search rests on the exact Lagrange dual, each with a
+    # single minimum
     rng = np.random.default_rng(33)
     cells = _perfbench_gaussian_cells()
     cells += [(rng.uniform(0.0, 8.0), rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 12.0),
                int(rng.choice([20, 200, 100000]))) for _ in range(1000)]
+    points = [(effective_coefficients(ModelParams(omega_R=om, delta=de, epsilon=ep, N=n)), n)
+              for om, de, ep, n in cells]
+    rng = np.random.default_rng(31)
+    single = [(effective_coefficients(ModelParams(omega_R=rng.uniform(0.0, 5.0),
+                                                  delta=rng.uniform(-2.0, 2.0),
+                                                  epsilon=rng.uniform(6.0, 10.0), N=200)), 200)
+              for _ in range(12)]
+    rng = np.random.default_rng(32)
+    single += [(EffectiveCoefficients(q=-rng.uniform(0.005, 0.03),
+                                      hx=float(rng.choice([-1.0, 1.0])) * rng.uniform(0.3, 2.0),
+                                      hz=rng.uniform(-1.5, 1.5), hY=rng.uniform(1.5, 4.0)), 100)
+               for _ in range(8)]
     depleted = 0
-    for omega_r, delta, eps, n in cells:
-        coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
+    for i, (coeffs, n) in enumerate(points + single):
         got, ref = hp_mean_field(coeffs, n), _grid_newton_mean_field(coeffs, n)
         assert abs(got.energy_per_atom - ref.energy_per_atom) <= 1e-12 * abs(ref.energy_per_atom)
-        assert np.max(np.abs(got.as_vector() - ref.as_vector())) <= 1e-8, (omega_r, delta, eps, n)
+        assert np.max(np.abs(got.z - ref.z)) <= 1e-8, (coeffs, n)
         assert got.degenerate == ref.degenerate
-        v = ref.as_vector()
-        depleted += 1.0 - v @ v < 0.5
+        assert i < len(points) or not got.degenerate, (coeffs, n)
+        depleted += ref.z[1] ** 2 < 0.5
     assert depleted >= 300, depleted
 
 
@@ -717,7 +687,7 @@ _ORACLE_BISECTIONS = 52  # shrink a 0.01 scan bracket to about 2e-18
 def _oracle_matrices(coeffs, n_atoms):
     """Oracle: A(mu) = L - 2qN mu Jz at every mu of an array, from the
     hand-written matrices, and its slope 2qN."""
-    lmat = coeffs.hz * _ORACLE_JZ + coeffs.hx * _ORACLE_JX + coeffs.hY * _ORACLE_Y
+    lmat = _oracle_zeeman(coeffs)
     slope = 2.0 * coeffs.q * n_atoms
     return (lambda mu: lmat - (slope * mu)[:, None, None] * _ORACLE_JZ), slope
 
@@ -810,9 +780,8 @@ def test_mirror_symmetry_swaps_side_modes():
         c = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=100))
         mf = hp_mean_field(c, 100)
         mirror = hp_mean_field(EffectiveCoefficients(c.q, c.hx, -c.hz, c.hY), 100)
-        assert abs(mf.beta_p) > 1e-3 and abs(mf.beta_p - mf.beta_m) > 1e-3
-        assert abs(mirror.beta_p - mf.beta_m) <= 1e-12
-        assert abs(mirror.beta_m - mf.beta_p) <= 1e-12
+        assert abs(mf.z[0]) > 1e-3 and abs(mf.z[0] - mf.z[2]) > 1e-3
+        assert np.max(np.abs(mirror.z - mf.z[::-1])) <= 1e-12
         assert abs(mirror.energy_per_atom - mf.energy_per_atom) <= 1e-12 * abs(mf.energy_per_atom)
 
 
@@ -821,10 +790,12 @@ def test_symmetry_broken_mirror_pair_is_degenerate():
     coeffs = EffectiveCoefficients(q=0.0225, hx=4.0 / np.sqrt(2.0), hz=0.0, hY=1.25 / np.sqrt(3.0))
     mf = hp_mean_field(coeffs, 100)
     assert mf.degenerate
-    assert abs(abs(mf.beta_p) - abs(mf.beta_m)) > 0.1
-    mirror = np.array([mf.beta_m.real, mf.beta_m.imag, mf.beta_p.real, mf.beta_p.imag])
+    assert abs(abs(mf.z[0]) - abs(mf.z[2])) > 0.1
+    mirror = mf.z[::-1]
     assert abs(classical_energy(mirror, coeffs, 100) - mf.energy_per_atom) <= 1e-12
-    assert np.linalg.norm(_oracle_gradient(mirror, coeffs, 100)) <= GRAD_TOL_ACCEPT
+    _, _, grad, hess = _oracle_tangent_terms(mirror, coeffs, 100)
+    assert np.linalg.norm(grad) <= GRAD_TOL_ACCEPT
+    assert np.linalg.eigvalsh(hess)[0] >= -1e-9
 
 
 def test_free_phase_without_drive_is_degenerate():
@@ -832,11 +803,11 @@ def test_free_phase_without_drive_is_degenerate():
     coeffs = EffectiveCoefficients(q=-0.02, hx=0.0, hz=-2.0, hY=1.0 / np.sqrt(3.0))
     mf = hp_mean_field(coeffs, 100)
     assert mf.degenerate
-    assert abs(abs(mf.beta_p) ** 2 - 0.25) <= 1e-12
-    assert abs(mf.beta_m) <= 1e-12
+    assert abs(mf.z[0] ** 2 - 0.25) <= 1e-12
+    assert abs(mf.z[2]) <= 1e-12
     for phase in np.linspace(0.0, 2.0 * np.pi, 7):
-        v = np.array([0.5 * np.cos(phase), 0.5 * np.sin(phase), 0.0, 0.0])
-        assert abs(classical_energy(v, coeffs, 100) - mf.energy_per_atom) <= 1e-12
+        z = np.array([0.5 * np.exp(1j * phase), math.sqrt(0.75), 0.0])
+        assert abs(classical_energy(z, coeffs, 100) - mf.energy_per_atom) <= 1e-12
 
 
 @pytest.mark.parametrize("qn", [-100.0, -1000.0])
@@ -853,8 +824,8 @@ def test_free_phase_off_the_scan_grid_is_found_at_strong_coupling(qn):
         assert 0.0 < mu_star < 1.0
         mf = hp_mean_field(coeffs, 100)
         assert mf.degenerate, hz
-        assert abs(abs(mf.beta_p) ** 2 - mu_star) <= 1e-12, hz
-        assert abs(mf.beta_m) <= 1e-12
+        assert abs(mf.z[0] ** 2 - mu_star) <= 1e-12, hz
+        assert abs(mf.z[2]) <= 1e-12
         assert abs(mf.energy_per_atom - (e0 + qn * mu_star ** 2)) <= 1e-12
 
 
@@ -871,8 +842,8 @@ def test_depleted_condensate_raises_and_ed_confirms(omega_r, delta, eps):
     n = 100
     coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=delta, epsilon=eps, N=n))
     mf = hp_mean_field(coeffs, n)
-    assert abs(mf.beta_p) ** 2 + abs(mf.beta_m) ** 2 > 0.5
-    got = populations(gaussian_moment_set(hp_quadratic(coeffs, n, mf)))
+    assert mf.z[1] ** 2 < 0.5
+    got = populations(gaussian_moment_set(hp_quadratic(coeffs, n, mf.z)))
     ref = populations(ed_moment_set(ed_ground_state(coeffs, n)))
     assert ref[1] < 0.05
     assert mf.degenerate == (delta == 0.0)
@@ -900,6 +871,39 @@ def test_depleted_points_converge_to_ed_as_one_over_n(omega_r, delta, eps):
     assert all(0.45 <= b / a <= 0.55 for a, b in zip(errors, errors[1:])), errors
 
 
+@pytest.mark.parametrize("omega_r, eps", [(0.01, -1e5), (1.0, -3e7)])
+def test_nearly_empty_central_mode_solves_and_ed_confirms(omega_r, eps):
+    # a strongly negative quadratic shift leaves about 1e-15 of the atoms in
+    # the central mode, below the roundoff of the earlier chart's
+    # s = sqrt(1 - |beta|^2), which lost s and refused these points as not
+    # stationary.  At delta = 0 the mean field is one of a tied mirror pair,
+    # and ED their symmetric superposition, so rho_0 and rho_+ + rho_- are
+    # compared
+    n = 200
+    coeffs = effective_coefficients(ModelParams(omega_R=omega_r, delta=0.0, epsilon=eps, N=n))
+    got = populations(gaussian_moment_set(solve_gaussian(coeffs, n)))
+    ref = populations(ed_moment_set(ed_ground_state(coeffs, n)))
+    assert ref[1] < 1e-12
+    assert abs(got[1] - ref[1]) <= 2e-3
+    assert abs(got[0] + got[2] - ref[0] - ref[2]) <= 2e-3
+
+
+def test_nearly_empty_central_modes_solve():
+    # 300 seeded points with a strongly negative quadratic shift, omega_R
+    # log-uniform in 1e-3 to 10, |delta| < 8 and epsilon log-uniform in -1e2
+    # to -1e10: the earlier chart refused 72 of them as not stationary; all
+    # solve, more than a third with a central occupation below 1e-14
+    rng = np.random.default_rng(0)
+    empty = 0
+    for _ in range(300):
+        n = int(rng.choice([20, 200, 100000]))
+        params = ModelParams(omega_R=10.0 ** rng.uniform(-3.0, 1.0), delta=rng.uniform(-8.0, 8.0),
+                             epsilon=-10.0 ** rng.uniform(2.0, 10.0), N=n)
+        sol = solve_gaussian(effective_coefficients(params), n)
+        empty += sol.frame[1, 0] ** 2 < 1e-14
+    assert empty >= 100, empty
+
+
 def test_strong_drive_solves_at_every_point():
     # a strong drive tends to the lowest Jx eigenstate, whose central
     # occupation is exactly 1/2, so rounding decided the earlier depletion
@@ -924,11 +928,11 @@ def test_frame_frequencies_match_the_chart_normal_form():
             omega_R=rng.uniform(0.0, 5.0), delta=rng.uniform(-3.0, 3.0),
             epsilon=rng.uniform(2.0, 12.0), N=n))
         mf = hp_mean_field(coeffs, n)
-        v = mf.as_vector()
-        if v @ v > 0.5 or mf.degenerate:
+        if mf.z[1] ** 2 < 0.5 or mf.degenerate:
             continue
+        v = np.array([mf.z[0], 0.0, mf.z[2], 0.0])
         ref = _normal_form(_oracle_hessian(v, coeffs, n) / 2.0)[0]
-        got = hp_quadratic(coeffs, n, mf).frequencies
+        got = hp_quadratic(coeffs, n, mf.z).frequencies
         assert np.all(np.abs(got - ref) <= 1e-12 * ref), (coeffs, n, got, ref)
         checked += 1
     assert checked >= 200, checked
