@@ -21,12 +21,9 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "GENERATOR_LABELS",
-        "CollectiveOperatorSpec",
-        "SpinOperator",
+        "collective_weights",
         "commutator",
-        "generator",
         "generator_matrix",
-        "generators",
         "verify_algebra",
     ), "algebra"),
     **dict.fromkeys((
@@ -46,7 +43,6 @@ _LAZY = {
         "ConvergenceError",
         "MomentInputError",
         "UnstableExpansionError",
-        "UnsupportedObservableError",
     ), "errors"),
     **dict.fromkeys((
         "FockBasis",

@@ -3,10 +3,9 @@
 The eight traceless Hermitian 3x3 matrices used throughout: three angular
 momentum components (Jx, Jy, Jz) and five quadrupole matrices (Qxy, Qyz,
 Qzx, D, Y), normalized so that tr(Ga Gb) = 2 delta_ab.  Component order is
-(+1, 0, -1) everywhere.
+(+1, 0, -1) everywhere.  A label names one basis operator, and a collective
+observable sum_a w_a F_a is its real weight 8-vector w in label order.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,33 +34,16 @@ def _build_matrices():
 _MATRICES = _build_matrices()
 
 
-@dataclass(frozen=True)
-class SpinOperator:
-    """One basis operator: its label and immutable 3x3 matrix."""
-
-    label: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.label not in GENERATOR_LABELS:
-            raise ValueError(
-                f"unknown operator label {self.label!r}; expected one of {GENERATOR_LABELS}"
-            )
-
-
-def generator(label):
-    """Return the SpinOperator for one of the eight basis labels."""
-    return SpinOperator(label, _MATRICES.get(label))
-
-
-def generators():
-    """All eight basis operators in canonical order."""
-    return tuple(generator(lbl) for lbl in GENERATOR_LABELS)
+def _unknown_label(label):
+    return ValueError(f"unknown operator label {label!r}; expected one of {GENERATOR_LABELS}")
 
 
 def generator_matrix(label):
-    """The raw 3x3 matrix for a label (read-only view)."""
-    return generator(label).matrix
+    """The 3x3 matrix of one of the eight basis labels (read-only)."""
+    try:
+        return _MATRICES[label]
+    except KeyError:
+        raise _unknown_label(label) from None
 
 
 def generator_stack():
@@ -69,50 +51,20 @@ def generator_stack():
     return np.stack([_MATRICES[lbl] for lbl in GENERATOR_LABELS])
 
 
-def _as_matrix(op):
-    return op.matrix if isinstance(op, SpinOperator) else np.asarray(op, dtype=complex)
-
-
 def commutator(a, b):
-    """[a, b] for SpinOperators or plain 3x3 arrays."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    return ma @ mb - mb @ ma
+    """[a, b] of two 3x3 arrays."""
+    return a @ b - b @ a
 
 
-@dataclass(frozen=True)
-class CollectiveOperatorSpec:
-    """A collective observable sum_a w_a F_a given by real weights over the basis.
-
-    ``coefficients`` follows the canonical label order.  The single-particle
-    matrix of the observable is ``sum_a w_a G_a``.
-    """
-
-    coefficients: np.ndarray = field(default_factory=lambda: np.zeros(8))
-
-    def __post_init__(self):
-        w = np.asarray(self.coefficients, dtype=float)
-        if w.shape != (8,):
-            raise ValueError("coefficients must be a real 8-vector")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "coefficients", w)
-
-    @classmethod
-    def for_label(cls, label):
-        w = np.zeros(8)
-        w[GENERATOR_LABELS.index(label)] = 1.0
-        return cls(w)
-
-    @classmethod
-    def from_weights(cls, weights):
-        """Build from a {label: weight} mapping; omitted labels weigh zero."""
-        w = np.zeros(8)
-        for lbl, val in weights.items():
-            w[GENERATOR_LABELS.index(lbl)] = val
-        return cls(w)
-
-    def matrix(self):
-        return np.tensordot(self.coefficients, generator_stack(), axes=(0, 0))
+def collective_weights(mapping):
+    """The weight 8-vector of the collective observable sum_a w_a F_a given
+    as a {label: w_a} mapping; omitted labels weigh zero."""
+    w = np.zeros(8)
+    for label, value in mapping.items():
+        if label not in _MATRICES:
+            raise _unknown_label(label)
+        w[GENERATOR_LABELS.index(label)] = value
+    return w
 
 
 def verify_algebra():

@@ -106,7 +106,7 @@ def _lowest_root_grid(k, points):
     return np.subtract(spare, root, out=root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionResult:
     """Branch energies on a momentum grid plus refined lowest-branch minima."""
 

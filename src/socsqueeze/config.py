@@ -119,8 +119,8 @@ class InteractionConfig:
     N: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.N) and self.N >= 1):
-            raise ConfigError(f"atom number must be finite and >= 1, got {self.N!r}")
+        if not (math.isfinite(self.N) and self.N >= 1 and self.N == int(self.N)):
+            raise ConfigError(f"atom number must be a finite integer >= 1, got {self.N!r}")
         for name in ("a_s0", "a_s2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")

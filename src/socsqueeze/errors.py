@@ -23,7 +23,3 @@ class UnstableExpansionError(RuntimeError):
 
 class MomentInputError(ValueError):
     """A moment set is malformed or non-finite, or a metric is undefined on it."""
-
-
-class UnsupportedObservableError(ValueError):
-    """An observable has no implemented representation in this backend."""

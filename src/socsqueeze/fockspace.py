@@ -159,7 +159,7 @@ def fock_basis(n_atoms):
     return FockBasis(n_atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricFockState:
     """Real ground-state amplitudes over the symmetric basis, with its energy,
     the eigenpair residual ||H psi - E psi|| and the Lanczos step count."""

@@ -100,7 +100,7 @@ def _self_consistent_matrix(coeffs, n_atoms, z):
     return a, gn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanFieldResult:
     """The condensate mode and diagnostics of the search: z is the real unit
     spinor (beta+, s, beta-) with s >= 0."""
@@ -214,7 +214,7 @@ def hp_mean_field(coeffs, n_atoms):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSolution:
     """Condensate frame plus the Gaussian ground state of the side modes."""
 

@@ -83,7 +83,7 @@ def mean_field_couplings(interaction, trap, dimension):
     return float(c0), float(c2)
 
 
-@dataclass
+@dataclass(eq=False)
 class SpinorField:
     """Three complex component fields on the grid, normalized to one."""
 
@@ -313,7 +313,7 @@ def build_problem(params, trap, interaction, grid):
     return GpProblem(params, trap, interaction, grid)
 
 
-@dataclass
+@dataclass(eq=False)
 class GpResult:
     """Ground-state field and its energy per atom, the energy trace (one row
     every ``check_every`` iterations plus the last), the iteration count, the
@@ -434,7 +434,7 @@ def gp_moment_set(field, n_atoms):
     g1 = np.einsum("aij,ji->a", stack, rho).real
     second = np.einsum("aik,bkj,ji->ab", stack, stack, rho).real
     second = (second + second.T) / 2.0
-    return MomentSet(int(n_atoms), n_atoms * g1, n_atoms * (second - np.outer(g1, g1)))
+    return MomentSet(n_atoms, n_atoms * g1, n_atoms * (second - np.outer(g1, g1)))
 
 
 def save_field(field, path, meta=None):

@@ -3,24 +3,20 @@
 A MomentSet is backend-agnostic: exact diagonalization, the Gaussian
 expansion, and the mean-field GP solver all reduce their states to the full,
 finite block of first and second moments of the eight collective generators,
-``MomentSet.project`` carries them onto any collective observable, and every
-metric here is a function of those moments alone.  The two squeezing
-parameters at any angle are one 2x2 quadratic form of the covariances.
+``MomentSet.project`` carries them onto any collective observable, given as
+its weight 8-vector, and every metric here is a function of those moments.
+The two squeezing parameters at any angle are one 2x2 quadratic form of the
+covariances.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    GENERATOR_LABELS,
-    CollectiveOperatorSpec,
-    SpinOperator,
-    generator_matrix,
-    generator_stack,
-)
-from .errors import MomentInputError, UnsupportedObservableError
+from .algebra import GENERATOR_LABELS, collective_weights, generator_matrix, generator_stack
+from .errors import MomentInputError
 
 _IDX = {lbl: i for i, lbl in enumerate(GENERATOR_LABELS)}
 
@@ -53,26 +49,16 @@ def _floor_roundoff(means, cov):
     np.fill_diagonal(cov, np.where(d < -_ROUNDOFF * scale, d, np.maximum(d, 0.0)))
 
 
-def _spec_weights(spec):
-    if isinstance(spec, SpinOperator):
-        spec = CollectiveOperatorSpec.for_label(spec.label)
-    if not isinstance(spec, CollectiveOperatorSpec):
-        raise UnsupportedObservableError(
-            f"cannot represent {type(spec).__name__} as a collective observable; "
-            "use a CollectiveOperatorSpec or a SpinOperator"
-        )
-    return spec.coefficients
-
-
-@dataclass
+@dataclass(eq=False)
 class MomentSet:
     """First and symmetrized central second moments of the eight generators.
 
     ``means[a]`` is <F_a> and ``covariances[a, b]`` is
     Cov(F_a, F_b) = <{F_a,F_b}>/2 - <F_a><F_b>, both in canonical label order.
-    A set is always the full, finite block: construction raises
-    MomentInputError on a wrong shape or a NaN or infinite entry.  Variances
-    negative by roundoff are floored at zero on construction.
+    A set is always the full, finite block of a positive integral atom number
+    N, stored as an int: construction raises MomentInputError on any other N,
+    a wrong shape or a NaN or infinite entry.  Variances negative by roundoff
+    are floored at zero on construction.  ``==`` is identity.
     """
 
     N: int
@@ -80,6 +66,10 @@ class MomentSet:
     covariances: np.ndarray
 
     def __post_init__(self):
+        n = self.N
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) and n >= 1):
+            raise MomentInputError(f"a moment set needs a positive integral N, got {n!r}")
+        self.N = int(n)
         self.means = np.array(self.means, dtype=float)
         self.covariances = np.array(self.covariances, dtype=float)
         if self.means.shape != (8,) or self.covariances.shape != (8, 8):
@@ -94,15 +84,22 @@ class MomentSet:
     def cov(self, a, b):
         return float(self.covariances[_index(a), _index(b)])
 
-    def project(self, specs):
-        """Means W m and symmetrized covariances W C W^T of collective observables.
+    def project(self, weights):
+        """Means W m and symmetrized covariances W C W^T of k collective observables.
 
-        Each spec, a CollectiveOperatorSpec or a SpinOperator, is one row of
-        weights W over the generators; other observables raise
-        UnsupportedObservableError.  Variances negative by roundoff are
-        floored at zero.
+        ``weights`` is W, array-like of shape (k, 8): row i holds the real
+        weights of observable i over the generators in label order (see
+        ``algebra.collective_weights``).  Any other shape, or a NaN, infinite
+        or complex weight, raises MomentInputError.  Variances negative by
+        roundoff are floored at zero.
         """
-        w = np.array([_spec_weights(s) for s in specs])
+        try:
+            w = np.asarray(weights)
+        except ValueError:  # a ragged sequence
+            w = None
+        if (w is None or w.dtype.kind not in "iuf" or w.ndim != 2 or w.shape[1] != 8
+                or not w.size or not np.isfinite(w).all()):
+            raise MomentInputError("project needs finite real weights of shape (k, 8), k >= 1")
         means = w @ self.means
         cov = w @ self.covariances @ w.T
         cov = (cov + cov.T) / 2.0
@@ -136,14 +133,14 @@ def xi_x(moments):
 
 
 def quadratures(theta):
-    """Weight vectors of the rotated quadrature pair at angle theta.
+    """Weight 8-vectors of the rotated quadrature pair at angle theta.
 
-    Returns (plus, minus): cos(t) Jx + sin(t) Qyz and cos(t) Qzx + sin(t) Jy.
+    Returns (plus, minus), the weights of cos(t) Jx + sin(t) Qyz and
+    cos(t) Qzx + sin(t) Jy; ``MomentSet.project([plus, minus])`` gives
+    their moments.
     """
     c, s = math.cos(theta), math.sin(theta)
-    plus = CollectiveOperatorSpec.from_weights({"Jx": c, "Qyz": s})
-    minus = CollectiveOperatorSpec.from_weights({"Qzx": c, "Jy": s})
-    return plus, minus
+    return collective_weights({"Jx": c, "Qyz": s}), collective_weights({"Qzx": c, "Jy": s})
 
 
 def _quadrature_matrix(moments):

@@ -5,12 +5,10 @@ import pytest
 
 from socsqueeze.algebra import (
     GENERATOR_LABELS,
-    CollectiveOperatorSpec,
+    collective_weights,
     commutator,
-    generator,
     generator_matrix,
     generator_stack,
-    generators,
     verify_algebra,
 )
 
@@ -19,12 +17,21 @@ TOL = 1e-14
 
 def test_eight_labels_in_canonical_order():
     assert GENERATOR_LABELS == ("Jx", "Jy", "Jz", "Qxy", "Qyz", "Qzx", "D", "Y")
-    assert [op.label for op in generators()] == list(GENERATOR_LABELS)
+    stack = generator_stack()
+    for label, m in zip(GENERATOR_LABELS, stack):
+        assert np.array_equal(generator_matrix(label), m)
+
+
+def test_generator_matrices_are_read_only():
+    for label in GENERATOR_LABELS:
+        m = generator_matrix(label)
+        assert m is generator_matrix(label) and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 def test_all_generators_hermitian_and_traceless():
-    for op in generators():
-        m = op.matrix
+    for m in generator_stack():
         assert np.max(np.abs(m - m.conj().T)) <= TOL
         assert abs(np.trace(m)) <= TOL
 
@@ -69,22 +76,27 @@ def test_spin_casimir_is_two():
 
 
 def test_unknown_label_rejected():
-    with pytest.raises(ValueError):
-        generator("Qxz")
+    with pytest.raises(ValueError, match="unknown operator label 'Qxz'; expected one of"):
+        generator_matrix("Qxz")
 
 
 def test_spec_weights_build_the_right_matrix():
-    spec = CollectiveOperatorSpec.from_weights({"Jx": 0.5, "Y": -1.0})
+    w = collective_weights({"Jx": 0.5, "Y": -1.0})
     expected = 0.5 * generator_matrix("Jx") - generator_matrix("Y")
-    assert np.max(np.abs(spec.matrix() - expected)) <= TOL
+    assert np.max(np.abs(np.tensordot(w, generator_stack(), axes=(0, 0)) - expected)) <= TOL
 
 
 def test_spec_requires_real_8_vector():
-    with pytest.raises(ValueError):
-        CollectiveOperatorSpec(np.zeros(7))
+    w = collective_weights({})
+    assert w.shape == (8,) and w.dtype == float and not w.any()
 
 
 def test_spec_for_label_single_unit_weight():
-    spec = CollectiveOperatorSpec.for_label("Qzx")
-    assert spec.coefficients[GENERATOR_LABELS.index("Qzx")] == 1.0
-    assert np.sum(np.abs(spec.coefficients)) == 1.0
+    w = collective_weights({"Qzx": 1.0})
+    assert w[GENERATOR_LABELS.index("Qzx")] == 1.0
+    assert np.sum(np.abs(w)) == 1.0
+
+
+def test_weights_reject_an_unknown_label():
+    with pytest.raises(ValueError, match="unknown operator label 'Qxz'; expected one of"):
+        collective_weights({"Jx": 1.0, "Qxz": 0.5})

@@ -799,6 +799,9 @@ MALFORMED = [
     ("grid-extent-square-overflows-trap", "gp-ground",
      GP_SECTIONS.replace("extent = 24.0", "extent = 1e200")),
     ("trap-nan", "gp-ground", GP_SECTIONS.replace("omega_x = 150.0", "omega_x = nan")),
+    # the moments of 100.9 atoms would be scaled by 100.9 and read with N = 100
+    ("interaction-fractional-n-atoms", "gp-ground",
+     "[params]\nN = 100\n[interaction]\nn_atoms = 100.9\n" + GP_SECTIONS),
     ("gp-negative-seed", "gp-ground", "seed = -1\n" + GP_SECTIONS),
     ("sweep-negative-seed", "sweep", "seed = -3\n[sweep]\naxis = delta\nvalues = 1 2\n"),
     ("jobs-zero", "sweep", "jobs = 0\n[sweep]\naxis = delta\nvalues = 1 2\n"),
@@ -850,6 +853,7 @@ MALFORMED = [
 MALFORMED_MESSAGES = {
     "tol-deg-above-gap-bound": "tol_deg must be in (0, 16], got 16.000001",
     "trap-missing-key": "missing required config key [trap] omega_y",
+    "interaction-fractional-n-atoms": "atom number must be a finite integer >= 1, got 100.9",
     "grid-n-points-word": "bad value for [grid] n_points: '64 x'",
     "sweep-count-one": "axis count must be >= 2, got 1",
     "unknown-backend": "unknown backend 'quantum'",
@@ -1259,6 +1263,24 @@ def test_every_public_name_resolves_to_its_module_object():
     for name in socsqueeze.__all__:
         module = importlib.import_module(f"socsqueeze.{socsqueeze._LAZY[name]}")
         assert getattr(socsqueeze, name) is getattr(module, name), name
+
+
+def test_retired_observable_names_are_gone():
+    # a collective observable is its weight 8-vector and a basis operator its
+    # label, so the wrapper classes and their error are no public names
+    import socsqueeze
+
+    for name in ("SpinOperator", "CollectiveOperatorSpec", "UnsupportedObservableError",
+                 "generator", "generators"):
+        assert name not in socsqueeze.__all__, name
+        with pytest.raises(AttributeError):
+            getattr(socsqueeze, name)
+    assert "collective_weights" in socsqueeze.__all__
+    from socsqueeze import algebra, errors
+
+    for name in ("SpinOperator", "CollectiveOperatorSpec", "generator", "generators"):
+        assert not hasattr(algebra, name), name
+    assert not hasattr(errors, "UnsupportedObservableError")
 
 
 def test_console_script_entry_point(tmp_path):

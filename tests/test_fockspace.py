@@ -1,5 +1,5 @@
 """Exact diagonalization: independent two-particle and dense oracles,
-analytic moments, and the spec projection of the Gaussian and GP moment sets
+analytic moments, and the weight projection of the Gaussian and GP moment sets
 alike."""
 
 import functools
@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from socsqueeze import fockspace
-from socsqueeze.algebra import GENERATOR_LABELS, CollectiveOperatorSpec, generator, generator_matrix
-from socsqueeze.config import DEFAULT_N_CAP, GridSpec
-from socsqueeze.errors import ConfigError, ConvergenceError, UnsupportedObservableError
+from socsqueeze.bands import dispersion
+from socsqueeze.algebra import GENERATOR_LABELS, collective_weights, generator_matrix
+from socsqueeze.config import DEFAULT_N_CAP, GridSpec, TrapConfig
+from socsqueeze.errors import ConfigError, ConvergenceError, MomentInputError
 from socsqueeze.fockspace import (
     RESIDUAL_TOL,
     build_effective_hamiltonian,
@@ -20,8 +21,13 @@ from socsqueeze.fockspace import (
     ed_moment_set,
     fock_basis,
 )
-from socsqueeze.gaussian import _classical_minimum, gaussian_moment_set, solve_gaussian
-from socsqueeze.gp import SpinorField, gp_moment_set
+from socsqueeze.gaussian import (
+    _classical_minimum,
+    gaussian_moment_set,
+    hp_mean_field,
+    solve_gaussian,
+)
+from socsqueeze.gp import SpinorField, build_problem, gp_moment_set, imaginary_time_ground_state
 from socsqueeze.metrics import xi_x
 from socsqueeze.params import EffectiveCoefficients, ModelParams, effective_coefficients
 
@@ -446,8 +452,8 @@ BACKENDS = {"ed": _ed_backend, "gaussian": _gaussian_backend, "gp": _gp_backend}
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_moments_of_weighted_spec_match_label_combination(backend):
     moments = BACKENDS[backend]()
-    spec = CollectiveOperatorSpec.from_weights({"Jx": 0.6, "Jy": -0.8})
-    means, cov = moments.project([spec, generator("Qzx")])
+    weights = collective_weights({"Jx": 0.6, "Jy": -0.8})
+    means, cov = moments.project([weights, collective_weights({"Qzx": 1.0})])
     expect_mean = 0.6 * moments.mean("Jx") - 0.8 * moments.mean("Jy")
     expect_var = (
         0.36 * moments.cov("Jx", "Jx")
@@ -456,18 +462,65 @@ def test_moments_of_weighted_spec_match_label_combination(backend):
     )
     assert abs(means[0] - expect_mean) <= 1e-9
     assert abs(cov[0, 0] - expect_var) <= 1e-9
-    # a SpinOperator is the observable of its label
+    # a unit weight is the observable of its label
     assert abs(means[1] - moments.mean("Qzx")) <= 1e-9
     assert abs(cov[1, 1] - moments.cov("Qzx", "Qzx")) <= 1e-9
     expect_cross = 0.6 * moments.cov("Jx", "Qzx") - 0.8 * moments.cov("Jy", "Qzx")
     assert abs(cov[0, 1] - expect_cross) <= 1e-9
 
 
+UNIT_JX = collective_weights({"Jx": 1.0})
+
+# weights that are not finite real rows of shape (k, 8), the 3x3 matrix of an
+# observable among them
+MALFORMED_WEIGHTS = {
+    "matrix": generator_matrix("Jx"),
+    "real-matrix": generator_matrix("Jx").real,
+    "one-row-unwrapped": UNIT_JX,
+    "seven-columns": [UNIT_JX[:7]],
+    "no-rows": np.zeros((0, 8)),
+    "ragged": [UNIT_JX, UNIT_JX[:7]],
+    "nan": [np.where(UNIT_JX == 0.0, UNIT_JX, np.nan)],
+    "inf": [np.where(UNIT_JX == 0.0, UNIT_JX, np.inf)],
+    "minus-inf": [np.where(UNIT_JX == 0.0, UNIT_JX, -np.inf)],
+    "complex": [UNIT_JX * (1.0 + 0.5j)],
+    "complex-zero-imaginary": [UNIT_JX.astype(complex)],
+    "labels": [["Jx"] * 8],
+}
+
+
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_raw_matrix_observable_is_unsupported(backend):
+def test_project_refuses_malformed_weights(backend):
     moments = BACKENDS[backend]()
-    with pytest.raises(UnsupportedObservableError):
-        moments.project([generator_matrix("Jx")])
+    for case, weights in MALFORMED_WEIGHTS.items():
+        with pytest.raises(MomentInputError, match=r"weights of shape \(k, 8\)"):
+            moments.project(weights)
+    # the refusal is of the weights: one well-formed row projects
+    means, _ = moments.project([UNIT_JX])
+    assert means[0] == moments.mean("Jx")
+
+
+def test_equality_of_array_results_is_identity():
+    # results that hold arrays compare by identity: == of two identical
+    # calls is False and never asks an array for its truth value
+    params = ModelParams(omega_R=2.0, delta=0.7, epsilon=6.0, N=20)
+    coeffs = effective_coefficients(params)
+    grid = GridSpec((16,), (8.0,))
+    trap = TrapConfig(150.0, 150.0, 1500.0, recoil_frequency=3678.0)
+    calls = {
+        "dispersion": lambda: dispersion(params, n_points=101),
+        "hp_mean_field": lambda: hp_mean_field(coeffs, 20),
+        "solve_gaussian": lambda: solve_gaussian(coeffs, 20),
+        "ed_ground_state": lambda: ed_ground_state(coeffs, 20),
+        "ed_moment_set": lambda: ed_moment_set(ed_ground_state(coeffs, 20)),
+        "field": lambda: SpinorField(np.ones((3, 16), complex), grid.axes(), grid.dv),
+        "gp_ground_state": lambda: imaginary_time_ground_state(
+            build_problem(params.replace(N=100), trap, None, GridSpec((64,), (24.0,))),
+            dt=0.02, tol=1e-7, seed=7),
+    }
+    for name, call in calls.items():
+        a, b = call(), call()
+        assert a == a and not a == b and a != b, name
 
 
 @pytest.mark.parametrize("n_atoms", [40, 300])

@@ -18,7 +18,7 @@ from socsqueeze.config import (
     check_gp_setup,
     check_solver_settings,
 )
-from socsqueeze.errors import ConfigError, ConvergenceError
+from socsqueeze.errors import ConfigError, ConvergenceError, MomentInputError
 from socsqueeze.gp import (
     MAX_BACKTRACKS,
     PRECONDITIONER_SHIFT,
@@ -54,9 +54,10 @@ def test_trap_derived_lengths():
 
 
 def test_interaction_validation():
-    for n_atoms in (0.5, float("nan"), float("inf")):
+    for n_atoms in (0.5, 100.9, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             InteractionConfig(101.8, 100.4, n_atoms)
+    assert InteractionConfig(101.8, 100.4, 1e5).N == 1e5
     with pytest.raises(ConfigError):
         InteractionConfig(float("nan"), 100.4, 100.0)
 
@@ -504,6 +505,18 @@ def test_hartree_moments_match_uniform_single_mode():
     mean_vec, cov_mat = ms.to_arrays()
     assert np.max(np.abs(mean_vec - 50 * gbar)) <= 1e-10
     assert np.max(np.abs(cov_mat - 50 * (sym - np.outer(gbar, gbar)))) <= 1e-9
+
+
+def test_hartree_moments_need_a_positive_integral_atom_number():
+    g = GridSpec((16,), (8.0,))
+    f = SpinorField(np.ones((3, 16), complex), g.axes(), g.dv).normalized()
+    for n_atoms in (0, -1, 2.5):
+        with pytest.raises(MomentInputError, match="positive integral N"):
+            gp_moment_set(f, n_atoms)
+    # an integral float scales the moments and is stored as an int
+    ms = gp_moment_set(f, 1e5)
+    assert type(ms.N) is int and ms.N == 100000
+    assert np.array_equal(ms.means, gp_moment_set(f, 100000).means)
 
 
 def test_field_and_moment_populations_agree():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from socsqueeze.algebra import GENERATOR_LABELS, generator, generator_matrix, generator_stack
+from socsqueeze.algebra import GENERATOR_LABELS, collective_weights, generator_matrix, generator_stack
 from socsqueeze.errors import MomentInputError
 from socsqueeze.metrics import (
     MomentSet,
@@ -45,11 +45,16 @@ VACUUM = product_moments(100, [0.0, 1.0, 0.0])
 
 def test_quadrature_weights_at_axes():
     plus, minus = quadratures(0.0)
-    assert plus.coefficients[GENERATOR_LABELS.index("Jx")] == 1.0
-    assert minus.coefficients[GENERATOR_LABELS.index("Qzx")] == 1.0
+    assert plus[GENERATOR_LABELS.index("Jx")] == 1.0
+    assert minus[GENERATOR_LABELS.index("Qzx")] == 1.0
     plus, minus = quadratures(math.pi / 2.0)
-    assert abs(plus.coefficients[GENERATOR_LABELS.index("Qyz")] - 1.0) <= 1e-15
-    assert abs(minus.coefficients[GENERATOR_LABELS.index("Jy")] - 1.0) <= 1e-15
+    assert abs(plus[GENERATOR_LABELS.index("Qyz")] - 1.0) <= 1e-15
+    assert abs(minus[GENERATOR_LABELS.index("Jy")] - 1.0) <= 1e-15
+    # each is a real 8-vector weighing only its two labels
+    for w, labels in ((plus, ("Jx", "Qyz")), (minus, ("Qzx", "Jy"))):
+        assert w.shape == (8,) and w.dtype == float
+        others = [i for i, lbl in enumerate(GENERATOR_LABELS) if lbl not in labels]
+        assert not w[others].any()
 
 
 def test_vacuum_is_at_shot_noise():
@@ -116,8 +121,7 @@ def _quadrature_oracle(m):
 def _pair_weights(angles):
     """Weight rows (angle, pair, generator) of the plus quadrature at t and the
     minus quadrature at t + pi/2, the pair whose variances xi_dcz sums."""
-    return np.array([[quadratures(t)[0].coefficients,
-                      quadratures(t + math.pi / 2.0)[1].coefficients] for t in angles])
+    return np.array([[quadratures(t)[0], quadratures(t + math.pi / 2.0)[1]] for t in angles])
 
 
 def _brute_xi_dcz(m, w):
@@ -209,6 +213,13 @@ def test_moment_set_is_full_and_finite():
         MomentSet(100, means[:7], cov)
     with pytest.raises(MomentInputError):
         MomentSet(100, means, cov[:, :7])
+    # the atom number is a positive integer, stored as an int
+    for n in (0, -1, 2.5, 0.5, np.nan, np.inf, 100 + 0j, "100", None):
+        with pytest.raises(MomentInputError, match="positive integral N"):
+            MomentSet(n, means, cov)
+    for n in (100, 100.0, np.int64(100), np.float64(100.0)):
+        m = MomentSet(n, means, cov)
+        assert type(m.N) is int and m.N == 100
     with pytest.raises(MomentInputError):
         VACUUM.mean("Jw")
     with pytest.raises(MomentInputError):
@@ -254,7 +265,7 @@ def test_project_needs_only_entries_of_nonzero_weight():
     for m in (base, filled):
         _, cov = m.project([plus, minus])
         assert abs(cov[0, 0] - (c * c * 80.0 + s * s * 130.0 + 2 * c * s * 15.0)) <= 1e-12
-        means, _ = m.project([generator("Y"), generator("Jz")])
+        means, _ = m.project([collective_weights({"Y": 1.0}), collective_weights({"Jz": 1.0})])
         assert abs(means[0] + 200.0 / math.sqrt(3.0)) <= 1e-12
 
 
